@@ -18,15 +18,12 @@ from .graph import (
 )
 from .similarity import (
     MEASURES,
-    DistanceMatrix,
-    SimilarityMatrix,
     similarity_matrix,
     structure_similarity,
     to_distance,
 )
 from .isomap import (
     Embedding,
-    GeodesicMatrix,
     NeighborGraph,
     build_neighbor_graph,
     classical_mds,

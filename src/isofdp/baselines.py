@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .density_peaks import _as_points, select_dc
@@ -120,19 +121,10 @@ def dbscan_labels(e, spec: DbscanSpec) -> np.ndarray:
 
     labels = np.full(n, -1, dtype=np.int64)
     core_idx = np.flatnonzero(core)
-    next_label = 0
-    for start in core_idx:
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = next_label
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(within[u] & core):
-                if labels[v] < 0:
-                    labels[v] = next_label
-                    stack.append(v)
-        next_label += 1
+    if core_idx.size:
+        _, labels[core_idx] = connected_components(
+            within[np.ix_(core_idx, core_idx)], directed=False
+        )
 
     for i in np.flatnonzero(~core):
         reachable = core_idx[within[i, core_idx]]
@@ -171,8 +163,6 @@ def dbscan_parameter_search(
     best = None
     for pct in percentiles:
         eps = select_dc(points, pct)
-        if eps <= 0:
-            continue
         for min_pts in min_pts_values:
             spec = DbscanSpec(eps, min_pts)
             part = dbscan(points, spec)
@@ -180,6 +170,6 @@ def dbscan_parameter_search(
             if best is None or score > best[0]:
                 best = (score, part, spec)
     if best is None:
-        raise ValueError("no usable grid cell: all eps candidates were zero")
+        raise ValueError("empty parameter grid")
     (best_nmi, best_acc), part, spec = best
     return part, spec, best_nmi, best_acc

@@ -56,7 +56,15 @@ def _pairwise(points: np.ndarray) -> np.ndarray:
 
 
 def select_dc(e, percentile: float = 2.0) -> float:
-    """Cutoff distance at a nearest-rank percentile of all pairwise distances."""
+    """Cutoff distance at a nearest-rank percentile of all pairwise distances.
+
+    Distances at most ``1e-9`` times the largest one are rounding noise of
+    coincident points. When the percentile lands there, the cutoff is the
+    smallest distance above that floor instead.
+
+    Raises:
+        ValueError: all points coincide, so no distance is above the floor.
+    """
     points = _as_points(e)
     n = points.shape[0]
     if n < 2:
@@ -65,7 +73,10 @@ def select_dc(e, percentile: float = 2.0) -> float:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     dists = np.sort(pdist(points))
     rank = math.ceil(percentile / 100.0 * dists.size)  # 1-based nearest rank
-    return float(dists[rank - 1])
+    first_real = np.searchsorted(dists, 1e-9 * dists[-1], side="right")
+    if first_real == dists.size:
+        raise ValueError("all points coincide; cannot pick a cutoff")
+    return float(dists[max(rank - 1, first_real)])
 
 
 def _rank_order(rho: np.ndarray) -> np.ndarray:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as _components
 
 logger = logging.getLogger(__name__)
 
@@ -41,9 +42,10 @@ class GraphParseError(ValueError):
 class Graph:
     """Immutable undirected simple graph on dense indices 0..node_count-1.
 
-    ``edges`` holds each undirected pair once, as ``(u, v)`` with ``u < v``.
-    Instances are safe to share across workers; all derived views are
-    read-only caches.
+    ``edges`` holds each undirected pair once, as ``(u, v)`` with ``u < v``;
+    ``edge_array`` is the same set as sorted ``(m, 2)`` int64 rows, read by
+    the vectorized per-edge computations. Instances are safe to share across
+    workers; all derived views are read-only caches.
     """
 
     node_count: int
@@ -99,19 +101,21 @@ class Graph:
         return [frozenset(s) for s in adj]
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Edges as read-only sorted ``(m, 2)`` int64 rows ``(u, v)``, ``u < v``."""
+        arr = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.node_count)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (float64, zero diagonal)."""
         a = np.zeros((self.node_count, self.node_count), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = self.edge_array.T
+        a[u, v] = a[v, u] = 1.0
         return a
 
     def sorted_edges(self):
@@ -248,23 +252,14 @@ def load_gml(source) -> Graph:
 
 
 def connected_components(g: Graph) -> np.ndarray:
-    """Per-node component labels: 0-based, ordered by smallest member index."""
-    labels = np.full(g.node_count, -1, dtype=np.int64)
-    adj = g.neighbor_sets
-    next_label = 0
-    for start in range(g.node_count):
-        if labels[start] >= 0:
-            continue
-        labels[start] = next_label
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if labels[v] < 0:
-                    labels[v] = next_label
-                    queue.append(v)
-        next_label += 1
-    return labels
+    """Per-node int64 component labels: 0-based, ordered by smallest member index.
+
+    Isolated nodes are components of their own.
+    """
+    n = g.node_count
+    u, v = g.edge_array.T
+    adj = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    return _components(adj, directed=False)[1].astype(np.int64)
 
 
 def to_edge_list(g: Graph) -> str:

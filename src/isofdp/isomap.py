@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-from .similarity import DistanceMatrix
 
 __all__ = [
     "NeighborGraph",
-    "GeodesicMatrix",
     "Embedding",
     "build_neighbor_graph",
     "geodesic_distances",
@@ -36,14 +33,6 @@ class NeighborGraph:
     edges: tuple
     neighborhood_size: int
 
-    @cached_property
-    def adjacency(self):
-        adj = [[] for _ in range(self.node_count)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
-
     def to_sparse(self) -> csr_matrix:
         if not self.edges:
             return csr_matrix((self.node_count, self.node_count))
@@ -52,13 +41,6 @@ class NeighborGraph:
         col = np.concatenate([vs, us])
         dat = np.concatenate([ws, ws]).astype(float)
         return csr_matrix((dat, (row, col)), shape=(self.node_count, self.node_count))
-
-
-@dataclass(frozen=True)
-class GeodesicMatrix:
-    """All-pairs shortest-path distances over a neighbor graph; all finite."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,24 +65,6 @@ class Embedding:
         return self.dim < self.requested_dim
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     """Symmetric k-NN graph over finite distances, repaired to one component.
 
@@ -110,7 +74,7 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     globally smallest finite-distance edge joining two components is added
     repeatedly until it is connected.
     """
-    values = d.values if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
+    values = np.asarray(d, dtype=float)
     n = values.shape[0]
     k = int(neighborhood_size)
     if not 1 <= k <= n - 1:
@@ -128,19 +92,21 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
             key = (i, j) if i < j else (j, i)
             edges.setdefault(key, float(row[j]))
 
-    uf = _UnionFind(n)
-    components = n
-    for u, v in edges:
-        if uf.union(u, v):
-            components -= 1
+    pairs = np.array(list(edges), dtype=np.int64)
+    adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    components, comp = connected_components(adj, directed=False)
 
     if components > 1:
+        # Kruskal from the k-NN components: pairs within one component can
+        # never join two, so only the finite cross pairs are ranked
         iu, iv = np.triu_indices(n, k=1)
-        finite = np.isfinite(values[iu, iv])
-        iu, iv, w = iu[finite], iv[finite], values[iu, iv][finite]
+        w = values[iu, iv]
+        cross = np.isfinite(w) & (comp[iu] != comp[iv])
+        iu, iv, w = iu[cross], iv[cross], w[cross]
         for idx in np.lexsort((iv, iu, w)):
             u, v = int(iu[idx]), int(iv[idx])
-            if uf.union(u, v):
+            if comp[u] != comp[v]:
+                comp[comp == comp[v]] = comp[u]
                 edges.setdefault((u, v), float(w[idx]))
                 components -= 1
                 if components == 1:
@@ -154,27 +120,31 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     return NeighborGraph(n, edge_tuple, k)
 
 
-def geodesic_distances(ng: NeighborGraph) -> GeodesicMatrix:
-    """Exact all-pairs shortest paths over the neighbor graph (Dijkstra per source)."""
+def geodesic_distances(ng: NeighborGraph) -> np.ndarray:
+    """Exact all-pairs shortest paths over the neighbor graph (Dijkstra per source).
+
+    The result is an exactly symmetric n x n array with all entries finite.
+    """
     dist = _csgraph_dijkstra(ng.to_sparse(), directed=False)
     if np.isinf(dist).any():
         raise ValueError("neighbor graph is disconnected")
     dist = np.minimum(dist, dist.T)  # enforce exact symmetry
     np.fill_diagonal(dist, 0.0)
-    return GeodesicMatrix(dist)
+    return dist
 
 
 def _positive_spectrum(d: np.ndarray):
     """Eigendecomposition of the double-centered squared-distance matrix.
 
     Returns eigenvalues (descending) and matching eigenvectors of
-    ``-1/2 * X (D o D) X`` where ``X = I - (1/n) 11^T``; only this function
-    materializes the centering matrix.
+    ``-1/2 * X (D o D) X`` where ``X = I - (1/n) 11^T``, centered by mean
+    subtraction in place on one n x n buffer. The buffer is symmetric only up
+    to rounding; ``eigh`` reads its lower triangle.
     """
-    n = d.shape[0]
-    center = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * center @ (d * d) @ center
-    b = (b + b.T) / 2.0
+    b = np.square(d)
+    b -= b.mean(axis=0)
+    b -= b.mean(axis=1)[:, None]
+    b *= -0.5
     eigvals, eigvecs = np.linalg.eigh(b)
     order = np.argsort(eigvals)[::-1]
     return eigvals[order], eigvecs[:, order]
@@ -191,7 +161,7 @@ def classical_mds(gd, dim: int) -> Embedding:
     """
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
-    d = gd.values if isinstance(gd, GeodesicMatrix) else np.asarray(gd, dtype=float)
+    d = np.asarray(gd, dtype=float)
     n = d.shape[0]
     eigvals, eigvecs = _positive_spectrum(d)
     tol = 1e-10 * max(eigvals[0], 0.0)
@@ -215,7 +185,7 @@ def isomap(d, neighborhood_size: int = 10, dim: int = 2) -> Embedding:
     Rejects graphs with fewer than 4 nodes; centering and the downstream
     density statistics are degenerate there.
     """
-    values = d.values if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
+    values = np.asarray(d, dtype=float)
     if values.shape[0] < 4:
         raise ValueError("pipeline requires at least 4 nodes")
     ng = build_neighbor_graph(values, neighborhood_size)
@@ -225,8 +195,7 @@ def isomap(d, neighborhood_size: int = 10, dim: int = 2) -> Embedding:
 
 def residual_variances(gd, max_dim: int) -> list:
     """(dim, residual) pairs: share of the positive spectrum left out at each dim."""
-    d = gd.values if isinstance(gd, GeodesicMatrix) else np.asarray(gd, dtype=float)
-    eigvals, _ = _positive_spectrum(d)
+    eigvals, _ = _positive_spectrum(np.asarray(gd, dtype=float))
     tol = 1e-10 * max(eigvals[0], 0.0)
     positive = eigvals[eigvals > tol]
     total = positive.sum()

@@ -64,12 +64,8 @@ class Partition:
 
     def internal_edge_counts(self, g: Graph) -> np.ndarray:
         """Edges of ``g`` with both endpoints in the same community."""
-        counts = np.zeros(self.k, dtype=np.int64)
-        lab = self.labels
-        for u, v in g.edges:
-            if lab[u] == lab[v]:
-                counts[lab[u]] += 1
-        return counts
+        lu, lv = self.labels[g.edge_array.T]
+        return np.bincount(lu[lu == lv], minlength=self.k)
 
     def members(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.labels == c)

@@ -7,7 +7,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .density_peaks import DensityProfile, compute_profile, select_dc
 from .graph import Graph
@@ -31,40 +32,26 @@ def _bridge_disconnected(values: np.ndarray) -> np.ndarray:
     each twice the largest finite dissimilarity, keeps such groups maximally
     separated in the embedding while letting the projection proceed.
     """
-    n = values.shape[0]
     finite = np.isfinite(values)
-    np.fill_diagonal(finite, True)
-    comp = np.full(n, -1, dtype=np.int64)
-    n_comp = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = n_comp
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(finite[u] & (comp < 0)):
-                comp[v] = n_comp
-                stack.append(v)
-        n_comp += 1
+    if finite.all():
+        return values
+    n_comp, comp = connected_components(csr_matrix(finite), directed=False)
     if n_comp == 1:
         return values
-    off_diag = values[~np.eye(n, dtype=bool)]
-    finite_vals = off_diag[np.isfinite(off_diag)]
-    if finite_vals.size == 0:
+    if n_comp == values.shape[0]:
         raise ValueError("no finite distances at all; graph has no edges")
-    bridge = 2.0 * float(finite_vals.max())
+    # the zero diagonal cannot raise the maximum over positive distances
+    bridge = 2.0 * float(values[finite].max())
     out = values.copy()
-    reps = [int(np.flatnonzero(comp == c).min()) for c in range(n_comp)]
-    hub = reps[0]
-    for rep in reps[1:]:
-        out[hub, rep] = out[rep, hub] = bridge
+    # each component's smallest node, bridged to node 0's component
+    hub, *reps = np.sort(np.unique(comp, return_index=True)[1])
+    out[hub, reps] = out[reps, hub] = bridge
     return out
 
 
 def prepared_distances(g: Graph, measure: str = "structure") -> np.ndarray:
     """Similarity-derived distance matrix, bridged to a single finite component."""
-    return _bridge_disconnected(to_distance(similarity_matrix(g, measure)).values)
+    return _bridge_disconnected(to_distance(similarity_matrix(g, measure)))
 
 
 def default_k_max(n: int) -> int:
@@ -125,13 +112,6 @@ def detect_communities(
 
     start = time.perf_counter()
     d_c = select_dc(embedding, dc_percentile)
-    if d_c <= 0:
-        # duplicate embedded points can zero out low percentiles
-        positive = pdist(embedding.coordinates)
-        positive = positive[positive > 0]
-        if positive.size == 0:
-            raise ValueError("all embedded points coincide; cannot pick a cutoff")
-        d_c = float(positive.min())
     profile = compute_profile(embedding, d_c)
     timings["density"] = time.perf_counter() - start
 

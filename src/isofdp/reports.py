@@ -8,8 +8,6 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
 __all__ = [
     "atomic_write_text",
     "write_csv",
@@ -101,11 +99,3 @@ def decision_graph_rows(result):
             repr(float(prof.delta[i])),
             repr(float(prof.gamma[i])),
         ]
-
-
-def matrix_csv_text(values: np.ndarray, header=None) -> str:
-    """Row-major matrix CSV; infinities serialize as the token ``inf``."""
-    n = values.shape[1]
-    head = header if header is not None else [f"c{j}" for j in range(n)]
-    rows = ([("inf" if np.isinf(x) else repr(float(x))) for x in row] for row in values)
-    return csv_text(head, rows)

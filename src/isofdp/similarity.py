@@ -9,7 +9,6 @@ so the downstream distance transform is uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -18,29 +17,12 @@ from .graph import Graph
 
 __all__ = [
     "MEASURES",
-    "SimilarityMatrix",
-    "DistanceMatrix",
     "structure_similarity",
     "similarity_matrix",
     "to_distance",
 ]
 
 MEASURES = ("structure", "euclidean", "jaccard", "cosine", "hamming")
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Dense symmetric similarity matrix plus the measure tag that produced it."""
-
-    values: np.ndarray
-    measure: str
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Dense symmetric distance matrix; ``inf`` marks unrelated pairs."""
-
-    values: np.ndarray
 
 
 def structure_similarity(g: Graph, v: int, w: int) -> float:
@@ -59,8 +41,8 @@ def structure_similarity(g: Graph, v: int, w: int) -> float:
     return len(nv & nw) / math.sqrt(len(nv) * len(nw))
 
 
-def similarity_matrix(g: Graph, measure: str = "structure") -> SimilarityMatrix:
-    """Pairwise similarity for every node pair under the given measure.
+def similarity_matrix(g: Graph, measure: str = "structure") -> np.ndarray:
+    """Dense symmetric n x n similarity for every node pair under the given measure.
 
     ``structure`` uses closed-neighborhood overlap; the others are computed on
     adjacency-matrix rows. Distance-like measures (euclidean, hamming) are
@@ -90,20 +72,18 @@ def similarity_matrix(g: Graph, measure: str = "structure") -> SimilarityMatrix:
         with np.errstate(divide="ignore", invalid="ignore"):
             values = np.where(denom > 0, (a @ a.T) / np.where(denom > 0, denom, 1.0), 0.0)
         np.fill_diagonal(values, 1.0)
-    values = (values + values.T) / 2.0
-    return SimilarityMatrix(values, measure)
+    return (values + values.T) / 2.0
 
 
-def to_distance(s) -> DistanceMatrix:
+def to_distance(s) -> np.ndarray:
     """Reciprocal transform: off-diagonal ``d = 1/s``, zero similarity -> inf.
 
-    Accepts a :class:`SimilarityMatrix` or a raw array. Negative similarities
-    are a domain error.
+    Negative similarities are a domain error.
     """
-    values = s.values if isinstance(s, SimilarityMatrix) else np.asarray(s, dtype=float)
+    values = np.asarray(s, dtype=float)
     if (values < 0).any():
         raise ValueError("similarities must be nonnegative")
     with np.errstate(divide="ignore"):
         d = np.where(values > 0, 1.0 / np.where(values > 0, values, 1.0), np.inf)
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(d)
+    return d

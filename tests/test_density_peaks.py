@@ -40,6 +40,15 @@ class TestSelectDc:
         with pytest.raises(ValueError):
             select_dc(points, 101.0)
 
+    def test_rounding_noise_is_not_a_cutoff(self):
+        # two clumps of points that coincide up to rounding, 1 apart
+        points = np.array([0.0, 1e-17, 2e-17, 1.0, 1.0 + 2e-16])
+        assert select_dc(points, 10.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_coincident_points_rejected(self):
+        with pytest.raises(ValueError, match="coincide"):
+            select_dc(np.zeros((4, 2)), 50.0)
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             select_dc(np.array([1.0]), 50.0)

@@ -93,6 +93,32 @@ class TestLoadGml:
         assert g.edge_count == 1
 
 
+class TestEdgeArray:
+    def test_sorted_read_only_rows(self):
+        g = Graph.from_edges(4, [(3, 2), (0, 1), (2, 0)])
+        assert g.edge_array.dtype == np.int64
+        assert g.edge_array.tolist() == [[0, 1], [0, 2], [2, 3]]
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 1
+
+    def test_degrees_and_adjacency_match_edge_loop(self):
+        g = load_edge_list("0 1\n1 2\n2 0\n2 3\n5 4")
+        deg = np.zeros(g.node_count, dtype=np.int64)
+        adj = np.zeros((g.node_count, g.node_count))
+        for u, v in g.edges:
+            deg[u] += 1
+            deg[v] += 1
+            adj[u, v] = adj[v, u] = 1.0
+        assert g.degrees.tolist() == deg.tolist()
+        assert np.array_equal(g.adjacency_matrix(), adj)
+
+    def test_edgeless_graph(self):
+        g = Graph.from_edges(3, [])
+        assert g.edge_array.shape == (0, 2)
+        assert g.degrees.tolist() == [0, 0, 0]
+        assert connected_components(g).tolist() == [0, 1, 2]
+
+
 class TestConnectedComponents:
     def test_path(self):
         g = load_edge_list("0 1\n1 2")

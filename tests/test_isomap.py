@@ -41,6 +41,20 @@ class TestBuildNeighborGraph:
         cross = [(u, v, w) for u, v, w in ng.edges if u < 3 <= v]
         assert cross == [(2, 3, 8.0)]  # single smallest cross-clump edge
 
+    def test_repair_ties_break_by_weight_then_endpoints(self):
+        # k=1 leaves {0, 1} and {2, 3}; both cheapest cross pairs weigh 5,
+        # and the repair takes the one with the smaller (u, v)
+        d = np.array(
+            [
+                [0.0, 1.0, 9.0, 5.0],
+                [1.0, 0.0, 5.0, 9.0],
+                [9.0, 5.0, 0.0, 1.0],
+                [5.0, 9.0, 1.0, 0.0],
+            ]
+        )
+        ng = build_neighbor_graph(d, 1)
+        assert set(ng.edges) - {(0, 1, 1.0), (2, 3, 1.0)} == {(0, 3, 5.0)}
+
     def test_node_without_finite_partner_is_reported(self):
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
         with pytest.raises(ValueError, match="node 2"):
@@ -72,7 +86,7 @@ class TestGeodesicDistances:
         d = line_distance_matrix([0.0, 1.0, 2.0])
         ng = build_neighbor_graph(d, 1)
         gd = geodesic_distances(ng)
-        assert gd.values[0, 2] == pytest.approx(2.0, abs=1e-12)
+        assert gd[0, 2] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -86,7 +100,7 @@ class TestGeodesicDistances:
             ng = build_neighbor_graph(w, n - 1)
             gd = geodesic_distances(ng)
             expected = floyd_warshall(neighbor_graph_matrix(ng))
-            assert np.max(np.abs(gd.values - expected)) <= 1e-9
+            assert np.max(np.abs(gd - expected)) <= 1e-9
 
     def test_triangle_inequality_sampled(self):
         rng = np.random.default_rng(3)
@@ -95,7 +109,7 @@ class TestGeodesicDistances:
         np.fill_diagonal(w, 0.0)
         for (u, v), weight in edges.items():
             w[u, v] = w[v, u] = weight
-        gd = geodesic_distances(build_neighbor_graph(w, 10)).values
+        gd = geodesic_distances(build_neighbor_graph(w, 10))
         for _ in range(300):
             i, j, k = rng.integers(0, 40, size=3)
             assert gd[i, k] <= gd[i, j] + gd[j, k] + 1e-12
@@ -108,7 +122,7 @@ class TestGeodesicDistances:
         for (u, v), weight in edges.items():
             w[u, v] = w[v, u] = weight
         ng = build_neighbor_graph(w, 6)
-        gd = geodesic_distances(ng).values
+        gd = geodesic_distances(ng)
         for u, v, weight in ng.edges:
             assert gd[u, v] <= weight + 1e-12
 

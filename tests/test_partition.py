@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from isofdp import (
+    MEASURES,
     Graph,
     Partition,
     detect_communities,
@@ -35,6 +37,16 @@ class TestPartitionType:
         part = Partition.from_labels([0, 0, 0, 1, 1])
         assert part.sizes.tolist() == [3, 2]
         assert part.internal_edge_counts(g).tolist() == [2, 1]
+
+    def test_internal_edges_match_edge_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            g, part = random_partitioned_graph(rng, 40, int(rng.integers(2, 8)))
+            expected = np.zeros(part.k, dtype=np.int64)
+            for u, v in g.edges:
+                if part.labels[u] == part.labels[v]:
+                    expected[part.labels[u]] += 1
+            assert part.internal_edge_counts(g).tolist() == expected.tolist()
 
 
 class TestLocalPartitionDensity:
@@ -146,6 +158,16 @@ class TestSelectK:
         table = dict(result.sweep.table())
         assert max(table.values()) == 0.0
         assert result.k_star == 2
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_dc_above_rounding_noise(self, measure):
+        # two K5 plus an isolated node: each K5 embeds as points that
+        # coincide up to rounding, which low percentiles would pick as d_c
+        cliques, _ = disjoint_cliques_graph([5, 5])
+        g = Graph.from_edges(11, cliques.edges)
+        res = detect_communities(g, measure=measure)
+        largest = pdist(res.embedding.coordinates).max()
+        assert res.d_c >= 1e-9 * largest
 
     def test_k_max_validation(self):
         from isofdp import select_k

@@ -51,30 +51,29 @@ class TestStructureSimilarity:
 class TestSimilarityMatrix:
     def test_complete_graph_all_ones(self):
         sim = similarity_matrix(TRIANGLE, "structure")
-        assert np.allclose(sim.values, 1.0)
+        assert np.allclose(sim, 1.0)
 
     def test_matches_pairwise_function(self):
         g = PATH3
         sim = similarity_matrix(g, "structure")
         for v in range(g.node_count):
             for w in range(g.node_count):
-                assert sim.values[v, w] == pytest.approx(
+                assert sim[v, w] == pytest.approx(
                     structure_similarity(g, v, w), abs=1e-12
                 )
 
     def test_jaccard_cross_pair_zero(self):
         sim = similarity_matrix(TWO_EDGES, "jaccard")
-        assert sim.values[0, 2] == 0.0
+        assert sim[0, 2] == 0.0
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_symmetric_unit_diagonal_in_range(self, measure):
         g = generate_gn(GnSpec(z_out=4, seed=2)).graph
         sim = similarity_matrix(g, measure)
-        assert np.allclose(sim.values, sim.values.T)
-        assert np.allclose(np.diag(sim.values), 1.0)
-        assert sim.values.min() >= 0.0
-        assert sim.values.max() <= 1.0 + 1e-12
-        assert sim.measure == measure
+        assert np.allclose(sim, sim.T)
+        assert np.allclose(np.diag(sim), 1.0)
+        assert sim.min() >= 0.0
+        assert sim.max() <= 1.0 + 1e-12
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="unknown measure"):
@@ -86,7 +85,7 @@ class TestSimilarityMatrix:
         g = generate_gn(GnSpec(z_out=2, seed=1)).graph
         sim = similarity_matrix(g, "structure")
         iu = np.triu_indices(g.node_count, k=1)
-        distinct = np.unique(np.round(sim.values[iu], 12)).size
+        distinct = np.unique(np.round(sim[iu], 12)).size
         assert iu[0].size == 8128
         assert distinct < 100
 
@@ -94,16 +93,16 @@ class TestSimilarityMatrix:
 class TestToDistance:
     def test_unit_similarity_maps_to_unit_distance(self):
         d = to_distance(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert d.values[0, 1] == 1.0
+        assert d[0, 1] == 1.0
 
     def test_zero_similarity_maps_to_inf(self):
         d = to_distance(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.isinf(d.values[0, 1])
+        assert np.isinf(d[0, 1])
 
     def test_diagonal_is_zero(self):
         sim = similarity_matrix(TRIANGLE, "structure")
         d = to_distance(sim)
-        assert np.all(np.diag(d.values) == 0.0)
+        assert np.all(np.diag(d) == 0.0)
 
     def test_negative_similarity_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -113,7 +112,7 @@ class TestToDistance:
         rng = np.random.default_rng(0)
         s = rng.uniform(0.05, 1.0, size=(6, 6))
         s = (s + s.T) / 2
-        d = to_distance(s).values
+        d = to_distance(s)
         iu = np.triu_indices(6, k=1)
         for i in range(len(iu[0])):
             for j in range(len(iu[0])):
