@@ -34,10 +34,7 @@ from .density_peaks import (
     DensityProfile,
     assign,
     compute_profile,
-    gamma_scores,
-    local_density,
     select_dc,
-    separation,
 )
 from .partition import (
     Partition,

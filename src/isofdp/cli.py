@@ -121,7 +121,6 @@ def cmd_detect(args) -> int:
         "dim": args.dim,
         "dc_percentile": args.dc_percentile,
         "kmax": args.kmax if args.kmax is not None else default_k_max(g.node_count),
-        "seed": args.seed,
         "out_dir": args.out_dir,
         "version": __version__,
     }
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None,
                    help="largest community count to try (default ~2*sqrt(n))")
     p.add_argument("--truth", default=None, help="optional token<TAB>community file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="isofdp-out")
     p.set_defaults(func=cmd_detect)
 

@@ -35,7 +35,7 @@ _COMMENT_PREFIXES = ("#", "%")
 
 
 class GraphParseError(ValueError):
-    """Malformed edge-list or GML input."""
+    """Malformed input file: edge list, GML or ``token<TAB>community`` labels."""
 
 
 @dataclass(frozen=True)
@@ -171,27 +171,37 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _gml_items(tokens, pos):
-    """Parse GML (key, value) pairs until the closing bracket.
+def _gml_items(tokens):
+    """Parse GML tokens into (key, value) pairs.
 
-    Values are raw strings, or nested item lists for bracketed blocks.
+    Values are raw strings, or nested item lists for bracketed blocks. An
+    explicit stack of the enclosing lists keeps any nesting depth off the
+    call stack. Blocks still open at the end of input close there; a closing
+    bracket with no open block ends the input.
     """
     items = []
+    enclosing = []
+    pos = 0
     while pos < len(tokens):
         key = tokens[pos]
-        if key == "]":
-            return items, pos + 1
         pos += 1
+        if key == "]":
+            if not enclosing:
+                break
+            items = enclosing.pop()
+            continue
         if pos >= len(tokens):
             raise GraphParseError(f"dangling key {key!r} at end of GML input")
         val = tokens[pos]
+        pos += 1
         if val == "[":
-            sub, pos = _gml_items(tokens, pos + 1)
+            sub = []
             items.append((key, sub))
+            enclosing.append(items)
+            items = sub
         else:
             items.append((key, val))
-            pos += 1
-    return items, pos
+    return enclosing[0] if enclosing else items
 
 
 def load_gml(source) -> Graph:
@@ -203,7 +213,7 @@ def load_gml(source) -> Graph:
     (duplicate collapse, self-loop drop) matches :func:`load_edge_list`.
     """
     tokens = _GML_TOKEN.findall(_read_text(source))
-    items, _ = _gml_items(tokens, 0)
+    items = _gml_items(tokens)
     graph_block = next(
         (v for k, v in items if k == "graph" and isinstance(v, list)), None
     )

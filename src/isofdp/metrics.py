@@ -47,12 +47,15 @@ def _as_label_pair(truth, pred):
     return normalize_labels(truth), normalize_labels(pred)
 
 
-def contingency_table(truth, pred) -> ContingencyTable:
-    t, p = _as_label_pair(truth, pred)
-    r, c = int(t.max()) + 1, int(p.max()) + 1
-    counts = np.zeros((r, c), dtype=np.int64)
+def _counts(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # t and p are already normalized to 0..r-1 and 0..c-1
+    counts = np.zeros((int(t.max()) + 1, int(p.max()) + 1), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
-    return ContingencyTable(counts)
+    return counts
+
+
+def contingency_table(truth, pred) -> ContingencyTable:
+    return ContingencyTable(_counts(*_as_label_pair(truth, pred)))
 
 
 def nmi(truth, pred) -> float:
@@ -63,7 +66,7 @@ def nmi(truth, pred) -> float:
     set partition and 0 otherwise.
     """
     t, p = _as_label_pair(truth, pred)
-    counts = contingency_table(t, p).counts.astype(float)
+    counts = _counts(t, p).astype(float)
     n = counts.sum()
     row = counts.sum(axis=1)
     col = counts.sum(axis=0)

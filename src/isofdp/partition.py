@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .density_peaks import assign
 from .graph import Graph
 
 __all__ = [
@@ -140,19 +141,17 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
 
     For each k the top-k score-ranked nodes become centers and the rest follow
     their nearest denser neighbor; ties in the peak density resolve to the
-    smallest k.
+    smallest k. Everything is read from ``profile``: ``embedding`` is not
+    used.
     """
-    from .density_peaks import assign, gamma_scores  # deferred: avoids import cycle
-
     n = g.node_count
     if not 2 <= k_max <= n:
         raise ValueError(f"k_max must be in 2..{n}, got {k_max}")
-    _, ranking = gamma_scores(profile.rho, profile.delta)
     records = []
     best_k = None
     best_d = -np.inf
     for k in range(2, k_max + 1):
-        part = assign(embedding, profile, ranking[:k])
+        part = Partition(assign(profile, k), k)
         d = partition_density(g, part, penalized=True)
         records.append(SweepRecord(k, d, part))
         if d > best_d:

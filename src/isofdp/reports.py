@@ -8,6 +8,8 @@ import json
 import os
 import tempfile
 
+from .graph import GraphParseError
+
 __all__ = [
     "atomic_write_text",
     "write_csv",
@@ -53,7 +55,11 @@ def save_labels(path, tokens, labels) -> None:
 
 
 def load_labels(source) -> dict:
-    """Read a label file back as token -> community id."""
+    """Read a label file back as token -> community id.
+
+    Raises:
+        GraphParseError: a line does not hold a token and an integer community.
+    """
     text = source.read() if hasattr(source, "read") else str(source)
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -62,8 +68,13 @@ def load_labels(source) -> dict:
             continue
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
-            raise ValueError(f"label file line {lineno}: expected 'token<TAB>community'")
-        out[parts[0]] = int(parts[1])
+            raise GraphParseError(f"label file line {lineno}: expected 'token<TAB>community'")
+        try:
+            out[parts[0]] = int(parts[1])
+        except ValueError:
+            raise GraphParseError(
+                f"label file line {lineno}: community {parts[1]!r} is not an integer"
+            ) from None
     return out
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from isofdp import GnSpec, generate_gn, to_gml
 from isofdp.cli import main, _parse_values
 from isofdp.reports import load_labels, save_labels
 
@@ -84,6 +85,13 @@ class TestDetect:
             reports.append(json.dumps(payload, sort_keys=True))
         assert reports[0] == reports[1]
 
+    def test_seed_flag_removed(self, gn_instance, tmp_path):
+        # detection draws no random numbers, so it takes no seed
+        edges_path, _ = gn_instance
+        with pytest.raises(SystemExit) as exc:
+            run(["detect", "--input", edges_path, "--seed", 1, "--out-dir", tmp_path / "o"])
+        assert exc.value.code == 2
+
     def test_too_small_graph_exits_2(self, tmp_path):
         path = tmp_path / "tiny3.edges"
         path.write_text("0 1\n1 2\n")
@@ -96,6 +104,33 @@ class TestDetect:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["detect", "--input", tmp_path / "nope.edges"]) == 2
+
+    def test_deeply_nested_gml_block_loads(self, tmp_path):
+        depth = 10_000
+        text = to_gml(generate_gn(GnSpec(z_out=2, seed=0)).graph)
+        nested = "meta [ " * depth + "x 1 " + "] " * depth
+        path = tmp_path / "deep.gml"
+        path.write_text(text.replace("graph [", "graph [ " + nested, 1))
+        assert run(["detect", "--input", path, "--out-dir", tmp_path / "o"]) == 0
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1\t0\textra", "line 2: expected"), ("1\tzero", "line 2: community 'zero'")],
+    )
+    def test_malformed_truth_exits_1(self, gn_instance, tmp_path, capsys, line, message):
+        edges_path, _ = gn_instance
+        truth = tmp_path / "bad.truth"
+        truth.write_text(f"0\t0\n{line}\n")
+        code = run(["detect", "--input", edges_path, "--truth", truth, "--out-dir", tmp_path / "o"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_truth_missing_nodes_exits_2(self, gn_instance, tmp_path):
+        edges_path, _ = gn_instance
+        truth = tmp_path / "short.truth"
+        save_labels(truth, ["0", "1"], [0, 0])
+        code = run(["detect", "--input", edges_path, "--truth", truth, "--out-dir", tmp_path / "o"])
+        assert code == 2
 
 
 class TestEval:
@@ -121,6 +156,19 @@ class TestEval:
         save_labels(truth, ["a", "b"], [0, 1])
         save_labels(pred, ["a", "x"], [0, 1])
         assert run(["eval", "--truth", truth, "--pred", pred]) == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("b 1 2", "line 2: expected"), ("b 1.5", "line 2: community '1.5'")],
+    )
+    def test_malformed_label_file_exits_1(self, tmp_path, capsys, line, message):
+        good = tmp_path / "good.txt"
+        bad = tmp_path / "bad.txt"
+        save_labels(good, ["a", "b"], [0, 1])
+        bad.write_text(f"a 0\n{line}\n")
+        assert run(["eval", "--truth", bad, "--pred", good]) == 1
+        assert message in capsys.readouterr().err
+        assert run(["eval", "--truth", good, "--pred", bad]) == 1
 
 
 class TestBenchmark:

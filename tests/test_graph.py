@@ -92,6 +92,14 @@ class TestLoadGml:
         g = load_gml(text)
         assert g.edge_count == 1
 
+    def test_deeply_nested_block_is_ignored(self):
+        depth = 10_000
+        nested = "meta [ " * depth + "x 1 " + "] " * depth
+        text = f"graph [ node [ id 1 ] node [ id 2 ] {nested} edge [ source 1 target 2 ] ]"
+        g = load_gml(text)
+        assert g.node_count == 2
+        assert g.edge_count == 1
+
 
 class TestEdgeArray:
     def test_sorted_read_only_rows(self):
