@@ -8,6 +8,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+from scipy.sparse.linalg import eigsh
 
 __all__ = [
     "NeighborGraph",
@@ -133,21 +134,18 @@ def geodesic_distances(ng: NeighborGraph) -> np.ndarray:
     return dist
 
 
-def _positive_spectrum(d: np.ndarray):
-    """Eigendecomposition of the double-centered squared-distance matrix.
+def _centered_gram(d: np.ndarray) -> np.ndarray:
+    """The double-centered squared-distance matrix ``-1/2 * X (D o D) X``.
 
-    Returns eigenvalues (descending) and matching eigenvectors of
-    ``-1/2 * X (D o D) X`` where ``X = I - (1/n) 11^T``, centered by mean
-    subtraction in place on one n x n buffer. The buffer is symmetric only up
-    to rounding; ``eigh`` reads its lower triangle.
+    ``X = I - (1/n) 11^T``; the centering is done by mean subtraction in place
+    on one n x n buffer, which is symmetric only up to rounding. Its rank is at
+    most n - 1, since the all-ones vector is in its null space.
     """
     b = np.square(d)
     b -= b.mean(axis=0)
     b -= b.mean(axis=1)[:, None]
     b *= -0.5
-    eigvals, eigvecs = np.linalg.eigh(b)
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], eigvecs[:, order]
+    return b
 
 
 def classical_mds(gd, dim: int) -> Embedding:
@@ -158,19 +156,32 @@ def classical_mds(gd, dim: int) -> Embedding:
     (flagged via ``truncated``), except that a fully degenerate input yields a
     single all-zero column. Each column's largest-magnitude entry is made
     nonnegative so the output is sign-deterministic.
+
+    Only the top ``min(dim, n - 1)`` eigenpairs are computed, by Lanczos
+    iteration (ARPACK) to machine precision. Its start vector and the vectors
+    it draws after an invariant subspace (a rank-deficient input) come from a
+    fixed seed, so repeated calls return the same bytes.
     """
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
     d = np.asarray(gd, dtype=float)
     n = d.shape[0]
-    eigvals, eigvecs = _positive_spectrum(d)
+    b = _centered_gram(d)
+    if not b.any():
+        # all points coincide; ARPACK rejects the zero start residual
+        return Embedding(np.zeros((n, 1)), np.zeros(1), dim)
+    rng = np.random.default_rng(0)
+    eigvals, eigvecs = eigsh(
+        b, k=min(dim, n - 1), which="LA", tol=0, v0=rng.standard_normal(n), rng=rng
+    )
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     tol = 1e-10 * max(eigvals[0], 0.0)
-    positive = int(np.sum(eigvals > tol))
-    keep = min(dim, positive)
+    keep = int(np.sum(eigvals > tol))
     if keep == 0:
         return Embedding(np.zeros((n, 1)), np.zeros(1), dim)
-    vals = eigvals[:keep].copy()
-    vecs = eigvecs[:, :keep].copy()
+    vals = eigvals[:keep]
+    vecs = eigvecs[:, :keep]
     for j in range(keep):
         anchor = np.argmax(np.abs(vecs[:, j]))
         if vecs[anchor, j] < 0:
@@ -195,7 +206,7 @@ def isomap(d, neighborhood_size: int = 10, dim: int = 2) -> Embedding:
 
 def residual_variances(gd, max_dim: int) -> list:
     """(dim, residual) pairs: share of the positive spectrum left out at each dim."""
-    eigvals, _ = _positive_spectrum(np.asarray(gd, dtype=float))
+    eigvals = np.linalg.eigvalsh(_centered_gram(np.asarray(gd, dtype=float)))[::-1]
     tol = 1e-10 * max(eigvals[0], 0.0)
     positive = eigvals[eigvals > tol]
     total = positive.sum()

@@ -30,12 +30,10 @@ __all__ = [
 
 def normalize_labels(labels) -> np.ndarray:
     """Relabel to contiguous 0..k-1 in order of first occurrence."""
-    labels = np.asarray(labels)
-    seen = {}
-    out = np.empty(labels.shape[0], dtype=np.int64)
-    for i, lab in enumerate(labels):
-        out[i] = seen.setdefault(lab, len(seen))
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.reshape(-1)]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,46 @@
+"""Labels must not depend on the BLAS thread count.
+
+Two fresh interpreters, one per thread count, since OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` once, when numpy is imported. Their embeddings may
+differ in the last bits (a threaded matrix-vector product sums in another
+order); the partition and k* must not.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import isofdp
+
+CHILD = """
+import json
+from isofdp import LfrSpec, detect_communities, generate_lfr
+
+labeled = generate_lfr(LfrSpec(n=1000, mu=0.4, seed=1))
+res = detect_communities(labeled.graph, knn=10, dim=16, k_max=64)
+print(json.dumps({"k_star": res.k_star, "labels": res.partition.labels.tolist()}))
+"""
+
+
+def detect_with_threads(threads: int) -> dict:
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    src = str(Path(isofdp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_labels_invariant_to_blas_thread_count():
+    one, two = detect_with_threads(1), detect_with_threads(2)
+    assert one["k_star"] == two["k_star"]
+    assert one["labels"] == two["labels"]

@@ -143,6 +143,7 @@ class TestClassicalMds:
     def test_degenerate_all_zero_distances(self):
         emb = classical_mds(np.zeros((4, 4)), 2)
         assert np.allclose(emb.coordinates, 0.0)
+        assert emb.coordinates.shape == (4, 1)
         assert emb.truncated
 
     def test_zero_dim_rejected(self):
@@ -196,6 +197,101 @@ class TestClassicalMds:
             emb = classical_mds(d, p)
             rebuilt = squareform(pdist(emb.coordinates))
             assert np.max(np.abs(rebuilt - d)) <= 1e-9
+
+
+def reference_mds(d, dim):
+    """Classical MDS by a full ``eigh`` of the centered Gram matrix.
+
+    Returns the positive eigenvalues (above 1e-10 of the largest, descending)
+    and the coordinates of the top ``dim`` of them.
+    """
+    n = d.shape[0]
+    center = np.eye(n) - np.ones((n, n)) / n
+    gram = -0.5 * center @ (d * d) @ center
+    vals, vecs = np.linalg.eigh((gram + gram.T) / 2)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = min(dim, int(np.sum(vals > 1e-10 * max(vals[0], 0.0))))
+    return vals[:keep], vecs[:, :keep] * np.sqrt(vals[:keep])
+
+
+def assert_matches_reference(d, dim):
+    emb = classical_mds(d, dim)
+    vals, coords = reference_mds(d, dim)
+    assert emb.dim == vals.size
+    assert np.max(np.abs(emb.eigenvalues - vals) / vals) <= 1e-9
+    # a basis inside a (near-)degenerate eigenspace is arbitrary: compare
+    # what the embedding means, its pairwise distances
+    got, want = pdist(emb.coordinates), pdist(coords)
+    assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
+
+
+class TestPartialEigensolver:
+    def test_matches_full_eigh_on_random_point_sets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            p = int(rng.integers(2, 8))
+            n = int(rng.integers(20, 120))
+            d = squareform(pdist(rng.normal(size=(n, p))))
+            assert_matches_reference(d, int(rng.integers(1, p + 1)))
+
+    @pytest.mark.parametrize("z_out, seed", [(1, 8), (6, 5)])
+    def test_matches_full_eigh_on_nearly_degenerate_top_spectrum(self, z_out, seed):
+        # the four groups sit near the corners of a tetrahedron; on these two
+        # graphs two of the top three eigenvalues lie within 1% of the largest
+        labeled = generate_gn(GnSpec(z_out=z_out, seed=seed))
+        gd = geodesic_distances(
+            build_neighbor_graph(to_distance(similarity_matrix(labeled.graph)), 24)
+        )
+        vals, _ = reference_mds(gd, 3)
+        assert np.min(-np.diff(vals)) < 0.01 * vals[0]
+        assert_matches_reference(gd, 3)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_dim_at_least_n_minus_one(self, n):
+        rng = np.random.default_rng(n)
+        d = squareform(pdist(rng.normal(size=(n, n))))
+        for dim in (n - 1, n, n + 3):
+            emb = classical_mds(d, dim)
+            assert emb.dim == n - 1
+            assert emb.truncated == (dim > n - 1)
+            assert_matches_reference(d, dim)
+            rebuilt = squareform(pdist(emb.coordinates))
+            assert np.max(np.abs(rebuilt - d)) <= 1e-9 * d.max()
+
+    def test_rank_one_path_metric_truncates_to_one_column(self):
+        d = line_distance_matrix(np.arange(20.0))
+        emb = classical_mds(d, 16)
+        assert emb.truncated
+        assert emb.dim == 1
+        rebuilt = squareform(pdist(emb.coordinates))
+        assert np.max(np.abs(rebuilt - d)) <= 1e-9 * d.max()
+
+    @pytest.mark.parametrize("n, dim", [(1, 1), (2, 3), (30, 16)])
+    def test_all_zero_distances_give_one_zero_column(self, n, dim):
+        emb = classical_mds(np.zeros((n, n)), dim)
+        assert emb.coordinates.shape == (n, 1)
+        assert not emb.coordinates.any()
+        assert emb.eigenvalues.tolist() == [0.0]
+
+    @pytest.mark.parametrize("shape", ["points", "path"])
+    def test_repeated_calls_are_byte_identical(self, shape):
+        # the path metric has rank 1, so the solver must restart from fresh
+        # vectors once its Krylov space is exhausted; those are seeded too
+        if shape == "points":
+            d = squareform(pdist(np.random.default_rng(12).normal(size=(80, 6))))
+        else:
+            d = line_distance_matrix(np.arange(40.0))
+        first, second = classical_mds(d, 16), classical_mds(d, 16)
+        assert first.coordinates.tobytes() == second.coordinates.tobytes()
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+
+    def test_residual_variances_match_full_spectrum(self):
+        rng = np.random.default_rng(13)
+        d = squareform(pdist(rng.normal(size=(25, 5))))
+        vals, _ = reference_mds(d, 25)
+        expected = [1.0 - vals[:p].sum() / vals.sum() for p in range(1, 7)]
+        got = [r for _, r in residual_variances(d, 6)]
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestIsomapPipeline:

@@ -12,6 +12,7 @@ from isofdp import (
     partition_density,
 )
 from isofdp import connected_components
+from isofdp.partition import normalize_labels
 
 from conftest import disjoint_cliques_graph
 
@@ -47,6 +48,32 @@ class TestPartitionType:
                 if part.labels[u] == part.labels[v]:
                     expected[part.labels[u]] += 1
             assert part.internal_edge_counts(g).tolist() == expected.tolist()
+
+
+def normalize_labels_loop(labels):
+    """Reference: relabel by first occurrence, one element at a time."""
+    seen = {}
+    return np.array([seen.setdefault(lab, len(seen)) for lab in labels], dtype=np.int64)
+
+
+class TestNormalizeLabels:
+    def test_first_occurrence_order(self):
+        assert normalize_labels([5, 3, 5, 9, 3]).tolist() == [0, 1, 0, 2, 1]
+
+    @pytest.mark.parametrize("kind", ["contiguous", "sparse", "string"])
+    def test_matches_loop_reference(self, kind):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            labels = rng.integers(0, int(rng.integers(1, 40)), size=n)
+            if kind == "sparse":
+                labels = rng.choice(rng.integers(-10**9, 10**9, size=60), size=n)
+            elif kind == "string":
+                labels = np.array([f"c{lab}" for lab in labels])
+            got = normalize_labels(labels)
+            assert got.dtype == np.int64
+            assert got.tolist() == normalize_labels_loop(labels.tolist()).tolist()
+            assert normalize_labels(labels.tolist()).tolist() == got.tolist()
 
 
 class TestLocalPartitionDensity:
