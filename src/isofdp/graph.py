@@ -111,11 +111,14 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.node_count)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (float64, zero diagonal)."""
-        a = np.zeros((self.node_count, self.node_count), dtype=np.float64)
+    @cached_property
+    def adjacency(self) -> csr_matrix:
+        """Symmetric 0/1 adjacency as int64 CSR with zero diagonal; ``.data`` is read-only."""
+        n = self.node_count
         u, v = self.edge_array.T
-        a[u, v] = a[v, u] = 1.0
+        ones = np.ones(2 * u.size, dtype=np.int64)
+        a = csr_matrix((ones, (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+        a.data.flags.writeable = False
         return a
 
     def sorted_edges(self):
@@ -266,10 +269,7 @@ def connected_components(g: Graph) -> np.ndarray:
 
     Isolated nodes are components of their own.
     """
-    n = g.node_count
-    u, v = g.edge_array.T
-    adj = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
-    return _components(adj, directed=False)[1].astype(np.int64)
+    return _components(g.adjacency, directed=False)[1].astype(np.int64)
 
 
 def to_edge_list(g: Graph) -> str:

@@ -34,15 +34,6 @@ class NeighborGraph:
     edges: tuple
     neighborhood_size: int
 
-    def to_sparse(self) -> csr_matrix:
-        if not self.edges:
-            return csr_matrix((self.node_count, self.node_count))
-        us, vs, ws = zip(*self.edges)
-        row = np.concatenate([us, vs])
-        col = np.concatenate([vs, us])
-        dat = np.concatenate([ws, ws]).astype(float)
-        return csr_matrix((dat, (row, col)), shape=(self.node_count, self.node_count))
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -100,10 +91,10 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     if components > 1:
         # Kruskal from the k-NN components: pairs within one component can
         # never join two, so only the finite cross pairs are ranked
-        iu, iv = np.triu_indices(n, k=1)
+        iu, iv = np.nonzero(np.isfinite(values) & (comp[:, None] != comp[None, :]))
+        upper = iu < iv
+        iu, iv = iu[upper], iv[upper]
         w = values[iu, iv]
-        cross = np.isfinite(w) & (comp[iu] != comp[iv])
-        iu, iv, w = iu[cross], iv[cross], w[cross]
         for idx in np.lexsort((iv, iu, w)):
             u, v = int(iu[idx]), int(iv[idx])
             if comp[u] != comp[v]:
@@ -125,8 +116,12 @@ def geodesic_distances(ng: NeighborGraph) -> np.ndarray:
     """Exact all-pairs shortest paths over the neighbor graph (Dijkstra per source).
 
     The result is an exactly symmetric n x n array with all entries finite.
+    Each edge is stored once, ``u < v``; undirected Dijkstra reads it both ways.
     """
-    dist = _csgraph_dijkstra(ng.to_sparse(), directed=False)
+    n = ng.node_count
+    u, v, w = np.array(ng.edges, dtype=float).reshape(-1, 3).T
+    upper = csr_matrix((w, (u.astype(np.int64), v.astype(np.int64))), shape=(n, n))
+    dist = _csgraph_dijkstra(upper, directed=False)
     if np.isinf(dist).any():
         raise ValueError("neighbor graph is disconnected")
     dist = np.minimum(dist, dist.T)  # enforce exact symmetry

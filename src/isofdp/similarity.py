@@ -2,8 +2,8 @@
 
 The default measure is structure similarity: the overlap of closed
 neighborhoods normalized by the geometric mean of their sizes. Alternate
-measures operate on adjacency-matrix rows and are converted to similarities
-so the downstream distance transform is uniform.
+measures compare adjacency rows through the same shared-neighbor count and
+are converted to similarities so the downstream distance transform is uniform.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.sparse import identity
 
 from .graph import Graph
 
@@ -44,35 +44,36 @@ def structure_similarity(g: Graph, v: int, w: int) -> float:
 def similarity_matrix(g: Graph, measure: str = "structure") -> np.ndarray:
     """Dense symmetric n x n similarity for every node pair under the given measure.
 
-    ``structure`` uses closed-neighborhood overlap; the others are computed on
-    adjacency-matrix rows. Distance-like measures (euclidean, hamming) are
-    mapped to similarities via ``s = 1 / (1 + d)``. The diagonal is 1 for every
-    measure.
+    Each measure is a closed form of the degrees and the exact shared-neighbor
+    counts ``a @ a`` of the sparse adjacency (``a + I``, closed neighborhoods,
+    for ``structure``); 0/1 rows u, v differ in ``deg[u] + deg[v] - 2 common``
+    coordinates. Distance-like measures (euclidean, hamming: the fraction that
+    differs) map to similarities via ``s = 1 / (1 + d)``. The diagonal is 1.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; supported: {MEASURES}")
-    a = g.adjacency_matrix()
     n = g.node_count
+    a = g.adjacency
+    deg = g.degrees
     if measure == "structure":
-        closed = a + np.eye(n)
-        counts = closed @ closed.T
-        sizes = g.degrees + 1
-        values = counts / np.sqrt(np.outer(sizes, sizes))
-    elif measure == "euclidean":
-        values = 1.0 / (1.0 + squareform(pdist(a, "euclidean")))
-    elif measure == "hamming":
-        # pdist convention: fraction of coordinates that differ
-        values = 1.0 / (1.0 + squareform(pdist(a, "hamming")))
-    elif measure == "jaccard":
-        values = 1.0 - squareform(pdist(a.astype(bool), "jaccard"))
-        np.fill_diagonal(values, 1.0)
-    else:  # cosine
-        norms = np.sqrt((a * a).sum(axis=1))
+        closed = a + identity(n, dtype=a.dtype, format="csr")
+        sizes = deg + 1
+        return (closed @ closed).toarray() / np.sqrt(np.outer(sizes, sizes))
+    common = (a @ a).toarray()
+    if measure == "cosine":
+        norms = np.sqrt(deg)
         denom = np.outer(norms, norms)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(denom > 0, (a @ a.T) / np.where(denom > 0, denom, 1.0), 0.0)
+        values = np.divide(common, denom, out=np.zeros((n, n)), where=denom > 0)
         np.fill_diagonal(values, 1.0)
-    return (values + values.T) / 2.0
+        return values
+    differ = deg[:, None] + deg[None, :] - 2 * common
+    if measure == "euclidean":
+        return 1.0 / (1.0 + np.sqrt(differ))
+    if measure == "hamming":
+        return 1.0 / (1.0 + differ / n)
+    # jaccard: coordinates set in either row; two empty rows are at distance 0
+    union = differ + common
+    return 1.0 - np.divide(differ, union, out=np.zeros((n, n)), where=union > 0)
 
 
 def to_distance(s) -> np.ndarray:
@@ -83,7 +84,7 @@ def to_distance(s) -> np.ndarray:
     values = np.asarray(s, dtype=float)
     if (values < 0).any():
         raise ValueError("similarities must be nonnegative")
-    with np.errstate(divide="ignore"):
-        d = np.where(values > 0, 1.0 / np.where(values > 0, values, 1.0), np.inf)
+    d = np.full(values.shape, np.inf)
+    np.divide(1.0, values, out=d, where=values > 0)
     np.fill_diagonal(d, 0.0)
     return d

@@ -3,9 +3,12 @@ import os
 
 import pytest
 
-from isofdp import GnSpec, generate_gn, to_gml
+from isofdp import Graph, GnSpec, generate_gn, to_gml
 from isofdp.cli import main, _parse_values
 from isofdp.reports import load_labels, save_labels
+from isofdp.similarity import MEASURES
+
+from conftest import disjoint_cliques_graph
 
 
 def run(argv):
@@ -131,6 +134,27 @@ class TestDetect:
         save_labels(truth, ["0", "1"], [0, 0])
         code = run(["detect", "--input", edges_path, "--truth", truth, "--out-dir", tmp_path / "o"])
         assert code == 2
+
+
+SHAPES = {
+    "clique6": disjoint_cliques_graph([6])[0],
+    "star7": Graph.from_edges(7, [(0, i) for i in range(1, 7)]),
+    "path8": Graph.from_edges(8, [(i, i + 1) for i in range(7)]),
+    "k33": Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "two_k5_isolated": Graph.from_edges(11, disjoint_cliques_graph([5, 5])[0].edges),
+    "edgeless5": Graph.from_edges(5, []),
+}
+
+
+class TestDegenerateShapes:
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_detect_exits_0_or_2(self, tmp_path, shape, measure):
+        path = tmp_path / f"{shape}.gml"
+        path.write_text(to_gml(SHAPES[shape]))
+        code = run(["detect", "--input", path, "--measure", measure, "--out-dir", tmp_path / "o"])
+        assert code in (0, 2)
+        assert (code == 0) == os.path.exists(tmp_path / "o" / "report.json")
 
 
 class TestEval:

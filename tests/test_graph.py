@@ -112,13 +112,15 @@ class TestEdgeArray:
     def test_degrees_and_adjacency_match_edge_loop(self):
         g = load_edge_list("0 1\n1 2\n2 0\n2 3\n5 4")
         deg = np.zeros(g.node_count, dtype=np.int64)
-        adj = np.zeros((g.node_count, g.node_count))
+        adj = np.zeros((g.node_count, g.node_count), dtype=np.int64)
         for u, v in g.edges:
             deg[u] += 1
             deg[v] += 1
-            adj[u, v] = adj[v, u] = 1.0
+            adj[u, v] = adj[v, u] = 1
         assert g.degrees.tolist() == deg.tolist()
-        assert np.array_equal(g.adjacency_matrix(), adj)
+        assert np.array_equal(g.adjacency.toarray(), adj)
+        with pytest.raises(ValueError):
+            g.adjacency.data[0] = 2
 
     def test_edgeless_graph(self):
         g = Graph.from_edges(3, [])

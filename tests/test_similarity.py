@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from isofdp import (
+    Graph,
     GnSpec,
     generate_gn,
     load_edge_list,
@@ -13,9 +15,52 @@ from isofdp import (
 )
 from isofdp.similarity import MEASURES
 
+from conftest import disjoint_cliques_graph
+
 TRIANGLE = load_edge_list("0 1\n1 2\n2 0")
 PATH3 = load_edge_list("a b\nb c")
 TWO_EDGES = load_edge_list("0 1\n2 3")
+
+
+def dense_adjacency(g):
+    a = np.zeros((g.node_count, g.node_count))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def dense_similarity(g, measure):
+    """Reference: the dense kernels, one per measure, on 0/1 adjacency rows."""
+    a = dense_adjacency(g)
+    n = g.node_count
+    if measure == "structure":
+        closed = a + np.eye(n)
+        sizes = g.degrees + 1
+        values = (closed @ closed.T) / np.sqrt(np.outer(sizes, sizes))
+    elif measure == "euclidean":
+        values = 1.0 / (1.0 + squareform(pdist(a, "euclidean")))
+    elif measure == "hamming":
+        values = 1.0 / (1.0 + squareform(pdist(a, "hamming")))
+    elif measure == "jaccard":
+        values = 1.0 - squareform(pdist(a.astype(bool), "jaccard"))
+        np.fill_diagonal(values, 1.0)
+    else:  # cosine
+        norms = np.sqrt((a * a).sum(axis=1))
+        denom = np.outer(norms, norms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.where(denom > 0, (a @ a.T) / np.where(denom > 0, denom, 1.0), 0.0)
+        np.fill_diagonal(values, 1.0)
+    return (values + values.T) / 2.0
+
+
+REFERENCE_GRAPHS = {
+    "gn": generate_gn(GnSpec(z_out=5, seed=3)).graph,
+    "star": Graph.from_edges(8, [(0, i) for i in range(1, 8)]),
+    "path": Graph.from_edges(8, [(i, i + 1) for i in range(7)]),
+    "k33": Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "two_k5_isolated": Graph.from_edges(11, disjoint_cliques_graph([5, 5])[0].edges),
+    "edgeless": Graph.from_edges(5, []),
+}
 
 
 class TestStructureSimilarity:
@@ -62,6 +107,18 @@ class TestSimilarityMatrix:
                     structure_similarity(g, v, w), abs=1e-12
                 )
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+    def test_bytes_match_dense_reference(self, name, measure):
+        g = REFERENCE_GRAPHS[name]
+        sim = similarity_matrix(g, measure)
+        assert sim.tobytes() == dense_similarity(g, measure).tobytes()
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_lesmis_bytes_match_dense_reference(self, lesmis_graph, measure):
+        sim = similarity_matrix(lesmis_graph, measure)
+        assert sim.tobytes() == dense_similarity(lesmis_graph, measure).tobytes()
+
     def test_jaccard_cross_pair_zero(self):
         sim = similarity_matrix(TWO_EDGES, "jaccard")
         assert sim[0, 2] == 0.0
@@ -70,7 +127,7 @@ class TestSimilarityMatrix:
     def test_symmetric_unit_diagonal_in_range(self, measure):
         g = generate_gn(GnSpec(z_out=4, seed=2)).graph
         sim = similarity_matrix(g, measure)
-        assert np.allclose(sim, sim.T)
+        assert np.array_equal(sim, sim.T)
         assert np.allclose(np.diag(sim), 1.0)
         assert sim.min() >= 0.0
         assert sim.max() <= 1.0 + 1e-12
