@@ -20,6 +20,9 @@ __all__ = [
     "residual_variances",
 ]
 
+# rows the Kruskal repair scans at a time: one n x n mask would be its peak
+_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class NeighborGraph:
@@ -58,13 +61,17 @@ class Embedding:
 
 
 def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
-    """Symmetric k-NN graph over finite distances, repaired to one component.
+    """Symmetric k-NN graph over finite distances, joined into one component.
 
     Edge (i, j) is kept when j is among the ``neighborhood_size`` closest
     finite-distance partners of i, or vice versa; distance ties are broken
     toward the smaller node index. If the k-NN graph is disconnected, the
     globally smallest finite-distance edge joining two components is added
-    repeatedly until it is connected.
+    repeatedly (Kruskal). Groups that still share no finite distance, such as
+    the components of a disconnected graph, are joined by a star of bridges
+    from node 0 to each group's smallest node. Each bridge weighs twice the
+    largest finite distance, which keeps the groups maximally separated in the
+    embedding while letting the projection proceed.
     """
     values = np.asarray(d, dtype=float)
     n = values.shape[0]
@@ -77,23 +84,33 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
         row = values[i]
         candidates = np.flatnonzero(np.isfinite(row))
         candidates = candidates[candidates != i]
-        if candidates.size == 0:
-            raise ValueError(f"node {i} has no finite-distance partner")
         order = np.lexsort((candidates, row[candidates]))[:k]
-        for j in candidates[order]:
+        for j in candidates[order].tolist():
             key = (i, j) if i < j else (j, i)
             edges.setdefault(key, float(row[j]))
+    if not edges:
+        raise ValueError("no finite distances at all; graph has no edges")
 
     pairs = np.array(list(edges), dtype=np.int64)
     adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     components, comp = connected_components(adj, directed=False)
 
     if components > 1:
-        # Kruskal from the k-NN components: pairs within one component can
-        # never join two, so only the finite cross pairs are ranked
-        iu, iv = np.nonzero(np.isfinite(values) & (comp[:, None] != comp[None, :]))
-        upper = iu < iv
-        iu, iv = iu[upper], iv[upper]
+        # Kruskal from the k-NN components. Pairs within one component never
+        # join two, and of those between two components only the first in
+        # (w, u, v) order can, so each row block keeps one per component pair
+        iu, iv = [], []
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = values[lo : lo + _BLOCK_ROWS]
+            bu, bv = np.nonzero(np.isfinite(rows) & (comp[lo : lo + len(rows), None] != comp))
+            keep = bu + lo < bv
+            bu, bv = bu[keep] + lo, bv[keep]
+            pair = np.minimum(comp[bu], comp[bv]) * n + np.maximum(comp[bu], comp[bv])
+            order = np.lexsort((bv, bu, values[bu, bv], pair))
+            first = order[np.unique(pair[order], return_index=True)[1]]
+            iu.append(bu[first])
+            iv.append(bv[first])
+        iu, iv = np.concatenate(iu), np.concatenate(iv)
         w = values[iu, iv]
         for idx in np.lexsort((iv, iu, w)):
             u, v = int(iu[idx]), int(iv[idx])
@@ -104,9 +121,11 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
                 if components == 1:
                     break
         if components > 1:
-            raise ValueError(
-                "distance matrix splits into groups with no finite distance between them"
-            )
+            # the zero diagonal cannot raise the maximum over positive distances
+            bridge = 2.0 * float(values[np.isfinite(values)].max())
+            # each group's smallest node; node 0's group sorts first
+            for r in np.sort(np.unique(comp, return_index=True)[1])[1:].tolist():
+                edges[(0, r)] = bridge
 
     edge_tuple = tuple((u, v, w) for (u, v), w in sorted(edges.items()))
     return NeighborGraph(n, edge_tuple, k)
@@ -122,7 +141,7 @@ def geodesic_distances(ng: NeighborGraph) -> np.ndarray:
     u, v, w = np.array(ng.edges, dtype=float).reshape(-1, 3).T
     upper = csr_matrix((w, (u.astype(np.int64), v.astype(np.int64))), shape=(n, n))
     dist = _csgraph_dijkstra(upper, directed=False)
-    if np.isinf(dist).any():
+    if dist.max() == np.inf:  # a mask would be one more n x n array
         raise ValueError("neighbor graph is disconnected")
     dist = np.minimum(dist, dist.T)  # enforce exact symmetry
     np.fill_diagonal(dist, 0.0)

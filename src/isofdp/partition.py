@@ -94,14 +94,12 @@ def partition_density(g: Graph, part: Partition, penalized: bool = True) -> floa
     most 2 nodes contribute 0. Negative contributions from internally
     disconnected communities are kept, not clamped.
     """
-    sizes = part.sizes
-    m_c = part.internal_edge_counts(g)
-    total = 0.0
-    for c in range(part.k):
-        n_c = int(sizes[c])
-        if n_c <= 2:
-            continue
-        total += n_c * (int(m_c[c]) - (n_c - 1)) / ((n_c - 2) * (n_c - 1))
+    big = part.sizes > 2
+    n_c = part.sizes[big]
+    m_c = part.internal_edge_counts(g)[big]
+    terms = n_c * (m_c - (n_c - 1)) / ((n_c - 2) * (n_c - 1))
+    # summed in community order: ``.sum()`` adds pairwise, in another order
+    total = np.cumsum(terms)[-1] if terms.size else 0.0
     d = 2.0 * total / g.node_count
     if penalized:
         d /= np.sqrt(part.k)

@@ -7,12 +7,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .density_peaks import DensityProfile, compute_profile, select_dc
 from .graph import Graph
-from .isomap import Embedding, isomap
+from .isomap import Embedding, build_neighbor_graph, classical_mds, geodesic_distances
 from .partition import Partition, SweepResult, select_k
 from .similarity import similarity_matrix, to_distance
 
@@ -24,34 +22,9 @@ __all__ = [
 ]
 
 
-def _bridge_disconnected(values: np.ndarray) -> np.ndarray:
-    """Join groups that share no finite distance with synthetic long edges.
-
-    Nodes with zero similarity across graph components would otherwise have
-    no geodesic at all. A star of bridges between component representatives,
-    each twice the largest finite dissimilarity, keeps such groups maximally
-    separated in the embedding while letting the projection proceed.
-    """
-    finite = np.isfinite(values)
-    if finite.all():
-        return values
-    n_comp, comp = connected_components(csr_matrix(finite), directed=False)
-    if n_comp == 1:
-        return values
-    if n_comp == values.shape[0]:
-        raise ValueError("no finite distances at all; graph has no edges")
-    # the zero diagonal cannot raise the maximum over positive distances
-    bridge = 2.0 * float(values[finite].max())
-    out = values.copy()
-    # each component's smallest node, bridged to node 0's component
-    hub, *reps = np.sort(np.unique(comp, return_index=True)[1])
-    out[hub, reps] = out[reps, hub] = bridge
-    return out
-
-
 def prepared_distances(g: Graph, measure: str = "structure") -> np.ndarray:
-    """Similarity-derived distance matrix, bridged to a single finite component."""
-    return _bridge_disconnected(to_distance(similarity_matrix(g, measure)))
+    """Similarity-derived distance matrix; inf where two nodes share nothing."""
+    return to_distance(similarity_matrix(g, measure))
 
 
 def default_k_max(n: int) -> int:
@@ -99,6 +72,8 @@ def detect_communities(
     n = g.node_count
     if n < 4:
         raise ValueError("graph too small: need at least 4 nodes")
+    if g.edge_count == 0:
+        raise ValueError("graph has no edges")
     k_max = default_k_max(n) if k_max is None else min(int(k_max), n)
     timings = {}
 
@@ -107,7 +82,11 @@ def detect_communities(
     timings["similarity"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    embedding = isomap(dmat, min(knn, n - 1), dim)
+    ng = build_neighbor_graph(dmat, min(knn, n - 1))
+    # the k-NN graph holds all that is used of the distances; freeing them
+    # before the geodesics keeps one n x n array fewer alive at the peak
+    del dmat
+    embedding = classical_mds(geodesic_distances(ng), dim)
     timings["embedding"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -58,7 +58,10 @@ def similarity_matrix(g: Graph, measure: str = "structure") -> np.ndarray:
     if measure == "structure":
         closed = a + identity(n, dtype=a.dtype, format="csr")
         sizes = deg + 1
-        return (closed @ closed).toarray() / np.sqrt(np.outer(sizes, sizes))
+        # divide the sparse counts, so the only dense array is the result
+        c = (closed @ closed).tocoo()
+        c.data = c.data / np.sqrt(sizes[c.row] * sizes[c.col])
+        return c.toarray()
     common = (a @ a).toarray()
     if measure == "cosine":
         norms = np.sqrt(deg)

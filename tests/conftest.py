@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from isofdp import Graph
 
@@ -23,6 +25,66 @@ def neighbor_graph_matrix(ng) -> np.ndarray:
         w[v, u] = weight
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def reference_bridge(values: np.ndarray) -> np.ndarray:
+    """Distance matrix with the groups that share no finite distance joined.
+
+    A star of bridges from node 0 to the smallest node of every other group,
+    each twice the largest finite distance, written into a copy of the matrix.
+    The k-NN graph of the result is the reference for the bridging that
+    ``build_neighbor_graph`` does itself.
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    n_comp, comp = connected_components(csr_matrix(finite), directed=False)
+    if n_comp == 1:
+        return values
+    if n_comp == values.shape[0]:
+        raise ValueError("no finite distances at all; graph has no edges")
+    bridge = 2.0 * float(values[finite].max())
+    out = values.copy()
+    hub, *reps = np.sort(np.unique(comp, return_index=True)[1])
+    out[hub, reps] = out[reps, hub] = bridge
+    return out
+
+
+def reference_neighbor_graph(values: np.ndarray, k: int) -> set:
+    """Edges ``(u, v, w)`` of the k-NN graph, joined by whole-matrix Kruskal.
+
+    Each node's k closest finite partners (ties to the smaller index); then
+    every finite pair between two k-NN components is ranked by (w, u, v) and
+    taken while it joins two groups; then the star of bridges from node 0 at
+    twice the largest finite distance. Reference for ``build_neighbor_graph``.
+    """
+    n = values.shape[0]
+    finite = np.isfinite(values)
+    edges = {}
+    for i in range(n):
+        partners = [j for j in range(n) if j != i and finite[i, j]]
+        for j in sorted(partners, key=lambda j: (values[i, j], j))[:k]:
+            edges.setdefault((min(i, j), max(i, j)), float(values[i, j]))
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    pairs = [(float(values[u, v]), u, v) for u, v in zip(*np.nonzero(finite)) if u < v]
+    for w, u, v in sorted(pairs):
+        if root(u) != root(v):
+            parent[root(u)] = root(v)
+            edges[(int(u), int(v))] = w
+    groups = {}
+    for x in range(n):
+        groups.setdefault(root(x), x)
+    for r in sorted(groups.values())[1:]:
+        edges[(0, r)] = 2.0 * float(values[finite].max())
+    return {(u, v, w) for (u, v), w in edges.items()}
 
 
 def random_connected_graph(rng, n, extra_edges):

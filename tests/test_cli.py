@@ -40,7 +40,8 @@ class TestGenerate:
     def test_gn_files(self, gn_instance):
         edges_path, truth_path = gn_instance
         assert os.path.exists(edges_path)
-        labels = load_labels(open(truth_path, encoding="utf-8"))
+        with open(truth_path, encoding="utf-8") as fh:
+            labels = load_labels(fh)
         assert len(labels) == 128
         assert set(labels.values()) == {0, 1, 2, 3}
 
@@ -153,7 +154,7 @@ class TestDegenerateShapes:
         path = tmp_path / f"{shape}.gml"
         path.write_text(to_gml(SHAPES[shape]))
         code = run(["detect", "--input", path, "--measure", measure, "--out-dir", tmp_path / "o"])
-        assert code in (0, 2)
+        assert code in ((2,) if shape == "edgeless5" else (0, 2))
         assert (code == 0) == os.path.exists(tmp_path / "o" / "report.json")
 
 

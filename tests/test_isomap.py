@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from isofdp import (
+    Graph,
     GnSpec,
     build_neighbor_graph,
     classical_mds,
@@ -13,8 +16,29 @@ from isofdp import (
     to_distance,
 )
 from isofdp.isomap import residual_variances
+from isofdp.similarity import MEASURES
 
-from conftest import floyd_warshall, neighbor_graph_matrix, random_connected_graph
+from conftest import (
+    disjoint_cliques_graph,
+    floyd_warshall,
+    neighbor_graph_matrix,
+    random_connected_graph,
+    reference_bridge,
+    reference_neighbor_graph,
+)
+
+
+def with_isolated(g, count):
+    """``g`` plus ``count`` isolated nodes at the end."""
+    return Graph.from_edges(g.node_count + count, g.edges)
+
+
+SPLIT_GRAPHS = {
+    "two_k5_isolated": with_isolated(disjoint_cliques_graph([5, 5])[0], 1),
+    "three_k5": disjoint_cliques_graph([5, 5, 5])[0],
+    "k4_k6_k8_isolated3": with_isolated(disjoint_cliques_graph([4, 6, 8])[0], 3),
+    "gn_isolated4": with_isolated(generate_gn(GnSpec(z_out=4, seed=0)).graph, 4),
+}
 
 
 def line_distance_matrix(positions):
@@ -55,18 +79,61 @@ class TestBuildNeighborGraph:
         ng = build_neighbor_graph(d, 1)
         assert set(ng.edges) - {(0, 1, 1.0), (2, 3, 1.0)} == {(0, 3, 5.0)}
 
-    def test_node_without_finite_partner_is_reported(self):
+    def test_node_without_finite_partner_is_bridged(self):
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
-        with pytest.raises(ValueError, match="node 2"):
-            build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(d, 1)
+        assert set(ng.edges) == {(0, 1, 1.0), (0, 2, 2.0)}
 
-    def test_unsalvageable_split_is_an_error(self):
+    def test_groups_without_finite_distance_are_bridged(self):
         d = np.full((4, 4), np.inf)
         np.fill_diagonal(d, 0.0)
         d[0, 1] = d[1, 0] = 1.0
         d[2, 3] = d[3, 2] = 1.0
-        with pytest.raises(ValueError, match="no finite distance"):
+        ng = build_neighbor_graph(d, 1)
+        assert set(ng.edges) == {(0, 1, 1.0), (2, 3, 1.0), (0, 2, 2.0)}
+        assert all(type(u) is int and type(v) is int for u, v, _ in ng.edges)
+
+    def test_bridge_hub_is_node_0_after_the_repair_joins_its_group(self):
+        # k=1 leaves {0, 3}, {1, 5} and {2, 4}; the repair joins node 0's
+        # group through (2, 3), and {1, 5} has no finite distance to it
+        d = np.full((6, 6), np.inf)
+        np.fill_diagonal(d, 0.0)
+        for (u, v), w in {(0, 3): 1.0, (1, 5): 1.0, (2, 4): 1.0, (2, 3): 3.0,
+                          (0, 2): 4.0, (0, 4): 5.0, (3, 4): 6.0}.items():
+            d[u, v] = d[v, u] = w
+        ng = build_neighbor_graph(d, 1)
+        assert set(ng.edges) == {
+            (0, 3, 1.0), (1, 5, 1.0), (2, 4, 1.0), (2, 3, 3.0), (0, 1, 12.0)
+        }
+
+    def test_no_finite_distance_is_an_error(self):
+        d = np.full((4, 4), np.inf)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(ValueError, match="no finite distances at all"):
             build_neighbor_graph(d, 1)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("shape", sorted(SPLIT_GRAPHS))
+    def test_bridges_match_bridging_the_matrix_first(self, shape, measure, k):
+        d = to_distance(similarity_matrix(SPLIT_GRAPHS[shape], measure))
+        ng = build_neighbor_graph(d, k)
+        assert ng.edges == build_neighbor_graph(reference_bridge(d), k).edges
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repair_in_row_blocks_matches_whole_matrix_kruskal(self, seed, monkeypatch):
+        # small integer weights tie often; inf entries leave some groups with
+        # no finite distance between them; 7-row blocks split n = 40 unevenly
+        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(seed)
+        n = 40
+        upper = np.triu(rng.integers(1, 6, size=(n, n)).astype(float), 1)
+        upper[np.triu(rng.random((n, n)) < 0.8 + 0.03 * seed, 1)] = np.inf
+        d = upper + upper.T
+        for k in (1, 2):
+            ng = build_neighbor_graph(d, k)
+            assert set(ng.edges) == reference_neighbor_graph(d, k)
+            assert len(ng.edges) == len(set(ng.edges))
 
     def test_distance_ties_break_to_smaller_index(self):
         d = np.array(
