@@ -28,7 +28,6 @@ from .isomap import (
     build_neighbor_graph,
     classical_mds,
     geodesic_distances,
-    isomap,
 )
 from .density_peaks import (
     DensityProfile,

@@ -17,9 +17,9 @@ from . import __version__
 from .baselines import KmeansSpec, dbscan_parameter_search, kmeans
 from .generators import GenerationError, GnSpec, LfrSpec, generate_gn, generate_lfr
 from .graph import Graph, GraphParseError, load_edge_list, load_gml, to_edge_list
-from .isomap import residual_variances, geodesic_distances, build_neighbor_graph
+from .isomap import build_neighbor_graph, classical_mds, geodesic_distances, residual_variances
 from .metrics import accuracy, nmi
-from .pipeline import default_k_max, detect_communities, prepared_distances
+from .pipeline import detect_communities, prepared_distances
 from .reports import (
     atomic_write_text,
     build_report,
@@ -120,7 +120,7 @@ def cmd_detect(args) -> int:
         "knn": args.knn,
         "dim": args.dim,
         "dc_percentile": args.dc_percentile,
-        "kmax": args.kmax if args.kmax is not None else default_k_max(g.node_count),
+        "kmax": result.sweep.k_max,
         "out_dir": args.out_dir,
         "version": __version__,
     }
@@ -294,8 +294,6 @@ def cmd_eval(args) -> int:
 
 def cmd_embed(args) -> int:
     g = _load_graph(args.input, args.format)
-    if g.node_count < 4:
-        raise ValueError("graph too small: need at least 4 nodes")
     dmat = prepared_distances(g, args.measure)
     ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))
     gd = geodesic_distances(ng)
@@ -306,8 +304,6 @@ def cmd_embed(args) -> int:
         write_csv(out, ["dim", "residual_variance"], rows)
         print(f"residual variances for dim 1..{args.dim_sweep} -> {out}")
         return 0
-    from .isomap import classical_mds
-
     emb = classical_mds(gd, args.dim)
     rows = ([tok] + [repr(float(x)) for x in emb.coordinates[i]] for i, tok in enumerate(g.tokens))
     out = os.path.join(args.out_dir, "embedding.csv")

@@ -16,26 +16,26 @@ __all__ = [
     "build_neighbor_graph",
     "geodesic_distances",
     "classical_mds",
-    "isomap",
     "residual_variances",
 ]
 
-# rows the Kruskal repair scans at a time: one n x n mask would be its peak
-_BLOCK_ROWS = 256
+# rows each k-NN and repair scan takes at a time: one n x n copy or mask would
+# be its peak, and at n=3000 256-row blocks already raise the max RSS by 6%
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class NeighborGraph:
     """Weighted undirected k-NN graph, repaired to be connected.
 
-    ``edges`` holds ``(u, v, weight)`` with ``u < v``; ``neighborhood_size``
-    is the k used for candidate selection (edges added by the connectivity
-    repair are included).
+    ``edges`` holds read-only sorted ``(m, 2)`` int64 rows ``(u, v)``, ``u < v``,
+    as ``Graph.edge_array`` does, repair edges included; ``weights`` holds the
+    ``(m,)`` float64 distance of each.
     """
 
     node_count: int
-    edges: tuple
-    neighborhood_size: int
+    edges: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,9 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
 
     Edge (i, j) is kept when j is among the ``neighborhood_size`` closest
     finite-distance partners of i, or vice versa; distance ties are broken
-    toward the smaller node index. If the k-NN graph is disconnected, the
-    globally smallest finite-distance edge joining two components is added
+    toward the smaller node index, and the weight is read in the row of the
+    smaller node that selected the pair. If the k-NN graph is disconnected,
+    the globally smallest finite-distance edge joining two components is added
     repeatedly (Kruskal). Groups that still share no finite distance, such as
     the components of a disconnected graph, are joined by a star of bridges
     from node 0 to each group's smallest node. Each bridge weighs twice the
@@ -79,20 +80,27 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     if not 1 <= k <= n - 1:
         raise ValueError(f"neighborhood size must be in 1..{n - 1}, got {k}")
 
-    edges = {}
-    for i in range(n):
-        row = values[i]
-        candidates = np.flatnonzero(np.isfinite(row))
-        candidates = candidates[candidates != i]
-        order = np.lexsort((candidates, row[candidates]))[:k]
-        for j in candidates[order].tolist():
-            key = (i, j) if i < j else (j, i)
-            edges.setdefault(key, float(row[j]))
-    if not edges:
+    keys, weights = [], []
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = values[lo : lo + _BLOCK_ROWS]
+        b = np.where(np.isfinite(rows), rows, np.inf)
+        np.fill_diagonal(b[:, lo:], np.inf)
+        # every partner closer than the k-th smallest distance, then those at
+        # it in index order until the row has k; none at an infinite k-th
+        kth = np.partition(b, k - 1, axis=1)[:, k - 1 : k]
+        below = b < kth
+        tied = (b == kth) & np.isfinite(kth)
+        room = k - below.sum(axis=1, keepdims=True)
+        bi, bj = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))
+        keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
+        weights.append(rows[bi, bj])
+    # the first occurrence of a pair comes from the lower row that selected it
+    keys, first = np.unique(np.concatenate(keys), return_index=True)
+    if not keys.size:
         raise ValueError("no finite distances at all; graph has no edges")
+    weights = np.concatenate(weights)[first]
 
-    pairs = np.array(list(edges), dtype=np.int64)
-    adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    adj = csr_matrix((np.ones(keys.size), np.divmod(keys, n)), shape=(n, n))
     components, comp = connected_components(adj, directed=False)
 
     if components > 1:
@@ -112,23 +120,29 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
             iv.append(bv[first])
         iu, iv = np.concatenate(iu), np.concatenate(iv)
         w = values[iu, iv]
-        for idx in np.lexsort((iv, iu, w)):
-            u, v = int(iu[idx]), int(iv[idx])
-            if comp[u] != comp[v]:
-                comp[comp == comp[v]] = comp[u]
-                edges.setdefault((u, v), float(w[idx]))
+        joins = []
+        for idx in np.lexsort((iv, iu, w)).tolist():
+            cu, cv = comp[iu[idx]], comp[iv[idx]]
+            if cu != cv:
+                comp[comp == cv] = cu
+                joins.append(idx)
                 components -= 1
                 if components == 1:
                     break
+        keys, weights = np.r_[keys, iu[joins] * n + iv[joins]], np.r_[weights, w[joins]]
         if components > 1:
+            # each group's smallest node r, the key of (0, r); node 0's sorts first
+            reps = np.sort(np.unique(comp, return_index=True)[1])[1:]
             # the zero diagonal cannot raise the maximum over positive distances
             bridge = 2.0 * float(values[np.isfinite(values)].max())
-            # each group's smallest node; node 0's group sorts first
-            for r in np.sort(np.unique(comp, return_index=True)[1])[1:].tolist():
-                edges[(0, r)] = bridge
+            keys, weights = np.r_[keys, reps], np.r_[weights, np.full(reps.size, bridge)]
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
 
-    edge_tuple = tuple((u, v, w) for (u, v), w in sorted(edges.items()))
-    return NeighborGraph(n, edge_tuple, k)
+    edges = np.column_stack(np.divmod(keys, n))
+    edges.flags.writeable = False
+    weights.flags.writeable = False
+    return NeighborGraph(n, edges, weights)
 
 
 def geodesic_distances(ng: NeighborGraph) -> np.ndarray:
@@ -138,8 +152,7 @@ def geodesic_distances(ng: NeighborGraph) -> np.ndarray:
     Each edge is stored once, ``u < v``; undirected Dijkstra reads it both ways.
     """
     n = ng.node_count
-    u, v, w = np.array(ng.edges, dtype=float).reshape(-1, 3).T
-    upper = csr_matrix((w, (u.astype(np.int64), v.astype(np.int64))), shape=(n, n))
+    upper = csr_matrix((ng.weights, tuple(ng.edges.T)), shape=(n, n))
     dist = _csgraph_dijkstra(upper, directed=False)
     if dist.max() == np.inf:  # a mask would be one more n x n array
         raise ValueError("neighbor graph is disconnected")
@@ -202,20 +215,6 @@ def classical_mds(gd, dim: int) -> Embedding:
             vecs[:, j] = -vecs[:, j]
     coords = vecs * np.sqrt(vals)
     return Embedding(coords, vals, dim)
-
-
-def isomap(d, neighborhood_size: int = 10, dim: int = 2) -> Embedding:
-    """Full projection: neighbor graph, geodesic distances, classical MDS.
-
-    Rejects graphs with fewer than 4 nodes; centering and the downstream
-    density statistics are degenerate there.
-    """
-    values = np.asarray(d, dtype=float)
-    if values.shape[0] < 4:
-        raise ValueError("pipeline requires at least 4 nodes")
-    ng = build_neighbor_graph(values, neighborhood_size)
-    gd = geodesic_distances(ng)
-    return classical_mds(gd, dim)
 
 
 def residual_variances(gd, max_dim: int) -> list:

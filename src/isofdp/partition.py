@@ -115,21 +115,23 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Community-count sweep: penalized density per k and the argmax k_star."""
+    """Penalized density per k in sweep order, and the first peak with its partition."""
 
-    records: tuple
-    k_star: int
+    densities: tuple
+    best: SweepRecord
 
     @property
-    def best(self) -> SweepRecord:
-        for rec in self.records:
-            if rec.k == self.k_star:
-                return rec
-        raise RuntimeError("k_star missing from sweep records")
+    def k_star(self) -> int:
+        return self.best.k
+
+    @property
+    def k_max(self) -> int:
+        """The largest community count swept."""
+        return self.densities[-1][0]
 
     def table(self):
         """(k, density) rows in sweep order."""
-        return [(rec.k, rec.density) for rec in self.records]
+        return list(self.densities)
 
 
 def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
@@ -143,14 +145,12 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
     n = g.node_count
     if not 2 <= k_max <= n:
         raise ValueError(f"k_max must be in 2..{n}, got {k_max}")
-    records = []
-    best_k = None
-    best_d = -np.inf
+    densities = []
+    best = None
     for k in range(2, k_max + 1):
         part = Partition(assign(profile, k), k)
         d = partition_density(g, part, penalized=True)
-        records.append(SweepRecord(k, d, part))
-        if d > best_d:
-            best_d = d
-            best_k = k
-    return SweepResult(tuple(records), best_k)
+        densities.append((k, d))
+        if best is None or d > best.density:
+            best = SweepRecord(k, d, part)
+    return SweepResult(tuple(densities), best)

@@ -23,7 +23,15 @@ __all__ = [
 
 
 def prepared_distances(g: Graph, measure: str = "structure") -> np.ndarray:
-    """Similarity-derived distance matrix; inf where two nodes share nothing."""
+    """Similarity-derived distance matrix; inf where two nodes share nothing.
+
+    Rejects graphs under 4 nodes, where centering and the density statistics
+    are degenerate, and edgeless ones, where no measure tells nodes apart.
+    """
+    if g.node_count < 4:
+        raise ValueError("graph too small: need at least 4 nodes")
+    if g.edge_count == 0:
+        raise ValueError("graph has no edges")
     return to_distance(similarity_matrix(g, measure))
 
 
@@ -67,13 +75,10 @@ def detect_communities(
     """Run the full pipeline on one graph and pick the best community count.
 
     ``knn`` is clamped to n-1 so small graphs work with the default
-    neighborhood size. ``k_max`` defaults to :func:`default_k_max`.
+    neighborhood size. ``k_max`` defaults to :func:`default_k_max` and is
+    clamped to n.
     """
     n = g.node_count
-    if n < 4:
-        raise ValueError("graph too small: need at least 4 nodes")
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges")
     k_max = default_k_max(n) if k_max is None else min(int(k_max), n)
     timings = {}
 

@@ -17,10 +17,16 @@ def floyd_warshall(weights: np.ndarray) -> np.ndarray:
     return d
 
 
+def edge_set(ng) -> set:
+    """Edges ``(u, v, w)`` of a neighbor graph as a set of Python tuples."""
+    u, v = ng.edges.T.tolist()
+    return set(zip(u, v, ng.weights.tolist()))
+
+
 def neighbor_graph_matrix(ng) -> np.ndarray:
     """Dense weight matrix of a neighbor graph, inf where no edge."""
     w = np.full((ng.node_count, ng.node_count), np.inf)
-    for u, v, weight in ng.edges:
+    for u, v, weight in edge_set(ng):
         w[u, v] = weight
         w[v, u] = weight
     np.fill_diagonal(w, 0.0)

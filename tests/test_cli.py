@@ -96,6 +96,15 @@ class TestDetect:
             run(["detect", "--input", edges_path, "--seed", 1, "--out-dir", tmp_path / "o"])
         assert exc.value.code == 2
 
+    def test_report_records_the_swept_kmax(self, gn_instance, tmp_path):
+        # the sweep stops at n = 128 whatever --kmax asks for
+        edges_path, _ = gn_instance
+        out = tmp_path / "out"
+        assert run(["detect", "--input", edges_path, "--kmax", 500, "--out-dir", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["kmax"] == 128
+        assert report["sweep"][-1][0] == 128
+
     def test_too_small_graph_exits_2(self, tmp_path):
         path = tmp_path / "tiny3.edges"
         path.write_text("0 1\n1 2\n")
@@ -229,7 +238,25 @@ class TestBenchmark:
         assert methods == {"isofdp[dc=1]", "isofdp[dc=2]", "isofdp[dc=3]"}
 
 
+UNEMBEDDABLE = {
+    "edgeless6": Graph.from_edges(6, []),
+    "path3": Graph.from_edges(3, [(0, 1), (1, 2)]),
+}
+
+
 class TestEmbed:
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("shape", sorted(UNEMBEDDABLE))
+    def test_unembeddable_graph_exits_2(self, tmp_path, shape, measure):
+        # detect and embed share one check: both reject what one rejects
+        path = tmp_path / f"{shape}.gml"
+        path.write_text(to_gml(UNEMBEDDABLE[shape]))
+        for command in ("detect", "embed"):
+            out = tmp_path / command
+            code = run([command, "--input", path, "--measure", measure, "--out-dir", out])
+            assert code == 2
+            assert not os.path.exists(out)
+
     def test_embedding_file(self, gn_instance, tmp_path):
         edges_path, _ = gn_instance
         out = tmp_path / "emb"

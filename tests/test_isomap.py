@@ -11,15 +11,16 @@ from isofdp import (
     classical_mds,
     generate_gn,
     geodesic_distances,
-    isomap,
     similarity_matrix,
     to_distance,
 )
 from isofdp.isomap import residual_variances
+from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
 from conftest import (
     disjoint_cliques_graph,
+    edge_set,
     floyd_warshall,
     neighbor_graph_matrix,
     random_connected_graph,
@@ -50,7 +51,7 @@ class TestBuildNeighborGraph:
     def test_symmetric_one_nn_on_three_points(self):
         d = line_distance_matrix([0.0, 1.0, 2.0])
         ng = build_neighbor_graph(d, 1)
-        assert {(u, v) for u, v, _ in ng.edges} == {(0, 1), (1, 2)}
+        assert {(u, v) for u, v, _ in edge_set(ng)} == {(0, 1), (1, 2)}
 
     def test_full_neighborhood_gives_complete_graph(self):
         d = line_distance_matrix([0.0, 1.0, 3.0, 7.0])
@@ -62,7 +63,7 @@ class TestBuildNeighborGraph:
         points = [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]
         d = line_distance_matrix(points)
         ng = build_neighbor_graph(d, 1)
-        cross = [(u, v, w) for u, v, w in ng.edges if u < 3 <= v]
+        cross = [(u, v, w) for u, v, w in edge_set(ng) if u < 3 <= v]
         assert cross == [(2, 3, 8.0)]  # single smallest cross-clump edge
 
     def test_repair_ties_break_by_weight_then_endpoints(self):
@@ -77,12 +78,12 @@ class TestBuildNeighborGraph:
             ]
         )
         ng = build_neighbor_graph(d, 1)
-        assert set(ng.edges) - {(0, 1, 1.0), (2, 3, 1.0)} == {(0, 3, 5.0)}
+        assert edge_set(ng) - {(0, 1, 1.0), (2, 3, 1.0)} == {(0, 3, 5.0)}
 
     def test_node_without_finite_partner_is_bridged(self):
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
         ng = build_neighbor_graph(d, 1)
-        assert set(ng.edges) == {(0, 1, 1.0), (0, 2, 2.0)}
+        assert edge_set(ng) == {(0, 1, 1.0), (0, 2, 2.0)}
 
     def test_groups_without_finite_distance_are_bridged(self):
         d = np.full((4, 4), np.inf)
@@ -90,8 +91,11 @@ class TestBuildNeighborGraph:
         d[0, 1] = d[1, 0] = 1.0
         d[2, 3] = d[3, 2] = 1.0
         ng = build_neighbor_graph(d, 1)
-        assert set(ng.edges) == {(0, 1, 1.0), (2, 3, 1.0), (0, 2, 2.0)}
-        assert all(type(u) is int and type(v) is int for u, v, _ in ng.edges)
+        assert edge_set(ng) == {(0, 1, 1.0), (2, 3, 1.0), (0, 2, 2.0)}
+        # the appended bridge is sorted in, as in ``Graph.edge_array``
+        assert ng.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
+        assert ng.edges.dtype == np.int64 and ng.weights.dtype == np.float64
+        assert not ng.edges.flags.writeable and not ng.weights.flags.writeable
 
     def test_bridge_hub_is_node_0_after_the_repair_joins_its_group(self):
         # k=1 leaves {0, 3}, {1, 5} and {2, 4}; the repair joins node 0's
@@ -102,7 +106,7 @@ class TestBuildNeighborGraph:
                           (0, 2): 4.0, (0, 4): 5.0, (3, 4): 6.0}.items():
             d[u, v] = d[v, u] = w
         ng = build_neighbor_graph(d, 1)
-        assert set(ng.edges) == {
+        assert edge_set(ng) == {
             (0, 3, 1.0), (1, 5, 1.0), (2, 4, 1.0), (2, 3, 3.0), (0, 1, 12.0)
         }
 
@@ -118,22 +122,35 @@ class TestBuildNeighborGraph:
     def test_bridges_match_bridging_the_matrix_first(self, shape, measure, k):
         d = to_distance(similarity_matrix(SPLIT_GRAPHS[shape], measure))
         ng = build_neighbor_graph(d, k)
-        assert ng.edges == build_neighbor_graph(reference_bridge(d), k).edges
+        ref = build_neighbor_graph(reference_bridge(d), k)
+        assert ng.edges.tobytes() == ref.edges.tobytes()
+        assert ng.weights.tobytes() == ref.weights.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_repair_in_row_blocks_matches_whole_matrix_kruskal(self, seed, monkeypatch):
-        # small integer weights tie often; inf entries leave some groups with
-        # no finite distance between them; 7-row blocks split n = 40 unevenly
+    @pytest.mark.parametrize("shape", ["split", "all_finite", "asymmetric"])
+    def test_row_blocks_match_reference_neighbor_graph(self, shape, seed, monkeypatch):
+        # small integer weights tie often; 7-row blocks split n = 40 unevenly
         monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", 7)
         rng = np.random.default_rng(seed)
         n = 40
-        upper = np.triu(rng.integers(1, 6, size=(n, n)).astype(float), 1)
-        upper[np.triu(rng.random((n, n)) < 0.8 + 0.03 * seed, 1)] = np.inf
-        d = upper + upper.T
-        for k in (1, 2):
+        d = rng.integers(1, 6, size=(n, n)).astype(float)
+        if shape != "asymmetric":
+            d = np.triu(d, 1)
+            d += d.T
+        np.fill_diagonal(d, 0.0)
+        if shape != "all_finite":  # euclidean and hamming have no inf
+            # inf entries leave some groups with no finite distance between them
+            far = np.triu(rng.random((n, n)) < 0.8 + 0.03 * seed, 1)
+            d[far | far.T] = np.inf
+        from_higher_row = 0  # pairs weighed by what the higher row reads
+        for k in (1, 2, 5):  # k > 1 puts ties at the k-th boundary
             ng = build_neighbor_graph(d, k)
-            assert set(ng.edges) == reference_neighbor_graph(d, k)
-            assert len(ng.edges) == len(set(ng.edges))
+            assert edge_set(ng) == reference_neighbor_graph(d, k)
+            assert len(ng.edges) == len(edge_set(ng))
+            u, v = ng.edges.T
+            from_higher_row += np.count_nonzero((ng.weights == d[v, u]) & (ng.weights != d[u, v]))
+        if shape == "asymmetric":  # so the reference pins which row gives the weight
+            assert from_higher_row > 0
 
     def test_distance_ties_break_to_smaller_index(self):
         d = np.array(
@@ -145,7 +162,7 @@ class TestBuildNeighborGraph:
             ]
         )
         ng = build_neighbor_graph(d, 1)
-        assert (0, 1) in {(u, v) for u, v, _ in ng.edges}
+        assert (0, 1) in {(u, v) for u, v, _ in edge_set(ng)}
 
 
 class TestGeodesicDistances:
@@ -190,7 +207,7 @@ class TestGeodesicDistances:
             w[u, v] = w[v, u] = weight
         ng = build_neighbor_graph(w, 6)
         gd = geodesic_distances(ng)
-        for u, v, weight in ng.edges:
+        for u, v, weight in edge_set(ng):
             assert gd[u, v] <= weight + 1e-12
 
 
@@ -365,19 +382,19 @@ class TestIsomapPipeline:
     def test_line_ordering_recovered(self):
         positions = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         d = line_distance_matrix(positions)
-        emb = isomap(d, neighborhood_size=2, dim=1)
+        emb = classical_mds(geodesic_distances(build_neighbor_graph(d, 2)), 1)
         coord = emb.coordinates[:, 0]
         order = np.argsort(coord)
         assert order.tolist() in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0])
 
-    def test_rejects_tiny_inputs(self):
+    def test_prepared_distances_rejects_tiny_graphs(self):
         with pytest.raises(ValueError, match="4 nodes"):
-            isomap(np.zeros((2, 2)), 1, 1)
+            prepared_distances(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
     def test_benchmark_embedding_separates_planted_groups(self):
         labeled = generate_gn(GnSpec(z_out=1, seed=0))
         dmat = to_distance(similarity_matrix(labeled.graph))
-        emb = isomap(dmat, 24, 3)
+        emb = classical_mds(geodesic_distances(build_neighbor_graph(dmat, 24)), 3)
         score = _silhouette(emb.coordinates, labeled.truth)
         assert score > 0.5
 
@@ -386,8 +403,9 @@ class TestIsomapPipeline:
         points = rng.normal(size=(12, 3))
         d = squareform(pdist(points))
         perm = rng.permutation(12)
-        emb = isomap(d, 4, 2)
-        emb_perm = isomap(d[np.ix_(perm, perm)], 4, 2)
+        emb = classical_mds(geodesic_distances(build_neighbor_graph(d, 4)), 2)
+        permuted = d[np.ix_(perm, perm)]
+        emb_perm = classical_mds(geodesic_distances(build_neighbor_graph(permuted, 4)), 2)
         assert np.allclose(emb_perm.coordinates[np.argsort(perm)], emb.coordinates, atol=1e-8)
 
     def test_residual_variances_shrink(self):

@@ -6,6 +6,7 @@ from isofdp import (
     MEASURES,
     Graph,
     Partition,
+    assign,
     detect_communities,
     load_edge_list,
     local_partition_density,
@@ -169,6 +170,17 @@ class TestSelectK:
         # the sweep confirms the peak rather than trusting the argmax
         densities = dict(result.sweep.table())
         assert densities[2] == max(densities.values())
+
+    def test_best_is_the_first_peak_with_its_partition(self):
+        g, _ = disjoint_cliques_graph([5, 4, 6])
+        res = detect_communities(g, knn=4, dim=2, k_max=9)
+        table = res.sweep.table()
+        peak = max(d for _, d in table)
+        assert res.sweep.best.k == res.k_star == next(k for k, d in table if d == peak)
+        assert res.sweep.best.density == peak
+        assert np.array_equal(res.partition.labels, assign(res.profile, res.k_star))
+        assert [k for k, _ in table] == list(range(2, 10))
+        assert res.sweep.k_max == 9
 
     def test_sweep_is_reproducible(self):
         g, _ = disjoint_cliques_graph([5, 4, 6])
