@@ -51,7 +51,7 @@ from .generators import (
     generate_gn,
     generate_lfr,
 )
-from .metrics import ContingencyTable, accuracy, contingency_table, max_weight_matching, nmi
+from .metrics import accuracy, nmi
 from .baselines import DbscanSpec, KmeansSpec, dbscan, dbscan_labels, dbscan_parameter_search, kmeans
 from .pipeline import DetectionResult, default_k_max, detect_communities
 

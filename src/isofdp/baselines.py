@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
-from .density_peaks import _as_points, select_dc
+from .density_peaks import _as_points, _pairwise, select_dc
 from .metrics import accuracy, nmi
 from .partition import Partition, normalize_labels
 
@@ -22,12 +23,15 @@ __all__ = [
 ]
 
 
+# k-means: seeded Lloyd runs per call, and assignment steps per run
+_RESTARTS = 10
+_MAX_ITERS = 100
+
+
 @dataclass(frozen=True)
 class KmeansSpec:
     k: int
     seed: int = 0
-    restarts: int = 10
-    max_iters: int = 100
 
     def __post_init__(self):
         if self.k < 1:
@@ -62,13 +66,13 @@ def _plus_plus_init(points, k, rng):
     return centers
 
 
-def _lloyd(points, k, rng, max_iters):
-    """One seeded k-means run; returns labels, centers, and the SSE trace."""
+def _lloyd(points, k, rng):
+    """One seeded k-means run; returns the labels and the SSE trace."""
     n = points.shape[0]
     centers = _plus_plus_init(points, k, rng)
     labels = np.full(n, -1, dtype=np.int64)
     sse_trace = []
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         d2 = cdist(points, centers, "sqeuclidean")
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -85,23 +89,43 @@ def _lloyd(points, k, rng, max_iters):
             break
         labels = new_labels
         centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-    return labels, centers, np.asarray(sse_trace)
+    return labels, np.asarray(sse_trace)
 
 
 def kmeans(e, spec: KmeansSpec) -> Partition:
-    """Best of ``spec.restarts`` seeded Lloyd runs by within-cluster SSE."""
+    """Best of ``_RESTARTS`` seeded Lloyd runs by within-cluster SSE."""
     points = _as_points(e)
     n = points.shape[0]
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds the number of points {n}")
     rng = np.random.default_rng(spec.seed)
     best_labels, best_sse = None, np.inf
-    for _ in range(spec.restarts):
-        labels, _, trace = _lloyd(points, spec.k, rng, spec.max_iters)
+    for _ in range(_RESTARTS):
+        labels, trace = _lloyd(points, spec.k, rng)
         if trace[-1] < best_sse:
             best_sse = trace[-1]
             best_labels = labels
     return Partition(normalize_labels(best_labels), spec.k)
+
+
+def _dbscan_raw(dist: np.ndarray, spec: DbscanSpec) -> np.ndarray:
+    """Raw DBSCAN ids over a pairwise distance matrix, -1 for noise."""
+    within = dist <= spec.eps
+    core = np.flatnonzero(within.sum(axis=1) >= spec.min_pts)
+    labels = np.full(dist.shape[0], -1, dtype=np.int64)
+    if core.size == 0:
+        return labels
+    _, labels[core] = connected_components(
+        csr_matrix(within[np.ix_(core, core)]), directed=False
+    )
+    # border points: non-core with a core within eps. argmin over the core
+    # columns keeps the first minimum, so ties go to the smaller core index
+    rest = np.flatnonzero(labels < 0)
+    reach = within[np.ix_(rest, core)]
+    border = reach.any(axis=1)
+    nearest = np.where(reach, dist[np.ix_(rest, core)], np.inf)[border].argmin(axis=1)
+    labels[rest[border]] = labels[core[nearest]]
+    return labels
 
 
 def dbscan_labels(e, spec: DbscanSpec) -> np.ndarray:
@@ -109,43 +133,24 @@ def dbscan_labels(e, spec: DbscanSpec) -> np.ndarray:
 
     A point is core when at least ``min_pts`` points (itself included) lie
     within ``eps``. Clusters are the connected components of core points under
-    eps-reachability; border points join their nearest core's cluster (ties
-    toward the smaller core index), which makes the result independent of
-    point order.
+    eps-reachability; each border point joins the cluster of its nearest core
+    within ``eps`` (ties toward the smaller core index), which makes the result
+    independent of point order.
     """
-    points = _as_points(e)
-    n = points.shape[0]
-    dist = squareform(pdist(points)) if n > 1 else np.zeros((1, 1))
-    within = dist <= spec.eps
-    core = within.sum(axis=1) >= spec.min_pts
+    return _dbscan_raw(_pairwise(_as_points(e)), spec)
 
-    labels = np.full(n, -1, dtype=np.int64)
-    core_idx = np.flatnonzero(core)
-    if core_idx.size:
-        _, labels[core_idx] = connected_components(
-            within[np.ix_(core_idx, core_idx)], directed=False
-        )
 
-    for i in np.flatnonzero(~core):
-        reachable = core_idx[within[i, core_idx]]
-        if reachable.size == 0:
-            continue
-        row = dist[i, reachable]
-        nearest = reachable[row == row.min()].min()
-        labels[i] = labels[nearest]
-    return labels
+def _dbscan_partition(dist: np.ndarray, spec: DbscanSpec) -> Partition:
+    raw = _dbscan_raw(dist, spec)
+    noise = raw < 0
+    raw[noise] = raw.max() + 1 + np.arange(np.count_nonzero(noise))
+    labels = normalize_labels(raw)
+    return Partition(labels, int(labels.max()) + 1)
 
 
 def dbscan(e, spec: DbscanSpec) -> Partition:
     """DBSCAN with noise points relabeled as singleton communities."""
-    raw = dbscan_labels(e, spec)
-    labels = raw.copy()
-    next_label = int(raw.max()) + 1 if (raw >= 0).any() else 0
-    for i in np.flatnonzero(raw < 0):
-        labels[i] = next_label
-        next_label += 1
-    labels = normalize_labels(labels)
-    return Partition(labels, int(labels.max()) + 1)
+    return _dbscan_partition(_pairwise(_as_points(e)), spec)
 
 
 def dbscan_parameter_search(
@@ -156,16 +161,19 @@ def dbscan_parameter_search(
 ):
     """Grid search over eps (distance percentiles) and min_pts, scored by NMI.
 
-    Returns (partition, spec, nmi, acc) for the best cell; ties keep the
-    earliest grid entry.
+    Every cell is ``dbscan`` at ``DbscanSpec(select_dc(e, pct), min_pts)``,
+    labelled from one pairwise distance matrix built once per call. Cells are
+    compared by (NMI, accuracy). Returns (partition, spec, nmi, acc) for the
+    best cell; ties keep the earliest grid entry, percentiles outermost.
     """
     points = _as_points(e)
+    dist = _pairwise(points)
     best = None
     for pct in percentiles:
         eps = select_dc(points, pct)
         for min_pts in min_pts_values:
             spec = DbscanSpec(eps, min_pts)
-            part = dbscan(points, spec)
+            part = _dbscan_partition(dist, spec)
             score = (nmi(truth, part.labels), accuracy(truth, part.labels))
             if best is None or score > best[0]:
                 best = (score, part, spec)

@@ -42,6 +42,7 @@ SUITE_PRESETS = {
 }
 
 _SUITE_CODE = {"gn": 1, "lfr": 2}
+_METHODS = ("isofdp", "kmeans_iso", "dbscan_iso")
 _STREAM_GENERATOR = 0
 _STREAM_KMEANS = 1
 
@@ -63,9 +64,14 @@ def _parse_values(text: str, integer: bool):
 
     Ranges step by 1 between integral endpoints and by 0.1 otherwise
     (``1..5`` -> 1,2,3,4,5; ``0.1..0.4`` -> 0.1,0.2,0.3,0.4).
+
+    Raises:
+        ValueError: a range whose upper end is below its lower end.
     """
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
+        if float(hi_s) < float(lo_s):
+            raise ValueError(f"empty range {text!r}: the upper end is below the lower end")
         if integer:
             return list(range(int(lo_s), int(hi_s) + 1))
         lo, hi = float(lo_s), float(hi_s)
@@ -180,6 +186,10 @@ def cmd_benchmark(args) -> int:
     else:
         params = _parse_values(args.mu, integer=False)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods or not set(methods) <= set(_METHODS):
+        raise ValueError(f"--methods {args.methods!r}: choose from {', '.join(_METHODS)}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     dc_values = (
         _parse_values(args.dc_sweep, integer=False) if args.dc_sweep else None
     )
@@ -293,12 +303,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.dim_sweep is not None and args.dim_sweep < 1:
+        raise ValueError(f"--dim-sweep must be >= 1, got {args.dim_sweep}")
     g = _load_graph(args.input, args.format)
     dmat = prepared_distances(g, args.measure)
     ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))
     gd = geodesic_distances(ng)
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.dim_sweep:
+    if args.dim_sweep is not None:
         rows = [[p, repr(r)] for p, r in residual_variances(gd, args.dim_sweep)]
         out = os.path.join(args.out_dir, "embedding_sweep.csv")
         write_csv(out, ["dim", "residual_variance"], rows)
@@ -341,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zout", default="1..8", help="gn: out-degree values, e.g. 1..8 or 6")
     p.add_argument("--mu", default="0.1..0.8", help="lfr: mixing values, e.g. 0.1..0.8")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--methods", default="isofdp,kmeans_iso,dbscan_iso")
+    p.add_argument("--methods", default=",".join(_METHODS))
     p.add_argument("--dc-sweep", default=None,
                    help="run isofdp only, once per cutoff percentile, e.g. 1..5")
     p.add_argument("--knn", type=int, default=None, help="override the suite preset")

@@ -2,39 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .partition import normalize_labels
 
 __all__ = [
-    "ContingencyTable",
-    "contingency_table",
     "nmi",
-    "max_weight_matching",
     "accuracy",
 ]
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Cross-tabulation of two labelings: counts[i, j] = |truth i & pred j|."""
-
-    counts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
 
 
 def _as_label_pair(truth, pred):
@@ -48,14 +24,9 @@ def _as_label_pair(truth, pred):
 
 
 def _counts(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # t and p are already normalized to 0..r-1 and 0..c-1
-    counts = np.zeros((int(t.max()) + 1, int(p.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (t, p), 1)
-    return counts
-
-
-def contingency_table(truth, pred) -> ContingencyTable:
-    return ContingencyTable(_counts(*_as_label_pair(truth, pred)))
+    """counts[i, j] = |truth i & pred j|, for labels already 0..r-1 and 0..c-1."""
+    r, c = int(t.max()) + 1, int(p.max()) + 1
+    return np.bincount(t * c + p, minlength=r * c).reshape(r, c)
 
 
 def nmi(truth, pred) -> float:
@@ -80,20 +51,8 @@ def nmi(truth, pred) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def max_weight_matching(weights) -> dict:
-    """Injective row -> column map of a nonnegative matrix maximizing total weight."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
-        raise ValueError("weights must be a nonempty 2-D matrix")
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    return {int(r): int(c) for r, c in zip(rows, cols)}
-
-
 def accuracy(truth, pred) -> float:
     """Fraction of nodes matched under the best predicted-to-true label mapping."""
-    ct = contingency_table(truth, pred)
-    mapping = max_weight_matching(ct.counts)
-    matched = sum(int(ct.counts[r, c]) for r, c in mapping.items())
-    return matched / ct.n
+    t, p = _as_label_pair(truth, pred)
+    counts = _counts(t, p)
+    return float(counts[linear_sum_assignment(counts, maximize=True)].sum() / t.size)

@@ -66,9 +66,6 @@ class Partition:
         lu, lv = self.labels[g.edge_array.T]
         return np.bincount(lu[lu == lv], minlength=self.k)
 
-    def members(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == c)
-
 
 def local_partition_density(g: Graph, part: Partition, c: int) -> float:
     """Edge saturation of one community beyond its spanning tree.

@@ -85,9 +85,9 @@ def to_distance(s) -> np.ndarray:
     Negative similarities are a domain error.
     """
     values = np.asarray(s, dtype=float)
-    if (values < 0).any():
+    if values.size and values.min() < 0:
         raise ValueError("similarities must be nonnegative")
-    d = np.full(values.shape, np.inf)
-    np.divide(1.0, values, out=d, where=values > 0)
+    with np.errstate(divide="ignore"):
+        d = 1.0 / values
     np.fill_diagonal(d, 0.0)
     return d

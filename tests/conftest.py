@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist, squareform
 
 from isofdp import Graph
+from isofdp.density_peaks import _as_points
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -91,6 +93,38 @@ def reference_neighbor_graph(values: np.ndarray, k: int) -> set:
     for r in sorted(groups.values())[1:]:
         edges[(0, r)] = 2.0 * float(values[finite].max())
     return {(u, v, w) for (u, v), w in edges.items()}
+
+
+def reference_dbscan_labels(e, spec) -> np.ndarray:
+    """Raw DBSCAN ids with -1 for noise, one border point at a time.
+
+    A point is core when at least ``min_pts`` points (itself included) lie
+    within ``eps``. Clusters are the connected components of core points under
+    eps-reachability; border points join their nearest core's cluster (ties
+    toward the smaller core index), which makes the result independent of
+    point order. Reference for ``isofdp.dbscan_labels``.
+    """
+    points = _as_points(e)
+    n = points.shape[0]
+    dist = squareform(pdist(points)) if n > 1 else np.zeros((1, 1))
+    within = dist <= spec.eps
+    core = within.sum(axis=1) >= spec.min_pts
+
+    labels = np.full(n, -1, dtype=np.int64)
+    core_idx = np.flatnonzero(core)
+    if core_idx.size:
+        _, labels[core_idx] = connected_components(
+            within[np.ix_(core_idx, core_idx)], directed=False
+        )
+
+    for i in np.flatnonzero(~core):
+        reachable = core_idx[within[i, core_idx]]
+        if reachable.size == 0:
+            continue
+        row = dist[i, reachable]
+        nearest = reachable[row == row.min()].min()
+        labels[i] = labels[nearest]
+    return labels
 
 
 def random_connected_graph(rng, n, extra_edges):

@@ -3,9 +3,10 @@ import pytest
 
 from isofdp import DbscanSpec, KmeansSpec, dbscan, dbscan_labels, dbscan_parameter_search, kmeans
 from isofdp.baselines import _lloyd
-from isofdp.metrics import nmi
+from isofdp.density_peaks import _pairwise, select_dc
+from isofdp.metrics import accuracy, nmi
 
-from conftest import two_blobs
+from conftest import reference_dbscan_labels, two_blobs
 
 
 class TestKmeans:
@@ -21,7 +22,7 @@ class TestKmeans:
         points = rng.normal(size=(8, 2)) * 10
         part = kmeans(points, KmeansSpec(k=8, seed=3))
         assert sorted(part.labels.tolist()) == list(range(8))
-        _, _, trace = _lloyd(points, 8, np.random.default_rng(3), 100)
+        _, trace = _lloyd(points, 8, np.random.default_rng(3))
         assert trace[-1] == pytest.approx(0.0, abs=1e-18)
 
     def test_two_blobs(self):
@@ -34,7 +35,7 @@ class TestKmeans:
         rng = np.random.default_rng(9)
         points = rng.normal(size=(60, 3))
         for seed in range(5):
-            _, _, trace = _lloyd(points, 4, np.random.default_rng(seed), 100)
+            _, trace = _lloyd(points, 4, np.random.default_rng(seed))
             assert np.all(np.diff(trace) <= 1e-9)
 
     def test_deterministic_under_seed(self):
@@ -61,8 +62,10 @@ class TestDbscan:
         points = np.arange(6, dtype=float)[:, None] * 10
         part = dbscan(points, DbscanSpec(eps=0.5, min_pts=2))
         assert part.k == 6
+        assert part.labels.tolist() == [0, 1, 2, 3, 4, 5]
         raw = dbscan_labels(points, DbscanSpec(eps=0.5, min_pts=2))
         assert np.all(raw == -1)
+        assert raw.tobytes() == reference_dbscan_labels(points, DbscanSpec(0.5, 2)).tobytes()
 
     def test_two_blobs(self):
         rng = np.random.default_rng(7)
@@ -95,6 +98,55 @@ class TestDbscan:
             DbscanSpec(eps=1.0, min_pts=0)
 
 
+def _cross_cluster_ties(points, spec, raw):
+    """Border points whose nearest cores within eps lie in different clusters."""
+    dist = _pairwise(points)
+    core = np.flatnonzero((dist <= spec.eps).sum(axis=1) >= spec.min_pts)
+    count = 0
+    for i in np.flatnonzero(raw >= 0):
+        if i in core:
+            continue
+        row = np.where(dist[i, core] <= spec.eps, dist[i, core], np.inf)
+        count += np.unique(raw[core[row == row.min()]]).size > 1
+    return count
+
+
+class TestDbscanMatchesReference:
+    """The vectorized labelling against the per-point loop in ``conftest``.
+
+    Integer coordinates make distances equal eps exactly and put border points
+    at equal distance from cores of two clusters.
+    """
+
+    @pytest.mark.parametrize("min_pts", [1, 3, 6])
+    def test_integer_grid_points(self, min_pts):
+        ties = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            points = rng.integers(0, 9, size=(40, 2)).astype(float)
+            for eps in (1.0, np.sqrt(2.0), 2.0, np.sqrt(5.0), 3.0):
+                spec = DbscanSpec(eps, min_pts)
+                raw = dbscan_labels(points, spec)
+                assert raw.tobytes() == reference_dbscan_labels(points, spec).tobytes()
+                ties += _cross_cluster_ties(points, spec, raw)
+        # a border point has at most min_pts - 2 others within eps, so it
+        # can sit between two cores only when min_pts >= 4
+        if min_pts >= 4:
+            assert ties > 0
+
+    def test_border_tie_goes_to_smaller_core_index(self):
+        # point 0 is a border point at distance 1 from cores 1 and 5, which
+        # lie in different clusters
+        points = np.array(
+            [[0, 0], [1, 0], [2, 0], [1, 1], [2, 1], [-1, 0], [-2, 0], [-1, 1], [-2, 1]],
+            dtype=float,
+        )
+        spec = DbscanSpec(eps=1.0, min_pts=4)
+        raw = dbscan_labels(points, spec)
+        assert raw.tolist() == [0, 0, 0, 0, -1, 1, 1, 1, -1]
+        assert raw.tolist() == reference_dbscan_labels(points, spec).tolist()
+
+
 class TestDbscanParameterSearch:
     def test_finds_many_tight_blobs(self):
         # many small clumps keep the intra-pair share low, so the fixed
@@ -117,8 +169,26 @@ class TestDbscanParameterSearch:
         rng = np.random.default_rng(11)
         points, truth = two_blobs(rng)
         _, _, best_nmi, _ = dbscan_parameter_search(points, truth)
-        from isofdp.density_peaks import select_dc
-
         for pct in (2, 5, 9):
             cell = dbscan(points, DbscanSpec(eps=select_dc(points, pct), min_pts=4))
             assert best_nmi >= nmi(truth, cell.labels) - 1e-12
+
+    def test_returns_the_first_best_cell(self):
+        # integer points in overlapping clumps: several cells share the best
+        # (NMI, accuracy), so the earliest one must win
+        rng = np.random.default_rng(12)
+        truth = np.repeat(np.arange(3), 12)
+        points = rng.integers(0, 5, size=(36, 2)) + 4 * truth[:, None]
+        cells = []
+        for pct in range(1, 11):
+            for min_pts in (2, 3, 4, 5, 6):
+                spec = DbscanSpec(select_dc(points, pct), min_pts)
+                labels = dbscan(points, spec).labels
+                cells.append(((nmi(truth, labels), accuracy(truth, labels)), spec, labels))
+        best = max(score for score, _, _ in cells)
+        assert sum(score == best for score, _, _ in cells) > 1
+        score, spec, labels = next(cell for cell in cells if cell[0] == best)
+        part, got_spec, got_nmi, got_acc = dbscan_parameter_search(points, truth)
+        assert got_spec == spec
+        assert (got_nmi, got_acc) == score
+        assert part.labels.tobytes() == labels.tobytes()

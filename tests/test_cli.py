@@ -35,6 +35,11 @@ class TestParseValues:
     def test_comma_list(self):
         assert _parse_values("2,4,8", integer=True) == [2, 4, 8]
 
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_reversed_range_rejected(self, integer):
+        with pytest.raises(ValueError, match="empty range"):
+            _parse_values("5..1", integer=integer)
+
 
 class TestGenerate:
     def test_gn_files(self, gn_instance):
@@ -237,6 +242,29 @@ class TestBenchmark:
         methods = {line.split(",")[2] for line in lines[1:]}
         assert methods == {"isofdp[dc=1]", "isofdp[dc=2]", "isofdp[dc=3]"}
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--methods", "bogus"], "--methods"),
+            (["--methods", "isofdp,kmeans"], "--methods"),
+            (["--methods", ","], "--methods"),
+            (["--zout", "5..1"], "empty range"),
+            (["--trials", 0], "--trials"),
+            (["--trials", -2], "--trials"),
+        ],
+    )
+    def test_malformed_options_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--suite", "gn", "--zout", 3, "--trials", 1, "--out-dir", out]
+        assert run(argv + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_reversed_mu_range_exits_2(self, tmp_path):
+        out = tmp_path / "bench"
+        assert run(["benchmark", "--suite", "lfr", "--mu", "0.5..0.1", "--out-dir", out]) == 2
+        assert not os.path.exists(out)
+
 
 UNEMBEDDABLE = {
     "edgeless6": Graph.from_edges(6, []),
@@ -274,3 +302,11 @@ class TestEmbed:
         assert len(lines) == 6
         residuals = [float(line.split(",")[1]) for line in lines[1:]]
         assert residuals == sorted(residuals, reverse=True)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_dim_sweep_exits_2(self, gn_instance, tmp_path, capsys, count):
+        edges_path, _ = gn_instance
+        out = tmp_path / "sweep"
+        assert run(["embed", "--input", edges_path, "--dim-sweep", count, "--out-dir", out]) == 2
+        assert "--dim-sweep" in capsys.readouterr().err
+        assert not os.path.exists(out)

@@ -154,7 +154,18 @@ class TestToDistance:
 
     def test_zero_similarity_maps_to_inf(self):
         d = to_distance(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.isinf(d[0, 1])
+        assert d[0, 1] == np.inf
+
+    def test_empty_input(self):
+        assert to_distance(np.zeros((0, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_matches_the_masked_reciprocal(self, measure):
+        sim = similarity_matrix(generate_gn(GnSpec(z_out=6, seed=2)).graph, measure)
+        expected = np.full(sim.shape, np.inf)
+        np.divide(1.0, sim, out=expected, where=sim > 0)
+        np.fill_diagonal(expected, 0.0)
+        assert to_distance(sim).tobytes() == expected.tobytes()
 
     def test_diagonal_is_zero(self):
         sim = similarity_matrix(TRIANGLE, "structure")
