@@ -68,12 +68,14 @@ def select_dc(e, percentile: float = 2.0) -> float:
         raise ValueError("need at least 2 points to pick a cutoff")
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    dists = np.sort(pdist(points))
+    dists = pdist(points)
     rank = math.ceil(percentile / 100.0 * dists.size)  # 1-based nearest rank
-    first_real = np.searchsorted(dists, 1e-9 * dists[-1], side="right")
+    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
     if first_real == dists.size:
         raise ValueError("all points coincide; cannot pick a cutoff")
-    return float(dists[max(rank - 1, first_real)])
+    kth = max(rank - 1, first_real)
+    dists.partition(kth)  # in place; an order statistic needs no full sort
+    return float(dists[kth])
 
 
 def compute_profile(e, d_c: float) -> DensityProfile:

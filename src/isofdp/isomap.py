@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.sparse.linalg import eigsh
 
 __all__ = [
+    "LANDMARKS",
     "NeighborGraph",
     "Embedding",
     "build_neighbor_graph",
@@ -22,6 +23,10 @@ __all__ = [
 # rows each k-NN and repair scan takes at a time: one n x n copy or mask would
 # be its peak, and at n=3000 256-row blocks already raise the max RSS by 6%
 _BLOCK_ROWS = 64
+
+# geodesic rows per embedding: graphs up to this size keep all-pairs geodesics
+# and exact MDS; at n=3000, 256 landmarks cost more NMI than 128
+LANDMARKS = 128
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,11 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
         below = b < kth
         tied = (b == kth) & np.isfinite(kth)
         room = k - below.sum(axis=1, keepdims=True)
-        bi, bj = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))
+        take = below | tied
+        # only rows with more ties at the k-th value than room need them counted
+        over = np.flatnonzero(tied.sum(axis=1) > room[:, 0])
+        take[over] = below[over] | (tied[over] & (np.cumsum(tied[over], axis=1) <= room[over]))
+        bi, bj = np.nonzero(take)
         keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
         weights.append(rows[bi, bj])
     # the first occurrence of a pair comes from the lower row that selected it
@@ -145,20 +154,41 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     return NeighborGraph(n, edges, weights)
 
 
-def geodesic_distances(ng: NeighborGraph) -> np.ndarray:
-    """Exact all-pairs shortest paths over the neighbor graph (Dijkstra per source).
+def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndarray:
+    """Exact shortest paths over the neighbor graph, from every node or from landmarks.
 
-    The result is an exactly symmetric n x n array with all entries finite.
-    Each edge is stored once, ``u < v``; undirected Dijkstra reads it both ways.
+    With ``landmarks >= n`` the result is the exactly symmetric n x n all-pairs
+    array. Otherwise it is the ``l x n`` block of exact rows from ``l <=
+    landmarks`` nodes picked by max-min distance: node 0 first, then each time
+    the node farthest from the landmarks so far (the first maximum, so ties go
+    to the smaller index). The selection stops early once every node is at
+    distance 0 from a landmark. All entries are finite. Each edge is stored
+    once, ``u < v``; Dijkstra reads it both ways.
     """
+    if landmarks < 2:
+        raise ValueError(f"landmarks must be >= 2, got {landmarks}")
     n = ng.node_count
-    upper = csr_matrix((ng.weights, tuple(ng.edges.T)), shape=(n, n))
-    dist = _csgraph_dijkstra(upper, directed=False)
-    if dist.max() == np.inf:  # a mask would be one more n x n array
+    if landmarks >= n:
+        upper = csr_matrix((ng.weights, tuple(ng.edges.T)), shape=(n, n))
+        dist = _csgraph_dijkstra(upper, directed=False)
+        if dist.max() == np.inf:  # a mask would be one more n x n array
+            raise ValueError("neighbor graph is disconnected")
+        dist = np.minimum(dist, dist.T)  # enforce exact symmetry
+        np.fill_diagonal(dist, 0.0)
+        return dist
+    # undirected Dijkstra transposes its input on every call; one directed
+    # graph with both directions of each edge gives the same rows. It is built
+    # from the arrays: a sparse sum would drop the zero-weight edges
+    u, v = ng.edges.T
+    both = csr_matrix((np.r_[ng.weights, ng.weights], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+    rows = [_csgraph_dijkstra(both, indices=0)]
+    if rows[0].max() == np.inf:
         raise ValueError("neighbor graph is disconnected")
-    dist = np.minimum(dist, dist.T)  # enforce exact symmetry
-    np.fill_diagonal(dist, 0.0)
-    return dist
+    mind = rows[0].copy()  # distance from each node to its nearest landmark
+    while len(rows) < landmarks and mind.max() > 0:
+        rows.append(_csgraph_dijkstra(both, indices=int(mind.argmax())))
+        np.minimum(mind, rows[-1], out=mind)
+    return np.vstack(rows)
 
 
 def _centered_gram(d: np.ndarray) -> np.ndarray:
@@ -175,8 +205,25 @@ def _centered_gram(d: np.ndarray) -> np.ndarray:
     return b
 
 
+def _landmark_block(d: np.ndarray) -> np.ndarray:
+    """The distances among the landmarks of ``l x n`` geodesic rows; ``d`` if square.
+
+    Landmark ``i > 0`` is the first maximum of the minimum over rows ``0..i-1``,
+    the rule ``geodesic_distances`` picks it by, so the columns come from the
+    rows alone. The block is made exactly symmetric with a zero diagonal.
+    """
+    l, n = d.shape
+    if l == n:
+        return d
+    cols = np.r_[0, np.minimum.accumulate(d, axis=0)[:-1].argmax(axis=1)]
+    block = d[:, cols]
+    block = np.minimum(block, block.T)
+    np.fill_diagonal(block, 0.0)
+    return block
+
+
 def classical_mds(gd, dim: int) -> Embedding:
-    """Project a symmetric distance matrix to ``dim`` coordinates.
+    """Project distances to ``dim`` coordinates: an n x n matrix, or l x n landmark rows.
 
     Keeps the top ``dim`` eigenpairs with eigenvalue above a relative positive
     threshold; when fewer are available the embedding carries fewer columns
@@ -184,22 +231,30 @@ def classical_mds(gd, dim: int) -> Embedding:
     single all-zero column. Each column's largest-magnitude entry is made
     nonnegative so the output is sign-deterministic.
 
-    Only the top ``min(dim, n - 1)`` eigenpairs are computed, by Lanczos
+    Only the top ``min(dim, l - 1)`` eigenpairs are computed, by Lanczos
     iteration (ARPACK) to machine precision. Its start vector and the vectors
     it draws after an invariant subspace (a rank-deficient input) come from a
     fixed seed, so repeated calls return the same bytes.
+
+    Given the ``l x n`` rows of :func:`geodesic_distances` with ``l < n``, this
+    is landmark MDS (de Silva & Tenenbaum, NIPS 2003): the eigenpairs are those
+    of the ``l x l`` landmark block, and every node, landmarks included, is
+    placed by distance-based triangulation, ``x = -1/2 L# (delta_x - mean
+    delta)``, where ``delta_x`` holds its squared distances to the landmarks.
     """
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
     d = np.asarray(gd, dtype=float)
-    n = d.shape[0]
-    b = _centered_gram(d)
+    n = d.shape[1]
+    block = _landmark_block(d)
+    l = block.shape[0]
+    b = _centered_gram(block)
     if not b.any():
         # all points coincide; ARPACK rejects the zero start residual
         return Embedding(np.zeros((n, 1)), np.zeros(1), dim)
     rng = np.random.default_rng(0)
     eigvals, eigvecs = eigsh(
-        b, k=min(dim, n - 1), which="LA", tol=0, v0=rng.standard_normal(n), rng=rng
+        b, k=min(dim, l - 1), which="LA", tol=0, v0=rng.standard_normal(l), rng=rng
     )
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -214,12 +269,19 @@ def classical_mds(gd, dim: int) -> Embedding:
         if vecs[anchor, j] < 0:
             vecs[:, j] = -vecs[:, j]
     coords = vecs * np.sqrt(vals)
+    if l < n:
+        mean_sq = np.square(block).mean(axis=1)
+        coords = -0.5 * (np.square(d) - mean_sq[:, None]).T @ (coords / vals)
     return Embedding(coords, vals, dim)
 
 
 def residual_variances(gd, max_dim: int) -> list:
-    """(dim, residual) pairs: share of the positive spectrum left out at each dim."""
-    eigvals = np.linalg.eigvalsh(_centered_gram(np.asarray(gd, dtype=float)))[::-1]
+    """(dim, residual) pairs: share of the positive spectrum left out at each dim.
+
+    On ``l x n`` landmark rows this is the spectrum of the ``l x l`` block.
+    """
+    block = _landmark_block(np.asarray(gd, dtype=float))
+    eigvals = np.linalg.eigvalsh(_centered_gram(block))[::-1]
     tol = 1e-10 * max(eigvals[0], 0.0)
     positive = eigvals[eigvals > tol]
     total = positive.sum()

@@ -185,7 +185,7 @@ def test_criterion_6_geodesic_oracle():
         for (u, v), weight in edges.items():
             w[u, v] = w[v, u] = weight
         ng = build_neighbor_graph(w, int(rng.integers(3, 12)))
-        got = geodesic_distances(ng)
+        got = geodesic_distances(ng, landmarks=n)  # all pairs, as n may exceed the default
         expected = floyd_warshall(neighbor_graph_matrix(ng))
         worst = max(worst, float(np.max(np.abs(got - expected))))
     _criterion(6, worst <= 1e-9, f"Dijkstra vs Floyd-Warshall on 20 graphs, max |diff| = {worst:.2e}")

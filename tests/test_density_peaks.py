@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from isofdp import assign, compute_profile, select_dc
 from isofdp.metrics import nmi
@@ -68,6 +71,20 @@ class TestSelectDc:
         # two clumps of points that coincide up to rounding, 1 apart
         points = np.array([0.0, 1e-17, 2e-17, 1.0, 1.0 + 2e-16])
         assert select_dc(points, 10.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_the_full_sort(self):
+        # integer grids tie often; 1e-17 noise on zero coordinates puts distances under the floor
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            points = rng.integers(0, 4, size=(int(rng.integers(2, 60)), 2)).astype(float)
+            points[: len(points) // 3] += 1e-17 * rng.random((len(points) // 3, 2))
+            dists = np.sort(pdist(points))
+            if dists[-1] == 0:
+                continue
+            floor = np.searchsorted(dists, 1e-9 * dists[-1], side="right")
+            for pct in (0.1, 1.0, 2.0, 10.0, 37.5, 50.0, 100.0):
+                rank = math.ceil(pct / 100.0 * dists.size)
+                assert select_dc(points, pct) == dists[max(rank - 1, floor)]
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="coincide"):

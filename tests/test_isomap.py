@@ -2,19 +2,24 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import pdist, squareform
 
 from isofdp import (
     Graph,
     GnSpec,
+    LfrSpec,
     build_neighbor_graph,
     classical_mds,
+    detect_communities,
     generate_gn,
+    generate_lfr,
     geodesic_distances,
     similarity_matrix,
     to_distance,
 )
-from isofdp.isomap import residual_variances
+from isofdp.isomap import LANDMARKS, NeighborGraph, residual_variances
 from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
@@ -209,6 +214,141 @@ class TestGeodesicDistances:
         gd = geodesic_distances(ng)
         for u, v, weight in edge_set(ng):
             assert gd[u, v] <= weight + 1e-12
+
+
+def weight_matrix(n, edges):
+    """Dense weights of an undirected graph, inf where no edge."""
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for (u, v), weight in edges.items():
+        w[u, v] = w[v, u] = weight
+    return w
+
+
+def all_pairs_reference(ng):
+    """Exactly symmetric all-pairs Dijkstra with a zero diagonal."""
+    n = ng.node_count
+    dist = dijkstra(csr_matrix((ng.weights, tuple(ng.edges.T)), shape=(n, n)), directed=False)
+    dist = np.minimum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def max_min_reference(full, count):
+    """Landmarks picked one at a time: node 0, then the first node farthest
+    from every landmark so far, until ``count`` or every node is at distance 0."""
+    chosen = [0]
+    while len(chosen) < count:
+        near = [min(full[c, x] for c in chosen) for x in range(full.shape[0])]
+        if max(near) == 0:
+            break
+        chosen.append(near.index(max(near)))
+    return chosen
+
+
+def landmark_block(gd, landmarks):
+    block = gd[:, landmarks]
+    block = np.minimum(block, block.T)
+    np.fill_diagonal(block, 0.0)
+    return block
+
+
+class TestLandmarkGeodesics:
+    def test_max_min_order_with_distance_ties(self):
+        # on the unit 8-cycle node 0's farthest is 4; then 2 and 6 tie at 2,
+        # then the four odd nodes tie at 1: both ties go to the smaller index
+        cycle = {(i, (i + 1) % 8): 1.0 for i in range(8)}
+        gd = geodesic_distances(build_neighbor_graph(weight_matrix(8, cycle), 2), 5)
+        expected = floyd_warshall(weight_matrix(8, cycle))[[0, 4, 2, 6, 1]]
+        assert gd.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("landmarks", [2, 5, 17])
+    def test_rows_match_floyd_warshall(self, landmarks):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            n = int(rng.integers(20, 80))
+            w = weight_matrix(n, random_connected_graph(rng, n, extra_edges=2 * n))
+            ng = build_neighbor_graph(w, int(rng.integers(3, 8)))
+            full = floyd_warshall(neighbor_graph_matrix(ng))
+            gd = geodesic_distances(ng, landmarks)
+            assert gd.shape == (landmarks, n)
+            assert np.max(np.abs(gd - full[max_min_reference(full, landmarks)])) <= 1e-9
+
+    def test_selection_stops_once_every_node_coincides_with_a_landmark(self):
+        # two groups of three nodes at distance 0 from each other, 1 apart
+        d = np.ones((6, 6))
+        d[:3, :3] = d[3:, 3:] = 0.0
+        gd = geodesic_distances(build_neighbor_graph(d, 2), 4)
+        assert gd.tolist() == [[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0]]
+        # two landmarks place the groups 1 apart, each on one point
+        assert np.allclose(pdist(classical_mds(gd, 2).coordinates), squareform(d), atol=1e-12)
+
+    @pytest.mark.parametrize("extra", [0, 1, 100])
+    def test_all_pairs_when_landmarks_cover_every_node(self, extra):
+        labeled = generate_gn(GnSpec(z_out=5, seed=2))
+        ng = build_neighbor_graph(prepared_distances(labeled.graph), 24)
+        n = ng.node_count
+        assert n <= LANDMARKS  # so the default stays exact here too
+        expected = all_pairs_reference(ng).tobytes()
+        assert geodesic_distances(ng, n + extra).tobytes() == expected
+        assert geodesic_distances(ng).tobytes() == expected
+
+    @pytest.mark.parametrize("landmarks", [1, 0, -3])
+    def test_fewer_than_two_landmarks_rejected(self, landmarks):
+        ng = build_neighbor_graph(line_distance_matrix(np.arange(6.0)), 1)
+        with pytest.raises(ValueError, match="landmarks"):
+            geodesic_distances(ng, landmarks)
+
+    def test_disconnected_graph_rejected_on_both_paths(self):
+        ng = NeighborGraph(6, np.array([[0, 1], [2, 3], [4, 5]]), np.ones(3))
+        for landmarks in (2, 6):
+            with pytest.raises(ValueError, match="disconnected"):
+                geodesic_distances(ng, landmarks)
+
+
+class TestLandmarkMds:
+    def points_geodesics(self, n=60, p=3, landmarks=12, seed=21):
+        points = np.random.default_rng(seed).normal(size=(n, p))
+        # the complete graph: every geodesic is the straight-line distance
+        ng = build_neighbor_graph(squareform(pdist(points)), n - 1)
+        return points, geodesic_distances(ng, landmarks)
+
+    def test_triangulated_landmarks_match_block_mds(self):
+        labeled = generate_lfr(LfrSpec(n=300, mu=0.3, min_community=15, max_community=40, seed=4))
+        gd = geodesic_distances(build_neighbor_graph(prepared_distances(labeled.graph), 10), 24)
+        landmarks = gd.argmin(axis=1)  # every weight is positive: 0 only at the source
+        emb = classical_mds(gd, 8)
+        block = classical_mds(landmark_block(gd, landmarks), 8)
+        assert emb.eigenvalues.tobytes() == block.eigenvalues.tobytes()
+        assert emb.coordinates.shape == (300, 8)
+        scale = np.abs(block.coordinates).max()
+        assert np.max(np.abs(emb.coordinates[landmarks] - block.coordinates)) <= 1e-9 * scale
+
+    def test_euclidean_points_reconstructed_exactly(self):
+        points, gd = self.points_geodesics()
+        emb = classical_mds(gd, 3)
+        want = pdist(points)
+        assert np.max(np.abs(pdist(emb.coordinates) - want)) <= 1e-9 * want.max()
+
+    def test_residual_variances_read_the_landmark_block(self):
+        _, gd = self.points_geodesics(p=5)
+        block = landmark_block(gd, gd.argmin(axis=1))
+        assert residual_variances(gd, 6) == residual_variances(block, 6)
+        assert residual_variances(gd, 6)[4][1] <= 1e-9  # 5 dims hold 5-dimensional data
+
+    def test_coincident_nodes_give_one_zero_column(self):
+        # every node at distance 0 from node 0: one landmark row
+        gd = geodesic_distances(build_neighbor_graph(np.zeros((6, 6)), 2), 3)
+        assert gd.shape == (1, 6)
+        emb = classical_mds(gd, 2)
+        assert emb.coordinates.shape == (6, 1) and not emb.coordinates.any()
+
+    def test_detection_repeats_exactly(self):
+        labeled = generate_lfr(LfrSpec(n=300, mu=0.3, min_community=15, max_community=40, seed=4))
+        first, second = (detect_communities(labeled.graph, knn=10, dim=8, landmarks=24) for _ in "ab")
+        assert first.k_star == second.k_star
+        assert first.partition.labels.tobytes() == second.partition.labels.tobytes()
+        assert first.embedding.coordinates.tobytes() == second.embedding.coordinates.tobytes()
 
 
 class TestClassicalMds:
