@@ -17,13 +17,7 @@ from . import __version__
 from .baselines import KmeansSpec, dbscan_parameter_search, kmeans
 from .generators import GenerationError, GnSpec, LfrSpec, generate_gn, generate_lfr
 from .graph import Graph, GraphParseError, load_edge_list, load_gml, to_edge_list
-from .isomap import (
-    LANDMARKS,
-    build_neighbor_graph,
-    classical_mds,
-    geodesic_distances,
-    residual_variances,
-)
+from .isomap import build_neighbor_graph, classical_mds, geodesic_distances, residual_variances
 from .metrics import accuracy, nmi
 from .pipeline import detect_communities, prepared_distances
 from .reports import (
@@ -115,7 +109,6 @@ def cmd_detect(args) -> int:
         dim=args.dim,
         dc_percentile=args.dc_percentile,
         k_max=args.kmax,
-        landmarks=args.landmarks,
     )
     metrics = {}
     truth = None
@@ -134,7 +127,6 @@ def cmd_detect(args) -> int:
         "dim": args.dim,
         "dc_percentile": args.dc_percentile,
         "kmax": result.sweep.k_max,
-        "landmarks": min(args.landmarks, g.node_count),
         "out_dir": args.out_dir,
         "version": __version__,
     }
@@ -212,8 +204,7 @@ def cmd_benchmark(args) -> int:
             if dc_values is not None:
                 for pct in dc_values:
                     res = detect_communities(
-                        g, knn=knn, dim=dim, dc_percentile=pct, k_max=args.kmax,
-                        landmarks=args.landmarks,
+                        g, knn=knn, dim=dim, dc_percentile=pct, k_max=args.kmax
                     )
                     lab = res.partition.labels
                     rows.append(
@@ -231,8 +222,7 @@ def cmd_benchmark(args) -> int:
             res = None
             if "isofdp" in methods or "kmeans_iso" in methods or "dbscan_iso" in methods:
                 res = detect_communities(
-                    g, knn=knn, dim=dim, dc_percentile=args.dc_percentile, k_max=args.kmax,
-                    landmarks=args.landmarks,
+                    g, knn=knn, dim=dim, dc_percentile=args.dc_percentile, k_max=args.kmax
                 )
             if "isofdp" in methods:
                 lab = res.partition.labels
@@ -318,7 +308,7 @@ def cmd_embed(args) -> int:
     g = _load_graph(args.input, args.format)
     dmat = prepared_distances(g, args.measure)
     ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))
-    gd = geodesic_distances(ng, args.landmarks)
+    gd = geodesic_distances(ng)
     os.makedirs(args.out_dir, exist_ok=True)
     if args.dim_sweep is not None:
         rows = [[p, repr(r)] for p, r in residual_variances(gd, args.dim_sweep)]
@@ -341,13 +331,6 @@ def _add_graph_input(p):
     p.add_argument("--measure", choices=list(MEASURES), default="structure")
     p.add_argument("--knn", type=int, default=10, help="neighborhood size for the k-NN graph")
     p.add_argument("--dim", type=int, default=2, help="embedding dimension")
-    _add_landmarks(p)
-
-
-def _add_landmarks(p):
-    p.add_argument("--landmarks", type=int, default=LANDMARKS,
-                   help="geodesic rows for landmark MDS; graphs up to this size are "
-                        f"embedded exactly (default {LANDMARKS}, at least 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None, help="override the suite preset")
     p.add_argument("--dc-percentile", type=float, default=2.0)
     p.add_argument("--kmax", type=int, default=None)
-    _add_landmarks(p)
     p.add_argument("--seed", type=int, default=0, help="master seed; trials derive from it")
     p.add_argument("--out-dir", default="isofdp-out")
     p.add_argument("--lfr-n", type=int, default=1000)

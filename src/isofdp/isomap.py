@@ -96,11 +96,7 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
         below = b < kth
         tied = (b == kth) & np.isfinite(kth)
         room = k - below.sum(axis=1, keepdims=True)
-        take = below | tied
-        # only rows with more ties at the k-th value than room need them counted
-        over = np.flatnonzero(tied.sum(axis=1) > room[:, 0])
-        take[over] = below[over] | (tied[over] & (np.cumsum(tied[over], axis=1) <= room[over]))
-        bi, bj = np.nonzero(take)
+        bi, bj = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))
         keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
         weights.append(rows[bi, bj])
     # the first occurrence of a pair comes from the lower row that selected it
@@ -162,28 +158,24 @@ def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndar
     landmarks`` nodes picked by max-min distance: node 0 first, then each time
     the node farthest from the landmarks so far (the first maximum, so ties go
     to the smaller index). The selection stops early once every node is at
-    distance 0 from a landmark. All entries are finite. Each edge is stored
-    once, ``u < v``; Dijkstra reads it both ways.
+    distance 0 from a landmark. All entries are finite.
     """
     if landmarks < 2:
         raise ValueError(f"landmarks must be >= 2, got {landmarks}")
     n = ng.node_count
-    if landmarks >= n:
-        upper = csr_matrix((ng.weights, tuple(ng.edges.T)), shape=(n, n))
-        dist = _csgraph_dijkstra(upper, directed=False)
-        if dist.max() == np.inf:  # a mask would be one more n x n array
-            raise ValueError("neighbor graph is disconnected")
-        dist = np.minimum(dist, dist.T)  # enforce exact symmetry
-        np.fill_diagonal(dist, 0.0)
-        return dist
-    # undirected Dijkstra transposes its input on every call; one directed
-    # graph with both directions of each edge gives the same rows. It is built
-    # from the arrays: a sparse sum would drop the zero-weight edges
+    # both directions of each edge, so Dijkstra runs directed: undirected
+    # Dijkstra transposes its input on every call, for the same bytes. Built
+    # from the arrays, as a sparse sum would drop the zero-weight edges
     u, v = ng.edges.T
     both = csr_matrix((np.r_[ng.weights, ng.weights], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
     rows = [_csgraph_dijkstra(both, indices=0)]
     if rows[0].max() == np.inf:
         raise ValueError("neighbor graph is disconnected")
+    if landmarks >= n:
+        dist = _csgraph_dijkstra(both)
+        dist = np.minimum(dist, dist.T)  # enforce exact symmetry
+        np.fill_diagonal(dist, 0.0)
+        return dist
     mind = rows[0].copy()  # distance from each node to its nearest landmark
     while len(rows) < landmarks and mind.max() > 0:
         rows.append(_csgraph_dijkstra(both, indices=int(mind.argmax())))
@@ -206,16 +198,20 @@ def _centered_gram(d: np.ndarray) -> np.ndarray:
 
 
 def _landmark_block(d: np.ndarray) -> np.ndarray:
-    """The distances among the landmarks of ``l x n`` geodesic rows; ``d`` if square.
+    """The distances among the sources of ``l < n`` geodesic rows; ``d`` if square.
 
-    Landmark ``i > 0`` is the first maximum of the minimum over rows ``0..i-1``,
-    the rule ``geodesic_distances`` picks it by, so the columns come from the
-    rows alone. The block is made exactly symmetric with a zero diagonal.
+    A row of exact shortest paths is 0 at its source, so the source's column
+    is the first zero of the row, or that of a node at distance 0 from it,
+    whose column holds the same distances. Which nodes the rows come from,
+    and in which order, is not read. The block is made exactly symmetric with
+    a zero diagonal.
     """
     l, n = d.shape
     if l == n:
         return d
-    cols = np.r_[0, np.minimum.accumulate(d, axis=0)[:-1].argmax(axis=1)]
+    cols = d.argmin(axis=1)
+    if l > n or d[np.arange(l), cols].any():
+        raise ValueError("need n x n distances or l < n geodesic rows, each 0 at its source")
     block = d[:, cols]
     block = np.minimum(block, block.T)
     np.fill_diagonal(block, 0.0)
@@ -236,11 +232,12 @@ def classical_mds(gd, dim: int) -> Embedding:
     it draws after an invariant subspace (a rank-deficient input) come from a
     fixed seed, so repeated calls return the same bytes.
 
-    Given the ``l x n`` rows of :func:`geodesic_distances` with ``l < n``, this
-    is landmark MDS (de Silva & Tenenbaum, NIPS 2003): the eigenpairs are those
-    of the ``l x l`` landmark block, and every node, landmarks included, is
-    placed by distance-based triangulation, ``x = -1/2 L# (delta_x - mean
-    delta)``, where ``delta_x`` holds its squared distances to the landmarks.
+    Given ``l < n`` rows of exact geodesics from distinct landmarks, as
+    :func:`geodesic_distances` returns them, this is landmark MDS (de Silva &
+    Tenenbaum, NIPS 2003): the eigenpairs are those of the ``l x l`` landmark
+    block, and every node, landmarks included, is placed by distance-based
+    triangulation, ``x = -1/2 L# (delta_x - mean delta)``, where ``delta_x``
+    holds its squared distances to the landmarks.
     """
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")

@@ -10,13 +10,7 @@ import numpy as np
 
 from .density_peaks import DensityProfile, compute_profile, select_dc
 from .graph import Graph
-from .isomap import (
-    LANDMARKS,
-    Embedding,
-    build_neighbor_graph,
-    classical_mds,
-    geodesic_distances,
-)
+from .isomap import Embedding, build_neighbor_graph, classical_mds, geodesic_distances
 from .partition import Partition, SweepResult, select_k
 from .similarity import similarity_matrix, to_distance
 
@@ -77,15 +71,14 @@ def detect_communities(
     dim: int = 2,
     dc_percentile: float = 2.0,
     k_max: int | None = None,
-    landmarks: int = LANDMARKS,
 ) -> DetectionResult:
     """Run the full pipeline on one graph and pick the best community count.
 
     ``knn`` is clamped to n-1 so small graphs work with the default
     neighborhood size. ``k_max`` defaults to :func:`default_k_max` and is
-    clamped to n. Graphs with more than ``landmarks`` nodes are embedded from
-    at most that many geodesic rows (landmark MDS, see :func:`classical_mds`); smaller
-    ones from all pairs.
+    clamped to n. Graphs with more than ``isomap.LANDMARKS`` nodes are embedded
+    from at most that many geodesic rows (landmark MDS, see :func:`classical_mds`),
+    smaller ones from all pairs.
     """
     n = g.node_count
     k_max = default_k_max(n) if k_max is None else min(int(k_max), n)
@@ -100,7 +93,7 @@ def detect_communities(
     # the k-NN graph holds all that is used of the distances; freeing them
     # before the geodesics keeps one n x n array fewer alive at the peak
     del dmat
-    embedding = classical_mds(geodesic_distances(ng, landmarks), dim)
+    embedding = classical_mds(geodesic_distances(ng), dim)
     timings["embedding"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -1,10 +1,13 @@
+import functools
 import json
 import os
+import sys
 
 import pytest
 
 from isofdp import Graph, GnSpec, generate_gn, to_gml
 from isofdp.cli import main, _parse_values
+from isofdp.isomap import geodesic_distances
 from isofdp.reports import load_labels, save_labels
 from isofdp.similarity import MEASURES
 
@@ -110,16 +113,6 @@ class TestDetect:
         assert report["config"]["kmax"] == 128
         assert report["sweep"][-1][0] == 128
 
-    @pytest.mark.parametrize("flag, used", [(None, 128), (50, 50), (300, 128)])
-    def test_report_records_the_landmarks_used(self, gn_instance, tmp_path, flag, used):
-        # n = 128: the default and anything above it embed from all pairs
-        edges_path, _ = gn_instance
-        out = tmp_path / "out"
-        extra = [] if flag is None else ["--landmarks", flag]
-        assert run(["detect", "--input", edges_path, "--out-dir", out] + extra) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["landmarks"] == used
-
     def test_too_small_graph_exits_2(self, tmp_path):
         path = tmp_path / "tiny3.edges"
         path.write_text("0 1\n1 2\n")
@@ -175,16 +168,25 @@ SHAPES = {
 
 
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("landmarks", [[], ["--landmarks", 5]])
-    @pytest.mark.parametrize("measure", MEASURES)
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_detect_exits_0_or_2(self, tmp_path, shape, measure, landmarks):
+    def detect(self, tmp_path, shape, measure):
         path = tmp_path / f"{shape}.gml"
         path.write_text(to_gml(SHAPES[shape]))
-        argv = ["detect", "--input", path, "--measure", measure, "--out-dir", tmp_path / "o"]
-        code = run(argv + landmarks)
+        code = run(["detect", "--input", path, "--measure", measure, "--out-dir", tmp_path / "o"])
         assert code in ((2,) if shape == "edgeless5" else (0, 2))
         assert (code == 0) == os.path.exists(tmp_path / "o" / "report.json")
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_detect_exits_0_or_2(self, tmp_path, shape, measure):
+        self.detect(tmp_path, shape, measure)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_detect_from_five_landmarks_exits_0_or_2(self, tmp_path, monkeypatch, shape, measure):
+        # every shape has 5 to 11 nodes, so the default count embeds it from all pairs
+        five = functools.partial(geodesic_distances, landmarks=5)
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "geodesic_distances", five)
+        self.detect(tmp_path, shape, measure)
 
 
 class TestEval:
@@ -318,39 +320,10 @@ class TestEmbed:
         residuals = [float(line.split(",")[1]) for line in lines[1:]]
         assert residuals == sorted(residuals, reverse=True)
 
-    @pytest.mark.parametrize("sweep", [False, True])
-    def test_landmark_embedding(self, gn_instance, tmp_path, sweep):
-        edges_path, _ = gn_instance
-        out = tmp_path / "emb"
-        argv = ["embed", "--input", edges_path, "--landmarks", 16, "--out-dir", out]
-        if sweep:
-            assert run(argv + ["--dim-sweep", 5]) == 0
-            lines = (out / "embedding_sweep.csv").read_text().splitlines()
-            assert len(lines) == 6
-        else:
-            assert run(argv + ["--dim", 3]) == 0
-            lines = (out / "embedding.csv").read_text().splitlines()
-            assert len(lines) == 129 and lines[0] == "token,x1,x2,x3"
-
     @pytest.mark.parametrize("count", [0, -3])
     def test_nonpositive_dim_sweep_exits_2(self, gn_instance, tmp_path, capsys, count):
         edges_path, _ = gn_instance
         out = tmp_path / "sweep"
         assert run(["embed", "--input", edges_path, "--dim-sweep", count, "--out-dir", out]) == 2
         assert "--dim-sweep" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-
-class TestLandmarksFlag:
-    @pytest.mark.parametrize("count", [1, 0, -2])
-    @pytest.mark.parametrize("command", ["detect", "embed", "benchmark"])
-    def test_fewer_than_two_landmarks_exit_2(self, gn_instance, tmp_path, capsys, command, count):
-        edges_path, _ = gn_instance
-        out = tmp_path / "out"
-        if command == "benchmark":
-            argv = ["benchmark", "--suite", "gn", "--zout", 3, "--trials", 1]
-        else:
-            argv = [command, "--input", edges_path]
-        assert run(argv + ["--landmarks", count, "--out-dir", out]) == 2
-        assert "landmarks" in capsys.readouterr().err
         assert not os.path.exists(out)

@@ -324,6 +324,25 @@ class TestLandmarkMds:
         scale = np.abs(block.coordinates).max()
         assert np.max(np.abs(emb.coordinates[landmarks] - block.coordinates)) <= 1e-9 * scale
 
+    def test_rows_from_any_sources_in_any_order(self):
+        _, gd = self.points_geodesics(landmarks=60)
+        sources = np.random.default_rng(5).permutation(60)[:15]
+        emb = classical_mds(gd[sources], 3)
+        block = classical_mds(landmark_block(gd[sources], sources), 3)
+        assert emb.eigenvalues.tobytes() == block.eigenvalues.tobytes()
+        scale = np.abs(block.coordinates).max()
+        assert np.max(np.abs(emb.coordinates[sources] - block.coordinates)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("rows", ["no_zero", "tall"])
+    def test_rows_that_are_not_geodesic_rejected(self, rows):
+        _, gd = self.points_geodesics()
+        block = landmark_block(gd, gd.argmin(axis=1))
+        # every row of the tall input is 0 somewhere, but there are more rows than columns
+        d = gd + 1.0 if rows == "no_zero" else np.vstack([block, block[:1]])
+        for call in (lambda: classical_mds(d, 2), lambda: residual_variances(d, 2)):
+            with pytest.raises(ValueError, match="geodesic rows"):
+                call()
+
     def test_euclidean_points_reconstructed_exactly(self):
         points, gd = self.points_geodesics()
         emb = classical_mds(gd, 3)
@@ -345,7 +364,8 @@ class TestLandmarkMds:
 
     def test_detection_repeats_exactly(self):
         labeled = generate_lfr(LfrSpec(n=300, mu=0.3, min_community=15, max_community=40, seed=4))
-        first, second = (detect_communities(labeled.graph, knn=10, dim=8, landmarks=24) for _ in "ab")
+        assert labeled.graph.node_count > LANDMARKS  # the landmark path
+        first, second = (detect_communities(labeled.graph, knn=10, dim=8) for _ in "ab")
         assert first.k_star == second.k_star
         assert first.partition.labels.tobytes() == second.partition.labels.tobytes()
         assert first.embedding.coordinates.tobytes() == second.embedding.coordinates.tobytes()
