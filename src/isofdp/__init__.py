@@ -18,9 +18,8 @@ from .graph import (
 )
 from .similarity import (
     MEASURES,
-    similarity_matrix,
+    distance_matrix,
     structure_similarity,
-    to_distance,
 )
 from .isomap import (
     Embedding,

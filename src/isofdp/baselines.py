@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .density_peaks import _as_points, _pairwise, select_dc
+from .density_peaks import _as_points, select_dc
 from .metrics import accuracy, nmi
 from .partition import Partition, normalize_labels
 
@@ -137,7 +137,8 @@ def dbscan_labels(e, spec: DbscanSpec) -> np.ndarray:
     within ``eps`` (ties toward the smaller core index), which makes the result
     independent of point order.
     """
-    return _dbscan_raw(_pairwise(_as_points(e)), spec)
+    points = _as_points(e)
+    return _dbscan_raw(cdist(points, points), spec)
 
 
 def _dbscan_partition(dist: np.ndarray, spec: DbscanSpec) -> Partition:
@@ -150,7 +151,8 @@ def _dbscan_partition(dist: np.ndarray, spec: DbscanSpec) -> Partition:
 
 def dbscan(e, spec: DbscanSpec) -> Partition:
     """DBSCAN with noise points relabeled as singleton communities."""
-    return _dbscan_partition(_pairwise(_as_points(e)), spec)
+    points = _as_points(e)
+    return _dbscan_partition(cdist(points, points), spec)
 
 
 def dbscan_parameter_search(
@@ -167,7 +169,7 @@ def dbscan_parameter_search(
     best cell; ties keep the earliest grid entry, percentiles outermost.
     """
     points = _as_points(e)
-    dist = _pairwise(points)
+    dist = cdist(points, points)
     best = None
     for pct in percentiles:
         eps = select_dc(points, pct)

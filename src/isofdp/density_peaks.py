@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 __all__ = [
     "DensityProfile",
@@ -46,10 +46,6 @@ def _as_points(e) -> np.ndarray:
     if coords.ndim == 1:
         coords = coords[:, None]
     return coords
-
-
-def _pairwise(points: np.ndarray) -> np.ndarray:
-    return squareform(pdist(points)) if points.shape[0] > 1 else np.zeros((1, 1))
 
 
 def select_dc(e, percentile: float = 2.0) -> float:
@@ -87,7 +83,8 @@ def compute_profile(e, d_c: float) -> DensityProfile:
     """
     if d_c <= 0:
         raise ValueError("cutoff distance must be positive")
-    dist = _pairwise(_as_points(e))
+    points = _as_points(e)
+    dist = cdist(points, points)
     n = dist.shape[0]
     # strict inequality: points exactly at the cutoff do not count. The zero
     # self-distance always passes, so rho >= 1; a point with no close

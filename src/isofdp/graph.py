@@ -93,14 +93,6 @@ class Graph:
         return out
 
     @cached_property
-    def neighbor_sets(self):
-        adj = [set() for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return [frozenset(s) for s in adj]
-
-    @cached_property
     def edge_array(self) -> np.ndarray:
         """Edges as read-only sorted ``(m, 2)`` int64 rows ``(u, v)``, ``u < v``."""
         arr = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
@@ -121,9 +113,6 @@ class Graph:
         a.data.flags.writeable = False
         return a
 
-    def sorted_edges(self):
-        return sorted(self.edges)
-
 
 def _read_text(source) -> str:
     if hasattr(source, "read"):
@@ -143,8 +132,7 @@ def load_edge_list(source) -> Graph:
     """
     text = _read_text(source)
     id_map = {}
-    edges = set()
-    self_loops = 0
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(_COMMENT_PREFIXES):
@@ -156,13 +144,11 @@ def load_edge_list(source) -> Graph:
             )
         a = id_map.setdefault(parts[0], len(id_map))
         b = id_map.setdefault(parts[1], len(id_map))
-        if a == b:
-            self_loops += 1
-            continue
-        edges.add((a, b) if a < b else (b, a))
+        pairs.append((a, b))
+    self_loops = sum(a == b for a, b in pairs)
     if self_loops:
         logger.warning("dropped %d self-loop(s) from edge list", self_loops)
-    return Graph(len(id_map), frozenset(edges), id_map)
+    return Graph.from_edges(len(id_map), pairs, tokens=list(id_map))
 
 
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
@@ -212,8 +198,9 @@ def load_gml(source) -> Graph:
 
     Each ``node`` record must carry ``id``; ``label`` is used as the node
     token when present, otherwise the id itself. Each ``edge`` record must
-    carry ``source`` and ``target`` referring to declared ids. Normalization
-    (duplicate collapse, self-loop drop) matches :func:`load_edge_list`.
+    carry ``source`` and ``target`` referring to declared ids. Duplicates
+    collapse and self-loops drop as in :meth:`Graph.from_edges`, with a
+    warning that counts the self-loops.
     """
     tokens = _GML_TOKEN.findall(_read_text(source))
     items = _gml_items(tokens)
@@ -240,8 +227,7 @@ def load_gml(source) -> Graph:
         index_of[gml_id] = len(index_of)
         id_map[token] = index_of[gml_id]
 
-    edges = set()
-    self_loops = 0
+    pairs = []
     for kind, block in graph_block:
         if kind != "edge" or not isinstance(block, list):
             continue
@@ -249,19 +235,15 @@ def load_gml(source) -> Graph:
         if "source" not in fields or "target" not in fields:
             raise GraphParseError("edge record without source/target")
         try:
-            u = index_of[fields["source"]]
-            v = index_of[fields["target"]]
+            pairs.append((index_of[fields["source"]], index_of[fields["target"]]))
         except KeyError as exc:
             raise GraphParseError(
                 f"edge references undeclared node id {exc.args[0]}"
             ) from None
-        if u == v:
-            self_loops += 1
-            continue
-        edges.add((u, v) if u < v else (v, u))
+    self_loops = sum(u == v for u, v in pairs)
     if self_loops:
         logger.warning("dropped %d self-loop(s) from GML input", self_loops)
-    return Graph(len(index_of), frozenset(edges), id_map)
+    return Graph.from_edges(len(index_of), pairs, tokens=list(id_map))
 
 
 def connected_components(g: Graph) -> np.ndarray:
@@ -274,7 +256,7 @@ def connected_components(g: Graph) -> np.ndarray:
 
 def to_edge_list(g: Graph) -> str:
     """Serialize as dense-index edge list, edges sorted."""
-    lines = [f"{u} {v}" for u, v in g.sorted_edges()]
+    lines = [f"{u} {v}" for u, v in g.edge_array.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -283,7 +265,7 @@ def to_gml(g: Graph) -> str:
     out = ["graph ["]
     for i, tok in enumerate(g.tokens):
         out.append(f'  node [ id {i} label "{tok}" ]')
-    for u, v in g.sorted_edges():
+    for u, v in g.edge_array.tolist():
         out.append(f"  edge [ source {u} target {v} ]")
     out.append("]")
     return "\n".join(out) + "\n"
@@ -291,7 +273,7 @@ def to_gml(g: Graph) -> str:
 
 def to_json(g: Graph) -> str:
     """Canonical JSON export: ``{"nodes": [tokens...], "edges": [[u, v], ...]}``."""
-    payload = {"nodes": g.tokens, "edges": [list(e) for e in g.sorted_edges()]}
+    payload = {"nodes": g.tokens, "edges": g.edge_array.tolist()}
     return json.dumps(payload)
 
 

@@ -12,7 +12,7 @@ from .density_peaks import DensityProfile, compute_profile, select_dc
 from .graph import Graph
 from .isomap import Embedding, build_neighbor_graph, classical_mds, geodesic_distances
 from .partition import Partition, SweepResult, select_k
-from .similarity import similarity_matrix, to_distance
+from .similarity import distance_matrix
 
 __all__ = [
     "DetectionResult",
@@ -32,7 +32,7 @@ def prepared_distances(g: Graph, measure: str = "structure") -> np.ndarray:
         raise ValueError("graph too small: need at least 4 nodes")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
-    return to_distance(similarity_matrix(g, measure))
+    return distance_matrix(g, measure)
 
 
 def default_k_max(n: int) -> int:

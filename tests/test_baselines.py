@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from isofdp import DbscanSpec, KmeansSpec, dbscan, dbscan_labels, dbscan_parameter_search, kmeans
 from isofdp.baselines import _lloyd
-from isofdp.density_peaks import _pairwise, select_dc
+from isofdp.density_peaks import select_dc
 from isofdp.metrics import accuracy, nmi
 
 from conftest import reference_dbscan_labels, two_blobs
@@ -100,7 +101,7 @@ class TestDbscan:
 
 def _cross_cluster_ties(points, spec, raw):
     """Border points whose nearest cores within eps lie in different clusters."""
-    dist = _pairwise(points)
+    dist = cdist(points, points)
     core = np.flatnonzero((dist <= spec.eps).sum(axis=1) >= spec.min_pts)
     count = 0
     for i in np.flatnonzero(raw >= 0):

@@ -13,11 +13,10 @@ from isofdp import (
     build_neighbor_graph,
     classical_mds,
     detect_communities,
+    distance_matrix,
     generate_gn,
     generate_lfr,
     geodesic_distances,
-    similarity_matrix,
-    to_distance,
 )
 from isofdp.isomap import LANDMARKS, NeighborGraph, residual_variances
 from isofdp.pipeline import prepared_distances
@@ -125,7 +124,7 @@ class TestBuildNeighborGraph:
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("shape", sorted(SPLIT_GRAPHS))
     def test_bridges_match_bridging_the_matrix_first(self, shape, measure, k):
-        d = to_distance(similarity_matrix(SPLIT_GRAPHS[shape], measure))
+        d = distance_matrix(SPLIT_GRAPHS[shape], measure)
         ng = build_neighbor_graph(d, k)
         ref = build_neighbor_graph(reference_bridge(d), k)
         assert ng.edges.tobytes() == ref.edges.tobytes()
@@ -484,7 +483,7 @@ class TestPartialEigensolver:
         # graphs two of the top three eigenvalues lie within 1% of the largest
         labeled = generate_gn(GnSpec(z_out=z_out, seed=seed))
         gd = geodesic_distances(
-            build_neighbor_graph(to_distance(similarity_matrix(labeled.graph)), 24)
+            build_neighbor_graph(distance_matrix(labeled.graph), 24)
         )
         vals, _ = reference_mds(gd, 3)
         assert np.min(-np.diff(vals)) < 0.01 * vals[0]
@@ -553,7 +552,7 @@ class TestIsomapPipeline:
 
     def test_benchmark_embedding_separates_planted_groups(self):
         labeled = generate_gn(GnSpec(z_out=1, seed=0))
-        dmat = to_distance(similarity_matrix(labeled.graph))
+        dmat = distance_matrix(labeled.graph)
         emb = classical_mds(geodesic_distances(build_neighbor_graph(dmat, 24)), 3)
         score = _silhouette(emb.coordinates, labeled.truth)
         assert score > 0.5

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from scipy.spatial.distance import pdist, squareform
 from isofdp import (
     Graph,
     GnSpec,
+    LfrSpec,
+    distance_matrix,
     generate_gn,
+    generate_lfr,
     load_edge_list,
-    similarity_matrix,
     structure_similarity,
-    to_distance,
 )
+from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
 from conftest import disjoint_cliques_graph
@@ -93,97 +96,79 @@ class TestStructureSimilarity:
             structure_similarity(PATH3, 0, 99)
 
 
-class TestSimilarityMatrix:
+def reference_distances(g, measure):
+    """The masked reciprocal of the dense oracle: inf where s == 0, zero diagonal."""
+    sim = dense_similarity(g, measure)
+    d = np.full(sim.shape, np.inf)
+    np.divide(1.0, sim, out=d, where=sim > 0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS) + ["lesmis"])
+    def test_bytes_match_the_reciprocal_of_the_dense_reference(self, name, measure, request):
+        g = request.getfixturevalue("lesmis_graph") if name == "lesmis" else REFERENCE_GRAPHS[name]
+        d = distance_matrix(g, measure)
+        assert d.tobytes() == reference_distances(g, measure).tobytes()
+
     def test_complete_graph_all_ones(self):
-        sim = similarity_matrix(TRIANGLE, "structure")
-        assert np.allclose(sim, 1.0)
+        d = distance_matrix(TRIANGLE, "structure")
+        assert np.array_equal(d, 1.0 - np.eye(3))
 
     def test_matches_pairwise_function(self):
         g = PATH3
-        sim = similarity_matrix(g, "structure")
+        d = distance_matrix(g, "structure")
         for v in range(g.node_count):
             for w in range(g.node_count):
-                assert sim[v, w] == pytest.approx(
-                    structure_similarity(g, v, w), abs=1e-12
-                )
+                if v != w:
+                    assert d[v, w] == pytest.approx(
+                        1.0 / structure_similarity(g, v, w), abs=1e-12
+                    )
+
+    def test_jaccard_cross_pair_is_infinite(self):
+        d = distance_matrix(TWO_EDGES, "jaccard")
+        assert d[0, 2] == np.inf
 
     @pytest.mark.parametrize("measure", MEASURES)
-    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
-    def test_bytes_match_dense_reference(self, name, measure):
-        g = REFERENCE_GRAPHS[name]
-        sim = similarity_matrix(g, measure)
-        assert sim.tobytes() == dense_similarity(g, measure).tobytes()
-
-    @pytest.mark.parametrize("measure", MEASURES)
-    def test_lesmis_bytes_match_dense_reference(self, lesmis_graph, measure):
-        sim = similarity_matrix(lesmis_graph, measure)
-        assert sim.tobytes() == dense_similarity(lesmis_graph, measure).tobytes()
-
-    def test_jaccard_cross_pair_zero(self):
-        sim = similarity_matrix(TWO_EDGES, "jaccard")
-        assert sim[0, 2] == 0.0
-
-    @pytest.mark.parametrize("measure", MEASURES)
-    def test_symmetric_unit_diagonal_in_range(self, measure):
+    def test_symmetric_zero_diagonal_at_least_one(self, measure):
         g = generate_gn(GnSpec(z_out=4, seed=2)).graph
-        sim = similarity_matrix(g, measure)
-        assert np.array_equal(sim, sim.T)
-        assert np.allclose(np.diag(sim), 1.0)
-        assert sim.min() >= 0.0
-        assert sim.max() <= 1.0 + 1e-12
+        d = distance_matrix(g, measure)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        off = d[~np.eye(g.node_count, dtype=bool)]
+        assert off.min() >= 1.0 - 1e-12
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="unknown measure"):
-            similarity_matrix(TRIANGLE, "minkowski")
+            distance_matrix(TRIANGLE, "minkowski")
 
     def test_low_diversity_on_clear_benchmark(self):
         # near-regular structure yields very few distinct values across the
         # 128 * 127 / 2 = 8128 node pairs: order tens, not thousands
         g = generate_gn(GnSpec(z_out=2, seed=1)).graph
-        sim = similarity_matrix(g, "structure")
+        d = distance_matrix(g, "structure")
         iu = np.triu_indices(g.node_count, k=1)
-        distinct = np.unique(np.round(sim[iu], 12)).size
+        distinct = np.unique(np.round(d[iu], 12)).size
         assert iu[0].size == 8128
         assert distinct < 100
 
 
-class TestToDistance:
-    def test_unit_similarity_maps_to_unit_distance(self):
-        d = to_distance(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert d[0, 1] == 1.0
+class TestDistancePeakMemory:
+    """The distances are written once: the n x n result plus the sparse count."""
 
-    def test_zero_similarity_maps_to_inf(self):
-        d = to_distance(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert d[0, 1] == np.inf
-
-    def test_empty_input(self):
-        assert to_distance(np.zeros((0, 0))).shape == (0, 0)
+    @pytest.fixture(scope="class")
+    def lfr_graph(self):
+        return generate_lfr(LfrSpec(n=2000, mu=0.3, seed=0)).graph
 
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_matches_the_masked_reciprocal(self, measure):
-        sim = similarity_matrix(generate_gn(GnSpec(z_out=6, seed=2)).graph, measure)
-        expected = np.full(sim.shape, np.inf)
-        np.divide(1.0, sim, out=expected, where=sim > 0)
-        np.fill_diagonal(expected, 0.0)
-        assert to_distance(sim).tobytes() == expected.tobytes()
-
-    def test_diagonal_is_zero(self):
-        sim = similarity_matrix(TRIANGLE, "structure")
-        d = to_distance(sim)
-        assert np.all(np.diag(d) == 0.0)
-
-    def test_negative_similarity_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            to_distance(np.array([[1.0, -0.1], [-0.1, 1.0]]))
-
-    def test_strictly_antitone_on_finite_values(self):
-        rng = np.random.default_rng(0)
-        s = rng.uniform(0.05, 1.0, size=(6, 6))
-        s = (s + s.T) / 2
-        d = to_distance(s)
-        iu = np.triu_indices(6, k=1)
-        for i in range(len(iu[0])):
-            for j in range(len(iu[0])):
-                s1, s2 = s[iu][i], s[iu][j]
-                if s1 > s2:
-                    assert d[iu][i] < d[iu][j]
+    def test_peak_is_under_one_and_three_quarter_arrays(self, lfr_graph, measure):
+        n = lfr_graph.node_count
+        tracemalloc.start()
+        try:
+            prepared_distances(lfr_graph, measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 8 * n * n
