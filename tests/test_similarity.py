@@ -113,6 +113,29 @@ class TestDistanceMatrix:
         d = distance_matrix(g, measure)
         assert d.tobytes() == reference_distances(g, measure).tobytes()
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_matches_the_masked_reciprocal(self, measure):
+        g = generate_gn(GnSpec(z_out=6, seed=2)).graph
+        assert distance_matrix(g, measure).tobytes() == reference_distances(g, measure).tobytes()
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_empty_input(self, measure):
+        assert distance_matrix(Graph.from_edges(0, []), measure).shape == (0, 0)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_strictly_antitone_on_finite_values(self, measure):
+        g = generate_gn(GnSpec(z_out=4, seed=7)).graph
+        iu = np.triu_indices(g.node_count, k=1)
+        s = dense_similarity(g, measure)[iu]
+        d = distance_matrix(g, measure)[iu]
+        finite = np.isfinite(d)
+        assert np.array_equal(finite, s > 0)
+        order = np.argsort(s[finite], kind="stable")
+        s_sorted, d_sorted = s[finite][order], d[finite][order]
+        rises = np.diff(s_sorted) > 0
+        assert np.all(np.diff(d_sorted)[rises] < 0)
+        assert np.all(np.diff(d_sorted)[~rises] == 0)
+
     def test_complete_graph_all_ones(self):
         d = distance_matrix(TRIANGLE, "structure")
         assert np.array_equal(d, 1.0 - np.eye(3))
