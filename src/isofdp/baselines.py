@@ -9,18 +9,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .density_peaks import _as_points, select_dc
-from .metrics import accuracy, nmi
+from .density_peaks import _as_points, _nearest_rank_cutoffs
+from .metrics import _nmi_accuracy
 from .partition import Partition, normalize_labels
 
-__all__ = [
-    "KmeansSpec",
-    "DbscanSpec",
-    "kmeans",
-    "dbscan",
-    "dbscan_labels",
-    "dbscan_parameter_search",
-]
+__all__ = ["KmeansSpec", "DbscanSpec", "kmeans", "dbscan", "dbscan_labels", "dbscan_parameter_search"]
 
 
 # k-means: seeded Lloyd runs per call, and assignment steps per run
@@ -57,10 +50,7 @@ def _plus_plus_init(points, k, rng):
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
+        idx = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
         centers[j] = points[idx]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     return centers
@@ -103,28 +93,42 @@ def kmeans(e, spec: KmeansSpec) -> Partition:
     for _ in range(_RESTARTS):
         labels, trace = _lloyd(points, spec.k, rng)
         if trace[-1] < best_sse:
-            best_sse = trace[-1]
-            best_labels = labels
+            best_sse, best_labels = trace[-1], labels
     return Partition(normalize_labels(best_labels), spec.k)
 
 
-def _dbscan_raw(dist: np.ndarray, spec: DbscanSpec) -> np.ndarray:
-    """Raw DBSCAN ids over a pairwise distance matrix, -1 for noise."""
-    within = dist <= spec.eps
-    core = np.flatnonzero(within.sum(axis=1) >= spec.min_pts)
-    labels = np.full(dist.shape[0], -1, dtype=np.int64)
-    if core.size == 0:
-        return labels
-    _, labels[core] = connected_components(
-        csr_matrix(within[np.ix_(core, core)]), directed=False
-    )
-    # border points: non-core with a core within eps. argmin over the core
-    # columns keeps the first minimum, so ties go to the smaller core index
-    rest = np.flatnonzero(labels < 0)
-    reach = within[np.ix_(rest, core)]
-    border = reach.any(axis=1)
-    nearest = np.where(reach, dist[np.ix_(rest, core)], np.inf)[border].argmin(axis=1)
-    labels[rest[border]] = labels[core[nearest]]
+def _dbscan_raw(dist: np.ndarray, eps: float, min_pts_values) -> np.ndarray:
+    """Raw DBSCAN ids, -1 for noise, at one ``eps``: one row per ``min_pts``.
+
+    One component search labels the core subgraphs of all cells, numbered cell
+    after cell; its labels run in node order, as for one cell searched alone.
+    Border points join their nearest core, distance ties to the smaller index.
+    """
+    n, cells = len(dist), np.asarray(min_pts_values)[:, None]
+    i, j = np.divmod(np.flatnonzero(dist <= eps), n)  # j ascends within each row
+    count = np.bincount(i, minlength=n)
+    # pairs from a point to a core of some cell, by (point, distance, index)
+    near = np.flatnonzero((count[i] < cells.max()) & (count[j] >= cells.min()))
+    near = near[np.lexsort((dist[i[near], j[near]], i[near]))]
+    bi, bj = i[near], j[near]
+    # each pair once, as int32: the component search adds the reverse
+    cu, cv = i[i < j].astype(np.int32), j[i < j].astype(np.int32)
+    del i, j  # at the 10th percentile each is 0.1 n x n arrays
+    core = count >= cells
+    pos = np.cumsum(core, dtype=np.int32).reshape(core.shape) - 1
+    keep = np.minimum(count[cu], count[cv]) >= cells
+    rows = np.concatenate([p[cu[k]] for p, k in zip(pos, keep)])
+    cols = np.concatenate([p[cv[k]] for p, k in zip(pos, keep)])
+    indptr = np.searchsorted(rows, np.arange(pos[-1, -1] + 2)).astype(np.int32)
+    del rows, cu, cv, keep  # the component search copies the graph
+    graph = csr_matrix((np.ones(cols.size), cols, indptr), shape=(indptr.size - 1,) * 2)
+    comp = connected_components(graph, directed=False)[1]
+    labels = np.full(core.shape, -1, dtype=np.int64)
+    labels[core] = comp
+    # each border point's first pair to a core of its cell is the nearest
+    c, e = np.nonzero((count[bi] < cells) & (count[bj] >= cells))
+    border, first = np.unique(c * n + bi[e], return_index=True)
+    labels.flat[border] = labels.flat[(c * n + bj[e])[first]]
     return labels
 
 
@@ -138,48 +142,44 @@ def dbscan_labels(e, spec: DbscanSpec) -> np.ndarray:
     independent of point order.
     """
     points = _as_points(e)
-    return _dbscan_raw(cdist(points, points), spec)
+    return _dbscan_raw(cdist(points, points), spec.eps, (spec.min_pts,))[0]
 
 
-def _dbscan_partition(dist: np.ndarray, spec: DbscanSpec) -> Partition:
-    raw = _dbscan_raw(dist, spec)
-    noise = raw < 0
-    raw[noise] = raw.max() + 1 + np.arange(np.count_nonzero(noise))
-    labels = normalize_labels(raw)
+def _as_partition(raw: np.ndarray) -> Partition:
+    # each noise point a singleton: a negative label of its own
+    labels = normalize_labels(np.where(raw < 0, -1 - np.arange(raw.size), raw))
     return Partition(labels, int(labels.max()) + 1)
 
 
 def dbscan(e, spec: DbscanSpec) -> Partition:
     """DBSCAN with noise points relabeled as singleton communities."""
-    points = _as_points(e)
-    return _dbscan_partition(cdist(points, points), spec)
+    return _as_partition(dbscan_labels(e, spec))
 
 
 def dbscan_parameter_search(
-    e,
-    truth,
-    percentiles=tuple(range(1, 11)),
-    min_pts_values=(2, 3, 4, 5, 6),
+    e, truth, percentiles=tuple(range(1, 11)), min_pts_values=(2, 3, 4, 5, 6)
 ):
     """Grid search over eps (distance percentiles) and min_pts, scored by NMI.
 
-    Every cell is ``dbscan`` at ``DbscanSpec(select_dc(e, pct), min_pts)``,
-    labelled from one pairwise distance matrix built once per call. Cells are
-    compared by (NMI, accuracy). Returns (partition, spec, nmi, acc) for the
-    best cell; ties keep the earliest grid entry, percentiles outermost.
+    Every cell is ``dbscan`` at ``DbscanSpec(select_dc(e, pct), min_pts)``, from
+    one distance matrix, one sort of the pair distances for all eps and one
+    component search per eps; each distinct partition is scored once. Returns
+    (partition, spec, nmi, acc) of the best cell by (NMI, accuracy); ties keep
+    the earliest grid entry, percentiles outermost.
     """
     points = _as_points(e)
-    dist = cdist(points, points)
-    best = None
-    for pct in percentiles:
-        eps = select_dc(points, pct)
-        for min_pts in min_pts_values:
-            spec = DbscanSpec(eps, min_pts)
-            part = _dbscan_partition(dist, spec)
-            score = (nmi(truth, part.labels), accuracy(truth, part.labels))
-            if best is None or score > best[0]:
-                best = (score, part, spec)
-    if best is None:
+    if not (len(percentiles) and len(min_pts_values)):
         raise ValueError("empty parameter grid")
-    (best_nmi, best_acc), part, spec = best
-    return part, spec, best_nmi, best_acc
+    eps_values = _nearest_rank_cutoffs(points, percentiles)
+    dist = cdist(points, points)
+    best, scores = None, {}
+    for eps in eps_values:
+        specs = [DbscanSpec(eps, min_pts) for min_pts in min_pts_values]
+        for spec, raw in zip(specs, _dbscan_raw(dist, eps, min_pts_values)):
+            part = _as_partition(raw)
+            key = part.labels.tobytes()
+            if key not in scores:
+                scores[key] = _nmi_accuracy(truth, part.labels)
+            if best is None or scores[key] > best[0]:
+                best = (scores[key], part, spec)
+    return best[1], best[2], *best[0]

@@ -48,6 +48,29 @@ def _as_points(e) -> np.ndarray:
     return coords
 
 
+def _nearest_rank_cutoffs(points: np.ndarray, percentiles) -> list:
+    """Nearest-rank percentiles of all pairwise distances, from one partition.
+
+    Distances at most ``1e-9`` times the largest one are rounding noise of
+    coincident points; a percentile that lands there takes the smallest
+    distance above that floor instead.
+    """
+    n = points.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 points to pick a cutoff")
+    for percentile in percentiles:
+        if not 0.0 < percentile <= 100.0:
+            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    dists = pdist(points)
+    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
+    if first_real == dists.size:
+        raise ValueError("all points coincide; cannot pick a cutoff")
+    # 1-based nearest rank, moved up past the floor
+    kths = [max(math.ceil(p / 100.0 * dists.size) - 1, first_real) for p in percentiles]
+    dists.partition(kths)  # in place; order statistics need no full sort
+    return [float(dists[kth]) for kth in kths]
+
+
 def select_dc(e, percentile: float = 2.0) -> float:
     """Cutoff distance at a nearest-rank percentile of all pairwise distances.
 
@@ -58,20 +81,7 @@ def select_dc(e, percentile: float = 2.0) -> float:
     Raises:
         ValueError: all points coincide, so no distance is above the floor.
     """
-    points = _as_points(e)
-    n = points.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 points to pick a cutoff")
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    dists = pdist(points)
-    rank = math.ceil(percentile / 100.0 * dists.size)  # 1-based nearest rank
-    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
-    if first_real == dists.size:
-        raise ValueError("all points coincide; cannot pick a cutoff")
-    kth = max(rank - 1, first_real)
-    dists.partition(kth)  # in place; an order statistic needs no full sort
-    return float(dists[kth])
+    return _nearest_rank_cutoffs(_as_points(e), [percentile])[0]
 
 
 def compute_profile(e, d_c: float) -> DensityProfile:

@@ -91,12 +91,16 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
         b = np.where(np.isfinite(rows), rows, np.inf)
         np.fill_diagonal(b[:, lo:], np.inf)
         # every partner closer than the k-th smallest distance, then those at
-        # it in index order until the row has k; none at an infinite k-th
+        # it in index order until the row has k; none at an infinite k-th.
+        # Only rows with more partners at the k-th than room need the count
         kth = np.partition(b, k - 1, axis=1)[:, k - 1 : k]
         below = b < kth
         tied = (b == kth) & np.isfinite(kth)
         room = k - below.sum(axis=1, keepdims=True)
-        bi, bj = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))
+        take = below | tied
+        over = np.flatnonzero(tied.sum(axis=1) > room[:, 0])
+        take[over] &= below[over] | (np.cumsum(tied[over], axis=1) <= room[over])
+        bi, bj = np.divmod(np.flatnonzero(take), n)  # row-major, as np.nonzero
         keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
         weights.append(rows[bi, bj])
     # the first occurrence of a pair comes from the lower row that selected it

@@ -29,20 +29,13 @@ def _counts(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.bincount(t * c + p, minlength=r * c).reshape(r, c)
 
 
-def nmi(truth, pred) -> float:
-    """Normalized mutual information (natural log, geometric normalization).
-
-    When either side has a single community its entropy is zero and the ratio
-    is undefined; then the score is 1 if the two labelings induce the same
-    set partition and 0 otherwise.
-    """
-    t, p = _as_label_pair(truth, pred)
-    counts = _counts(t, p).astype(float)
+def _nmi(counts: np.ndarray) -> float:
+    counts = counts.astype(float)
     n = counts.sum()
     row = counts.sum(axis=1)
     col = counts.sum(axis=0)
     if counts.shape[0] == 1 or counts.shape[1] == 1:
-        return 1.0 if np.array_equal(t, p) else 0.0
+        return 1.0 if counts.shape == (1, 1) else 0.0
     nz = counts > 0
     mutual = (counts[nz] * np.log(counts[nz] * n / np.outer(row, col)[nz])).sum()
     h_row = (row * np.log(row / n)).sum()
@@ -51,8 +44,26 @@ def nmi(truth, pred) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
+def _accuracy(counts: np.ndarray) -> float:
+    return float(counts[linear_sum_assignment(counts, maximize=True)].sum() / counts.sum())
+
+
+def nmi(truth, pred) -> float:
+    """Normalized mutual information (natural log, geometric normalization).
+
+    When either side has a single community its entropy is zero and the ratio
+    is undefined; then the score is 1 if the two labelings induce the same
+    set partition and 0 otherwise.
+    """
+    return _nmi(_counts(*_as_label_pair(truth, pred)))
+
+
 def accuracy(truth, pred) -> float:
     """Fraction of nodes matched under the best predicted-to-true label mapping."""
-    t, p = _as_label_pair(truth, pred)
-    counts = _counts(t, p)
-    return float(counts[linear_sum_assignment(counts, maximize=True)].sum() / t.size)
+    return _accuracy(_counts(*_as_label_pair(truth, pred)))
+
+
+def _nmi_accuracy(truth, pred) -> tuple:
+    """``(nmi(truth, pred), accuracy(truth, pred))`` from one contingency count."""
+    counts = _counts(*_as_label_pair(truth, pred))
+    return _nmi(counts), _accuracy(counts)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from isofdp import Graph
-from isofdp.density_peaks import _as_points
+from isofdp import DbscanSpec, Graph, Partition
+from isofdp.density_peaks import _as_points, select_dc
+from isofdp.metrics import accuracy, nmi
+from isofdp.partition import normalize_labels
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -125,6 +127,64 @@ def reference_dbscan_labels(e, spec) -> np.ndarray:
         nearest = reachable[row == row.min()].min()
         labels[i] = labels[nearest]
     return labels
+
+
+def reference_dbscan_parameter_search(
+    e, truth, percentiles=tuple(range(1, 11)), min_pts_values=(2, 3, 4, 5, 6)
+):
+    """The DBSCAN grid one cell at a time, each cell scored on its own.
+
+    Every cell is ``dbscan`` at ``DbscanSpec(select_dc(e, pct), min_pts)``
+    with a fresh core subgraph and component search; cells are compared by
+    (NMI, accuracy), ties to the earliest grid entry, percentiles outermost.
+    Returns (partition, spec, nmi, acc). Reference for
+    ``isofdp.dbscan_parameter_search``.
+    """
+    points = _as_points(e)
+    dist = cdist(points, points)
+    best = None
+    for pct in percentiles:
+        eps = select_dc(points, pct)
+        for min_pts in min_pts_values:
+            spec = DbscanSpec(eps, min_pts)
+            within = dist <= spec.eps
+            core = np.flatnonzero(within.sum(axis=1) >= spec.min_pts)
+            raw = np.full(dist.shape[0], -1, dtype=np.int64)
+            if core.size:
+                _, raw[core] = connected_components(
+                    csr_matrix(within[np.ix_(core, core)]), directed=False
+                )
+                rest = np.flatnonzero(raw < 0)
+                reach = within[np.ix_(rest, core)]
+                border = reach.any(axis=1)
+                nearest = np.where(reach, dist[np.ix_(rest, core)], np.inf)[border].argmin(axis=1)
+                raw[rest[border]] = raw[core[nearest]]
+            noise = raw < 0
+            raw[noise] = raw.max() + 1 + np.arange(np.count_nonzero(noise))
+            labels = normalize_labels(raw)
+            part = Partition(labels, int(labels.max()) + 1)
+            score = (nmi(truth, part.labels), accuracy(truth, part.labels))
+            if best is None or score > best[0]:
+                best = (score, part, spec)
+    if best is None:
+        raise ValueError("empty parameter grid")
+    (best_nmi, best_acc), part, spec = best
+    return part, spec, best_nmi, best_acc
+
+
+def tie_heavy_grids(count=20):
+    """Small integer point sets whose pair distances tie often.
+
+    1e-17 noise on a third of the points puts distances between coincident
+    points under ``select_dc``'s floor. Sets whose points all coincide are
+    skipped.
+    """
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        points = rng.integers(0, 4, size=(int(rng.integers(2, 60)), 2)).astype(float)
+        points[: len(points) // 3] += 1e-17 * rng.random((len(points) // 3, 2))
+        if pdist(points).max() > 0:
+            yield points
 
 
 def random_connected_graph(rng, n, extra_edges):

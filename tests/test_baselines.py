@@ -1,13 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
-from isofdp import DbscanSpec, KmeansSpec, dbscan, dbscan_labels, dbscan_parameter_search, kmeans
+from isofdp import (
+    DbscanSpec,
+    GnSpec,
+    KmeansSpec,
+    LfrSpec,
+    baselines,
+    dbscan,
+    dbscan_labels,
+    dbscan_parameter_search,
+    detect_communities,
+    generate_gn,
+    generate_lfr,
+    kmeans,
+)
 from isofdp.baselines import _lloyd
+from isofdp.cli import SUITE_PRESETS
 from isofdp.density_peaks import select_dc
 from isofdp.metrics import accuracy, nmi
 
-from conftest import reference_dbscan_labels, two_blobs
+from conftest import (
+    reference_dbscan_labels,
+    reference_dbscan_parameter_search,
+    tie_heavy_grids,
+    two_blobs,
+)
 
 
 class TestKmeans:
@@ -148,18 +169,29 @@ class TestDbscanMatchesReference:
         assert raw.tolist() == reference_dbscan_labels(points, spec).tolist()
 
 
+def _tight_blobs():
+    # many small clumps keep the intra-pair share low, so the fixed
+    # percentile grid contains an eps of roughly blob scale
+    rng = np.random.default_rng(10)
+    blobs, labels = [], []
+    for c in range(8):
+        center = rng.normal(0, 60, size=2)
+        blobs.append(rng.normal(0, 0.4, size=(5, 2)) + center)
+        labels += [c] * 5
+    return np.vstack(blobs), np.array(labels)
+
+
+def _integer_clumps():
+    # integer points in overlapping clumps: several cells share the best
+    # (NMI, accuracy)
+    rng = np.random.default_rng(12)
+    truth = np.repeat(np.arange(3), 12)
+    return rng.integers(0, 5, size=(36, 2)) + 4 * truth[:, None], truth
+
+
 class TestDbscanParameterSearch:
     def test_finds_many_tight_blobs(self):
-        # many small clumps keep the intra-pair share low, so the fixed
-        # percentile grid contains an eps of roughly blob scale
-        rng = np.random.default_rng(10)
-        blobs, labels = [], []
-        for c in range(8):
-            center = rng.normal(0, 60, size=2)
-            blobs.append(rng.normal(0, 0.4, size=(5, 2)) + center)
-            labels += [c] * 5
-        points = np.vstack(blobs)
-        truth = np.array(labels)
+        points, truth = _tight_blobs()
         part, spec, best_nmi, best_acc = dbscan_parameter_search(points, truth)
         assert best_nmi == 1.0
         assert best_acc == 1.0
@@ -175,11 +207,8 @@ class TestDbscanParameterSearch:
             assert best_nmi >= nmi(truth, cell.labels) - 1e-12
 
     def test_returns_the_first_best_cell(self):
-        # integer points in overlapping clumps: several cells share the best
-        # (NMI, accuracy), so the earliest one must win
-        rng = np.random.default_rng(12)
-        truth = np.repeat(np.arange(3), 12)
-        points = rng.integers(0, 5, size=(36, 2)) + 4 * truth[:, None]
+        # the earliest of the cells that share the best score must win
+        points, truth = _integer_clumps()
         cells = []
         for pct in range(1, 11):
             for min_pts in (2, 3, 4, 5, 6):
@@ -193,3 +222,144 @@ class TestDbscanParameterSearch:
         assert got_spec == spec
         assert (got_nmi, got_acc) == score
         assert part.labels.tobytes() == labels.tobytes()
+
+
+def _assert_same_search(points, truth, **grid):
+    part, *got = dbscan_parameter_search(points, truth, **grid)
+    want_part, *want = reference_dbscan_parameter_search(points, truth, **grid)
+    assert part.labels.tobytes() == want_part.labels.tobytes()
+    assert part.k == want_part.k
+    assert got == want  # the spec, then NMI and accuracy, compared exactly
+
+
+@pytest.fixture(scope="module")
+def gn_embeddings():
+    """24 four-block graphs (z_out 1..8, seeds 0..2) embedded as the gn suite is."""
+    preset = SUITE_PRESETS["gn"]
+    out = []
+    for z_out in range(1, 9):
+        for seed in range(3):
+            labeled = generate_gn(GnSpec(z_out=z_out, seed=seed))
+            res = detect_communities(labeled.graph, knn=preset["knn"], dim=preset["dim"])
+            out.append((res.embedding.coordinates, labeled.truth))
+    return out
+
+
+class TestDbscanGridMatchesReference:
+    """The batched grid against the cell-by-cell search in ``conftest``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_grid_points(self, seed):
+        # eps lands exactly on pair distances, and border points tie
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 9, size=(40, 2)).astype(float)
+        _assert_same_search(points, rng.integers(0, 3, size=40))
+        _assert_same_search(points, rng.integers(0, 3, size=40), min_pts_values=(6, 1, 4, 4))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coincident_points(self, seed):
+        # about one pair in ten coincides, so the low percentiles hit the floor
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 3, size=(30, 2)).astype(float)
+        points[:10] += 1e-17 * rng.random((10, 2))
+        truth = rng.integers(0, 2, size=30)
+        assert select_dc(points, 1) > 0
+        _assert_same_search(points, truth)
+        _assert_same_search(points, truth, percentiles=(0.5, 50, 100, 0.5))
+
+    def test_existing_inputs(self):
+        _assert_same_search(*_tight_blobs())
+        _assert_same_search(*two_blobs(np.random.default_rng(11)))
+        _assert_same_search(*_integer_clumps())
+
+    def test_gn_embeddings(self, gn_embeddings):
+        assert len(gn_embeddings) >= 20
+        for points, truth in gn_embeddings:
+            _assert_same_search(points, truth)
+
+    def test_each_distinct_partition_scored_once(self, monkeypatch, gn_embeddings):
+        calls = []
+        score = baselines._nmi_accuracy
+        monkeypatch.setattr(baselines, "_nmi_accuracy", lambda t, p: calls.append(1) or score(t, p))
+        for points, truth in gn_embeddings[:6]:
+            distinct = {
+                dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels.tobytes()
+                for pct in range(1, 11)
+                for min_pts in (2, 3, 4, 5, 6)
+            }
+            calls.clear()
+            dbscan_parameter_search(points, truth)
+            assert len(distinct) < 50
+            assert len(calls) == len(distinct)
+
+    def test_long_core_chain(self):
+        # one core component spanning 198 points, with a border point at each end
+        points = np.arange(200, dtype=float)[:, None]
+        spec = DbscanSpec(eps=1.0, min_pts=3)
+        raw = dbscan_labels(points, spec)
+        assert raw.tobytes() == reference_dbscan_labels(points, spec).tobytes()
+        assert np.all(raw == 0)
+
+
+PERCENTILES = (0.1, 1.0, 2.0, 10.0, 37.5, 50.0, 100.0)
+
+
+class TestDbscanGridEps:
+    def test_eps_values_are_select_dc(self, monkeypatch):
+        used = []
+        label_cells = baselines._dbscan_raw
+
+        def record(dist, eps, min_pts_values):
+            used.append(eps)
+            return label_cells(dist, eps, min_pts_values)
+
+        monkeypatch.setattr(baselines, "_dbscan_raw", record)
+        floors = 0
+        for points in tie_heavy_grids():
+            used.clear()
+            dbscan_parameter_search(points, np.zeros(len(points), dtype=int), PERCENTILES)
+            want = [select_dc(points, pct) for pct in PERCENTILES]
+            assert used == want
+            floors += select_dc(points, 0.1) > np.sort(pdist(points))[0]
+        assert floors > 0
+
+    @pytest.mark.parametrize(
+        "points, percentiles",
+        [
+            (np.arange(6.0), (0,)),
+            (np.arange(6.0), (5, 101)),
+            (np.zeros((4, 2)), (5,)),
+            (np.ones((5, 1)), tuple(range(1, 11))),
+            (np.array([[1.0, 2.0]]), (5,)),
+        ],
+    )
+    def test_errors_match_select_dc(self, points, percentiles):
+        bad = percentiles[-1]
+        with pytest.raises(ValueError) as want:
+            select_dc(points, bad)
+        with pytest.raises(ValueError) as got:
+            dbscan_parameter_search(points, np.zeros(len(points), dtype=int), percentiles)
+        assert str(got.value) == str(want.value)
+
+    def test_empty_grid_rejected(self):
+        points = np.arange(6.0)
+        with pytest.raises(ValueError, match="empty parameter grid"):
+            dbscan_parameter_search(points, np.zeros(6, dtype=int), percentiles=())
+        with pytest.raises(ValueError, match="empty parameter grid"):
+            dbscan_parameter_search(points, np.zeros(6, dtype=int), min_pts_values=())
+
+
+class TestDbscanGridPeakMemory:
+    """One distance matrix plus the pairs of one eps, never one copy per cell."""
+
+    def test_peak_is_under_two_arrays(self):
+        labeled = generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0))
+        points = detect_communities(labeled.graph, dim=16).embedding.coordinates
+        n = len(points)
+        tracemalloc.start()
+        try:
+            dbscan_parameter_search(points, labeled.truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 8 * n * n

@@ -7,7 +7,7 @@ from scipy.spatial.distance import pdist
 from isofdp import assign, compute_profile, select_dc
 from isofdp.metrics import nmi
 
-from conftest import two_blobs
+from conftest import tie_heavy_grids, two_blobs
 
 LINE4 = np.array([0.0, 1.0, 2.0, 10.0])  # pairwise distances 1,1,2,8,9,10
 
@@ -73,14 +73,8 @@ class TestSelectDc:
         assert select_dc(points, 10.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_the_full_sort(self):
-        # integer grids tie often; 1e-17 noise on zero coordinates puts distances under the floor
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            points = rng.integers(0, 4, size=(int(rng.integers(2, 60)), 2)).astype(float)
-            points[: len(points) // 3] += 1e-17 * rng.random((len(points) // 3, 2))
+        for points in tie_heavy_grids():
             dists = np.sort(pdist(points))
-            if dists[-1] == 0:
-                continue
             floor = np.searchsorted(dists, 1e-9 * dists[-1], side="right")
             for pct in (0.1, 1.0, 2.0, 10.0, 37.5, 50.0, 100.0):
                 rank = math.ceil(pct / 100.0 * dists.size)
