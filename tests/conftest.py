@@ -7,9 +7,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from isofdp import DbscanSpec, Graph, Partition
-from isofdp.density_peaks import _as_points, select_dc
+from isofdp.density_peaks import _as_points, assign, select_dc
 from isofdp.metrics import accuracy, nmi
-from isofdp.partition import normalize_labels
+from isofdp.partition import SweepRecord, SweepResult, normalize_labels, partition_density
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -95,6 +95,23 @@ def reference_neighbor_graph(values: np.ndarray, k: int) -> set:
     for r in sorted(groups.values())[1:]:
         edges[(0, r)] = 2.0 * float(values[finite].max())
     return {(u, v, w) for (u, v), w in edges.items()}
+
+
+def reference_select_k(g, profile, k_max):
+    """The count sweep with every k labeled and scored from scratch.
+
+    For each k in 2..k_max, ``assign`` labels the nodes and
+    ``partition_density`` counts every edge again; the first peak wins.
+    Reference for ``isofdp.select_k``.
+    """
+    densities, best = [], None
+    for k in range(2, k_max + 1):
+        part = Partition(assign(profile, k), k)
+        d = partition_density(g, part, penalized=True)
+        densities.append((k, d))
+        if best is None or d > best.density:
+            best = SweepRecord(k, d, part)
+    return SweepResult(tuple(densities), best)
 
 
 def reference_dbscan_labels(e, spec) -> np.ndarray:

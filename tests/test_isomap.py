@@ -51,6 +51,31 @@ def line_distance_matrix(positions):
     return squareform(pdist(pos))
 
 
+def grouped_distances(rng, groups, size, asymmetric=False, split=False):
+    """Distances over ``groups`` groups of ``size`` nodes, in shuffled node order.
+
+    Inside a group they are 1 or 2. Between groups a and b they are 3 plus
+    the bit length of ``a ^ b``, so every pair of groups at one level ties,
+    and joining the groups takes one minimum-spanning-forest round per level.
+    ``asymmetric`` adds 0 or 1 below the diagonal. With ``split`` the groups
+    below ``groups // 2`` have no distance to the others: inf, NaN or -inf.
+    """
+    n = groups * size
+    group = np.repeat(np.arange(groups), size)
+    cross = np.array([3 + int(a ^ b).bit_length() for a in group for b in group])
+    d = np.where(group[:, None] == group, rng.integers(1, 3, size=(n, n)), cross.reshape(n, n))
+    d = np.triu(d, 1).astype(float)
+    d += d.T
+    if asymmetric:
+        d += np.tril(rng.integers(0, 2, size=(n, n)), -1)
+    np.fill_diagonal(d, 0.0)
+    if split:
+        apart = (group[:, None] < groups // 2) != (group < groups // 2)
+        d[apart] = rng.choice([np.inf, np.nan, -np.inf], size=np.count_nonzero(apart))
+    perm = rng.permutation(n)
+    return d[np.ix_(perm, perm)]
+
+
 class TestBuildNeighborGraph:
     def test_symmetric_one_nn_on_three_points(self):
         d = line_distance_matrix([0.0, 1.0, 2.0])
@@ -155,6 +180,49 @@ class TestBuildNeighborGraph:
             from_higher_row += np.count_nonzero((ng.weights == d[v, u]) & (ng.weights != d[u, v]))
         if shape == "asymmetric":  # so the reference pins which row gives the weight
             assert from_higher_row > 0
+
+    @pytest.mark.parametrize("block_rows", [7, 64])
+    @pytest.mark.parametrize("shape", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("groups, size", [(16, 4), (32, 3)])
+    def test_repair_over_many_components(self, groups, size, shape, block_rows, monkeypatch):
+        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(groups)
+        d = grouped_distances(rng, groups, size, asymmetric=shape == "asymmetric")
+        ng = build_neighbor_graph(d, size - 1)
+        assert edge_set(ng) == reference_neighbor_graph(d, size - 1)
+        # the k-NN graph is the groups, and each repair edge joins two
+        assert np.count_nonzero(ng.weights > 3) == groups - 1
+
+    @pytest.mark.parametrize("block_rows", [7, 64])
+    @pytest.mark.parametrize("shape", ["symmetric", "asymmetric"])
+    def test_repair_ends_with_groups_to_bridge(self, shape, block_rows, monkeypatch):
+        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(5)
+        d = grouped_distances(rng, 16, 4, asymmetric=shape == "asymmetric", split=True)
+        ng = build_neighbor_graph(d, 3)
+        assert edge_set(ng) == reference_neighbor_graph(d, 3)
+        bridge = 2.0 * d[np.isfinite(d)].max()
+        assert np.count_nonzero(ng.weights == bridge) == 1
+        assert np.count_nonzero((ng.weights > 3) & (ng.weights < bridge)) == 14
+
+    @pytest.mark.parametrize("block_rows", [7, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nan_and_negative_inf_mean_no_distance(self, seed, block_rows, monkeypatch):
+        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(seed)
+        n = 30
+        d = rng.integers(1, 5, size=(n, n)).astype(float)
+        if seed % 2:
+            d = np.triu(d, 1) + np.triu(d, 1).T
+        np.fill_diagonal(d, 0.0)
+        gone = rng.random((n, n)) < 0.6
+        d[gone] = rng.choice([np.inf, np.nan, -np.inf], size=np.count_nonzero(gone))
+        as_inf = np.where(np.isfinite(d), d, np.inf)
+        for k in (1, 3, 6):
+            ng, ref = build_neighbor_graph(d, k), build_neighbor_graph(as_inf, k)
+            assert edge_set(ng) == reference_neighbor_graph(d, k)
+            assert ng.edges.tobytes() == ref.edges.tobytes()
+            assert ng.weights.tobytes() == ref.weights.tobytes()
 
     def test_distance_ties_break_to_smaller_index(self):
         d = np.array(

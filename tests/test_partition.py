@@ -4,18 +4,26 @@ from scipy.spatial.distance import pdist
 
 from isofdp import (
     MEASURES,
+    GnSpec,
     Graph,
+    LfrSpec,
     Partition,
     assign,
+    compute_profile,
     detect_communities,
+    generate_gn,
+    generate_lfr,
     load_edge_list,
     local_partition_density,
     partition_density,
+    select_dc,
+    select_k,
 )
 from isofdp import connected_components
+from isofdp.density_peaks import DensityProfile
 from isofdp.partition import normalize_labels
 
-from conftest import disjoint_cliques_graph
+from conftest import disjoint_cliques_graph, reference_select_k, tie_heavy_grids
 
 
 def random_partitioned_graph(rng, n, k):
@@ -215,3 +223,114 @@ class TestSelectK:
         res = detect_communities(g, knn=3, dim=2)
         with pytest.raises(ValueError):
             select_k(g, res.embedding, res.profile, 1)
+
+
+def forest_profile(nearest_higher, ranking):
+    """A profile that holds only what the sweep reads: the forest and the ranking."""
+    n = len(ranking)
+    zeros = np.zeros(n)
+    return DensityProfile(
+        zeros, zeros, zeros, np.asarray(nearest_higher), np.asarray(ranking), 1.0
+    )
+
+
+def random_forest_profile(rng, n, depth_first=False):
+    """A random nearest-denser forest; the root ranks first, the rest at random.
+
+    With ``depth_first`` every node hangs from the one made just before it, a
+    path in random node order.
+    """
+    order = rng.permutation(n)
+    up = np.full(n, -1)
+    for t in range(1, n):
+        up[order[t]] = order[t - 1] if depth_first else order[rng.integers(t)]
+    return forest_profile(up, np.r_[order[0], rng.permutation(order[1:])])
+
+
+def random_graph(rng, n, p):
+    pairs = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
+    return Graph.from_edges(n, pairs)
+
+
+def assert_same_sweep(g, profile, k_max):
+    got = select_k(g, None, profile, k_max)
+    ref = reference_select_k(g, profile, k_max)
+    assert [k for k, _ in got.table()] == [k for k, _ in ref.table()]
+    assert np.array([d for _, d in got.table()]).tobytes() == np.array(
+        [d for _, d in ref.table()]
+    ).tobytes()
+    assert got.k_star == ref.k_star
+    assert np.float64(got.best.density).tobytes() == np.float64(ref.best.density).tobytes()
+    assert got.best.partition.k == ref.best.partition.k
+    assert got.best.partition.labels.dtype == np.int64
+    assert got.best.partition.labels.tobytes() == ref.best.partition.labels.tobytes()
+
+
+class TestSelectKMatchesReference:
+    """The incremental sweep against labeling and scoring every k from scratch."""
+
+    @pytest.mark.parametrize("z_out", [1, 4, 8])
+    def test_gn_graphs(self, z_out):
+        g = generate_gn(GnSpec(z_out=z_out, seed=z_out)).graph
+        res = detect_communities(g, knn=24, dim=3)
+        assert_same_sweep(g, res.profile, res.sweep.k_max)
+        # every node a center at the end: communities of at most 2 nodes
+        assert_same_sweep(g, res.profile, g.node_count)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5])
+    def test_lfr_graphs(self, mu):
+        g = generate_lfr(LfrSpec(n=300, mu=mu, seed=2)).graph
+        res = detect_communities(g, dim=8)
+        assert_same_sweep(g, res.profile, res.sweep.k_max)
+        assert_same_sweep(g, res.profile, g.node_count)
+
+    def test_tie_heavy_profiles(self):
+        rng = np.random.default_rng(21)
+        for points in tie_heavy_grids():
+            n = len(points)
+            profile = compute_profile(points, select_dc(points))
+            g = random_graph(rng, n, 0.3)
+            for k_max in {2, min(5, n), n}:
+                assert_same_sweep(g, profile, k_max)
+
+    @pytest.mark.parametrize("depth_first", [False, True])
+    def test_random_forests(self, depth_first):
+        # depth_first: a path-shaped forest, whose subtrees nest n deep
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            n = int(rng.integers(2, 50))
+            g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
+            profile = random_forest_profile(rng, n, depth_first)
+            for k_max in {2, int(rng.integers(2, n + 1)), n}:
+                assert_same_sweep(g, profile, k_max)
+
+    def test_path_forest_centers_from_the_leaf_up(self):
+        # each new center sits above the last, so every step moves a prefix
+        n = 40
+        g = load_edge_list("\n".join(f"{i} {i + 1}" for i in range(n - 1)))
+        up = np.arange(-1, n - 1)
+        ranking = np.r_[0, np.arange(n - 1, 0, -1)]
+        assert_same_sweep(g, forest_profile(up, ranking), n)
+        assert_same_sweep(g, forest_profile(up, np.arange(n)), n)
+
+    def test_star_forest(self):
+        rng = np.random.default_rng(23)
+        n = 30
+        g, _ = disjoint_cliques_graph([10, 10, 10])
+        up = np.zeros(n, dtype=np.int64)
+        up[0] = -1
+        assert_same_sweep(g, forest_profile(up, np.r_[0, rng.permutation(np.arange(1, n))]), n)
+
+    def test_communities_without_inside_edges(self):
+        # complete bipartite between the halves: every half alone has no edge
+        n = 12
+        g = Graph.from_edges(n, [(u, v) for u in range(6) for v in range(6, n)])
+        up = np.r_[-1, np.zeros(5, dtype=np.int64), 6, np.full(5, 6)]
+        up[6] = 0
+        halves = forest_profile(up, np.r_[0, 6, 1:6, 7:n])
+        assert assign(halves, 2).tolist() == [0] * 6 + [1] * 6
+        assert partition_density(g, Partition(assign(halves, 2), 2)) < 0
+        assert_same_sweep(g, halves, n)
+        assert_same_sweep(g, forest_profile(up, np.arange(n)), n)
+        edgeless = Graph.from_edges(n, [])
+        assert_same_sweep(edgeless, random_forest_profile(np.random.default_rng(24), n), n)
