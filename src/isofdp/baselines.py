@@ -170,6 +170,10 @@ def dbscan_parameter_search(
     points = _as_points(e)
     if not (len(percentiles) and len(min_pts_values)):
         raise ValueError("empty parameter grid")
+    truth = np.asarray(truth)
+    if truth.shape != (len(points),):
+        raise ValueError("truth must hold one label per point")
+    truth = normalize_labels(truth)  # once: partitions come normalized
     eps_values = _nearest_rank_cutoffs(points, percentiles)
     dist = cdist(points, points)
     best, scores = None, {}

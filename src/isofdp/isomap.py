@@ -65,19 +65,30 @@ class Embedding:
         return self.dim < self.requested_dim
 
 
+def _no_distance_as_inf(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows`` copied into ``out``, with NaN and -inf set to inf: no distance."""
+    np.copyto(out, rows)
+    if not out.min() > -np.inf:  # a NaN minimum fails this too
+        out[~np.isfinite(out)] = np.inf
+    return out
+
+
 def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     """Symmetric k-NN graph over finite distances, joined into one component.
 
     Edge (i, j) is kept when j is among the ``neighborhood_size`` closest
     finite-distance partners of i, or vice versa; distance ties are broken
     toward the smaller node index, and the weight is read in the row of the
-    smaller node that selected the pair. If the k-NN graph is disconnected,
-    the globally smallest finite-distance edge joining two components is added
-    repeatedly (Kruskal). Groups that still share no finite distance, such as
-    the components of a disconnected graph, are joined by a star of bridges
-    from node 0 to each group's smallest node. Each bridge weighs twice the
-    largest finite distance, which keeps the groups maximally separated in the
-    embedding while letting the projection proceed.
+    smaller node that selected the pair. NaN and -inf mean no distance, as
+    inf does. If the k-NN graph is disconnected, its components are joined
+    by their minimum spanning forest over the finite pairs ``u < v``, with
+    weight ``d[u, v]`` and ties broken by (w, u, v), which is unique under
+    that order: the edges Kruskal would add. Groups that still share no
+    finite distance, such as the components of a disconnected graph, are
+    joined by a star of bridges from node 0 to each group's smallest node.
+    Each bridge weighs twice the largest finite distance, which keeps the
+    groups maximally separated in the embedding while letting the projection
+    proceed.
     """
     values = np.asarray(d, dtype=float)
     n = values.shape[0]
@@ -85,21 +96,29 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     if not 1 <= k <= n - 1:
         raise ValueError(f"neighborhood size must be in 1..{n - 1}, got {k}")
 
+    # block buffers, reused by every block of the top-k scan and the repair
+    b = np.empty((min(_BLOCK_ROWS, n), n))
+    part = np.empty_like(b)
+    mask = np.empty(b.shape, dtype=bool)
     keys, weights = [], []
     for lo in range(0, n, _BLOCK_ROWS):
         rows = values[lo : lo + _BLOCK_ROWS]
-        b = np.where(np.isfinite(rows), rows, np.inf)
-        np.fill_diagonal(b[:, lo:], np.inf)
-        # every partner closer than the k-th smallest distance, then those at
-        # it in index order until the row has k; none at an infinite k-th.
-        # Only rows with more partners at the k-th than room need the count
-        kth = np.partition(b, k - 1, axis=1)[:, k - 1 : k]
-        below = b < kth
-        tied = (b == kth) & np.isfinite(kth)
-        room = k - below.sum(axis=1, keepdims=True)
-        take = below | tied
-        over = np.flatnonzero(tied.sum(axis=1) > room[:, 0])
-        take[over] &= below[over] | (np.cumsum(tied[over], axis=1) <= room[over])
+        bb, take = _no_distance_as_inf(rows, b[: len(rows)]), mask[: len(rows)]
+        np.fill_diagonal(bb[:, lo:], np.inf)
+        # every partner at or below the k-th smallest distance; a row with
+        # more than k of them (ties at the k-th, or an infinite k-th) keeps
+        # those below it, then those at a finite k-th in index order
+        pp = part[: len(rows)]
+        np.copyto(pp, bb)
+        pp.partition(k - 1, axis=1)
+        kth = pp[:, k - 1 : k]
+        np.less_equal(bb, kth, out=take)
+        over = np.flatnonzero(take.sum(axis=1) > k)
+        if over.size:
+            bo, ko = bb[over], kth[over]
+            below, tied = bo < ko, (bo == ko) & np.isfinite(ko)
+            room = k - below.sum(axis=1, keepdims=True)
+            take[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
         bi, bj = np.divmod(np.flatnonzero(take), n)  # row-major, as np.nonzero
         keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
         weights.append(rows[bi, bj])
@@ -113,32 +132,42 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     components, comp = connected_components(adj, directed=False)
 
     if components > 1:
-        # Kruskal from the k-NN components. Pairs within one component never
-        # join two, and of those between two components only the first in
-        # (w, u, v) order can, so each row block keeps one per component pair
-        iu, iv = [], []
-        for lo in range(0, n, _BLOCK_ROWS):
-            rows = values[lo : lo + _BLOCK_ROWS]
-            bu, bv = np.nonzero(np.isfinite(rows) & (comp[lo : lo + len(rows), None] != comp))
-            keep = bu + lo < bv
-            bu, bv = bu[keep] + lo, bv[keep]
-            pair = np.minimum(comp[bu], comp[bv]) * n + np.maximum(comp[bu], comp[bv])
-            order = np.lexsort((bv, bu, values[bu, bv], pair))
-            first = order[np.unique(pair[order], return_index=True)[1]]
-            iu.append(bu[first])
-            iv.append(bv[first])
-        iu, iv = np.concatenate(iu), np.concatenate(iv)
-        w = values[iu, iv]
-        joins = []
-        for idx in np.lexsort((iv, iu, w)).tolist():
-            cu, cv = comp[iu[idx]], comp[iv[idx]]
-            if cu != cv:
-                comp[comp == cv] = cu
-                joins.append(idx)
-                components -= 1
-                if components == 1:
-                    break
-        keys, weights = np.r_[keys, iu[joins] * n + iv[joins]], np.r_[weights, w[joins]]
+        # Boruvka rounds from the k-NN components: each takes its lightest
+        # finite pair to another, by (w, u, v) over u < v, and those join
+        lower = np.tri(len(b), dtype=bool)  # v <= u inside a block's own columns
+        nodes = np.arange(n)
+        while components > 1:
+            # per row u its best (w, v > u); per column v its best (w, u < v)
+            row_w, row_v = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+            col_w, col_u = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+            for lo in range(0, n, _BLOCK_ROWS):
+                sub = values[lo : lo + _BLOCK_ROWS, lo:]
+                h, width = sub.shape
+                bb = _no_distance_as_inf(sub, b[:h, :width])
+                same = np.equal(comp[lo : lo + h, None], comp[lo:], out=mask[:h, :width])
+                np.copyto(bb, np.inf, where=same)
+                np.copyto(bb[:, :h], np.inf, where=lower[:h, :h])
+                j = bb.argmin(axis=1)  # first minimum: the smaller v
+                row_w[lo : lo + h], row_v[lo : lo + h] = bb[nodes[:h], j], j + lo
+                # a column's best so far holds unless this block beats it; the
+                # first minimum in the block is the smaller u
+                w = bb.min(axis=0)
+                better = np.flatnonzero(w < col_w[lo:])
+                col_w[better + lo] = w[better]
+                col_u[better + lo] = bb[:, better].argmin(axis=0) + lo
+            cand_w, cand_c = np.r_[row_w, col_w], np.r_[comp, comp]
+            cand_u, cand_v = np.r_[nodes, col_u], np.r_[row_v, nodes]
+            found = np.flatnonzero(cand_w < np.inf)
+            if not found.size:
+                break
+            order = found[np.lexsort((cand_v[found], cand_u[found], cand_w[found], cand_c[found]))]
+            best = order[np.unique(cand_c[order], return_index=True)[1]]
+            joins = np.unique(cand_u[best] * n + cand_v[best])  # two may pick one pair
+            ju, jv = np.divmod(joins, n)
+            keys, weights = np.r_[keys, joins], np.r_[weights, values[ju, jv]]
+            merged = csr_matrix((np.ones(joins.size), (comp[ju], comp[jv])), shape=(components,) * 2)
+            components, group = connected_components(merged, directed=False)
+            comp = group[comp]
         if components > 1:
             # each group's smallest node r, the key of (0, r); node 0's sorts first
             reps = np.sort(np.unique(comp, return_index=True)[1])[1:]

@@ -63,7 +63,7 @@ def accuracy(truth, pred) -> float:
     return _accuracy(_counts(*_as_label_pair(truth, pred)))
 
 
-def _nmi_accuracy(truth, pred) -> tuple:
-    """``(nmi(truth, pred), accuracy(truth, pred))`` from one contingency count."""
-    counts = _counts(*_as_label_pair(truth, pred))
+def _nmi_accuracy(t: np.ndarray, p: np.ndarray) -> tuple:
+    """``(nmi(t, p), accuracy(t, p))`` from one count, for labels already 0..r-1 and 0..c-1."""
+    counts = _counts(t, p)
     return _nmi(counts), _accuracy(counts)

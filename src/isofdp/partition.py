@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import depth_first_order
 
 from .density_peaks import assign
 from .graph import Graph
@@ -83,6 +85,11 @@ def local_partition_density(g: Graph, part: Partition, c: int) -> float:
     return (m_c - (n_c - 1)) / (n_c * (n_c - 1) / 2 - (n_c - 1))
 
 
+def _density_term(n_c: int, m_c: int) -> float:
+    """One community's term of :func:`partition_density`'s sum, 0 at most 2 nodes."""
+    return n_c * (m_c - (n_c - 1)) / ((n_c - 2) * (n_c - 1)) if n_c > 2 else 0.0
+
+
 def partition_density(g: Graph, part: Partition, penalized: bool = True) -> float:
     """Node-count-weighted partition density of the whole labeling.
 
@@ -138,16 +145,67 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
     their nearest denser neighbor; ties in the peak density resolve to the
     smallest k. Everything is read from ``profile``: ``embedding`` is not
     used.
+
+    The densities are updated from k to k+1, not recounted. In a preorder of
+    the nearest-denser forest every subtree is one slice, and the new center's
+    community is the part of its slice that still carries the label of the
+    community it leaves. Only that community and the new one change, and their
+    node and internal edge counts follow from the moved nodes' adjacency rows.
+    Each density sums its communities' terms in community order, as
+    :func:`partition_density` does, to the same bytes. The best partition is
+    labeled once, by ``assign``.
     """
     n = g.node_count
     if not 2 <= k_max <= n:
         raise ValueError(f"k_max must be in 2..{n}, got {k_max}")
-    densities = []
-    best = None
-    for k in range(2, k_max + 1):
-        part = Partition(assign(profile, k), k)
-        d = partition_density(g, part, penalized=True)
-        densities.append((k, d))
-        if best is None or d > best.density:
-            best = SweepRecord(k, d, part)
-    return SweepResult(tuple(densities), best)
+    up, centers = profile.nearest_higher, profile.ranking[:k_max].tolist()
+    # children grouped by parent; the root, whose parent is -1, sorts first
+    kids = np.argsort(up, kind="stable")[1:]
+    kid_ptr = np.concatenate(([0], np.cumsum(np.bincount(up[kids], minlength=n))))
+    forest = csr_matrix((np.ones(n - 1), kids, kid_ptr), shape=(n, n))
+    order = depth_first_order(forest, centers[0], return_predecessors=False)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    # a subtree ends after its last descendant: follow each node's last child
+    last = np.arange(n)
+    np.maximum.at(last, pos[up[order[1:]]], np.arange(1, n))
+    nxt = last[last]
+    while not np.array_equal(nxt, last):
+        last, nxt = nxt, nxt[nxt]
+    end = (last + 1).tolist()
+    # adjacency rows in preorder, holding preorder positions
+    adj = g.adjacency
+    degree = np.diff(adj.indptr)[order]
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    gather = np.arange(indptr[-1]) + np.repeat(adj.indptr[order] - indptr[:-1], degree)
+    indices, indptr = pos[adj.indices[gather]], indptr.tolist()
+
+    label = np.zeros(n, dtype=np.int64)  # by preorder position
+    size, inner = [n] + [0] * (k_max - 1), [g.edge_count] + [0] * (k_max - 1)
+    terms = np.zeros(k_max)  # 0 for communities of at most 2 nodes
+    terms[0] = _density_term(n, g.edge_count)
+    densities, best = [], (-np.inf, 0)
+    for k in range(1, k_max):
+        s = pos[centers[k]]
+        e = end[s]
+        seg = label[s:e]
+        was = int(seg[0])
+        moved = seg == was
+        seg[moved] = k
+        # the moved nodes' neighbors: 2 per edge among them, 1 per edge to
+        # the rest of the community they leave
+        nbr = label[indices[indptr[s] : indptr[e]][np.repeat(moved, degree[s:e])]]
+        both, left = np.count_nonzero(nbr == k), np.count_nonzero(nbr == was)
+        size[k] = np.count_nonzero(moved)
+        size[was] -= size[k]
+        inner[k] = both // 2
+        inner[was] -= left + both // 2
+        terms[was], terms[k] = _density_term(size[was], inner[was]), _density_term(size[k], inner[k])
+        # summed in community order; the zeros leave the sum unchanged
+        d = 2.0 * np.cumsum(terms[: k + 1])[-1] / n
+        d /= np.sqrt(k + 1)
+        densities.append((k + 1, float(d)))
+        if d > best[0]:
+            best = (float(d), k + 1)
+    density, k = best
+    return SweepResult(tuple(densities), SweepRecord(k, density, Partition(assign(profile, k), k)))

@@ -348,6 +348,18 @@ class TestDbscanGridEps:
         with pytest.raises(ValueError, match="empty parameter grid"):
             dbscan_parameter_search(points, np.zeros(6, dtype=int), min_pts_values=())
 
+    def test_truth_of_another_length_rejected(self):
+        points = np.arange(6.0)
+        with pytest.raises(ValueError, match="one label per point"):
+            dbscan_parameter_search(points, np.zeros(5, dtype=int))
+
+    def test_truth_labels_of_any_kind(self):
+        points, truth = _integer_clumps()
+        want = dbscan_parameter_search(points, truth)
+        got = dbscan_parameter_search(points, [f"c{t}" for t in (truth * 7 + 3).tolist()])
+        assert got[0].labels.tobytes() == want[0].labels.tobytes()
+        assert got[1:] == want[1:]
+
 
 class TestDbscanGridPeakMemory:
     """One distance matrix plus the pairs of one eps, never one copy per cell."""
