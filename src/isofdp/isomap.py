@@ -157,11 +157,11 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
                 col_u[better + lo] = bb[:, better].argmin(axis=0) + lo
             cand_w, cand_c = np.r_[row_w, col_w], np.r_[comp, comp]
             cand_u, cand_v = np.r_[nodes, col_u], np.r_[row_v, nodes]
-            found = np.flatnonzero(cand_w < np.inf)
-            if not found.size:
-                break
-            order = found[np.lexsort((cand_v[found], cand_u[found], cand_w[found], cand_c[found]))]
+            order = np.lexsort((cand_v, cand_u, cand_w, cand_c))
             best = order[np.unique(cand_c[order], return_index=True)[1]]
+            best = best[cand_w[best] < np.inf]  # a component with no way out
+            if not best.size:
+                break
             joins = np.unique(cand_u[best] * n + cand_v[best])  # two may pick one pair
             ju, jv = np.divmod(joins, n)
             keys, weights = np.r_[keys, joins], np.r_[weights, values[ju, jv]]

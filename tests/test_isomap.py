@@ -185,13 +185,22 @@ class TestBuildNeighborGraph:
     @pytest.mark.parametrize("shape", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("groups, size", [(16, 4), (32, 3)])
     def test_repair_over_many_components(self, groups, size, shape, block_rows, monkeypatch):
-        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
+        isomap = sys.modules["isofdp.isomap"]
+        monkeypatch.setattr(isomap, "_BLOCK_ROWS", block_rows)
+        searches = []
+        search = isomap.connected_components
+        monkeypatch.setattr(
+            isomap, "connected_components", lambda *a, **kw: searches.append(1) or search(*a, **kw)
+        )
         rng = np.random.default_rng(groups)
         d = grouped_distances(rng, groups, size, asymmetric=shape == "asymmetric")
         ng = build_neighbor_graph(d, size - 1)
         assert edge_set(ng) == reference_neighbor_graph(d, size - 1)
         # the k-NN graph is the groups, and each repair edge joins two
         assert np.count_nonzero(ng.weights > 3) == groups - 1
+        # one search for the k-NN components, then one per round: each level
+        # of groups takes a round, as each group's lightest way out is its twin
+        assert len(searches) - 1 == groups.bit_length() - 1
 
     @pytest.mark.parametrize("block_rows", [7, 64])
     @pytest.mark.parametrize("shape", ["symmetric", "asymmetric"])
