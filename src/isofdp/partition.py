@@ -85,9 +85,9 @@ def local_partition_density(g: Graph, part: Partition, c: int) -> float:
     return (m_c - (n_c - 1)) / (n_c * (n_c - 1) / 2 - (n_c - 1))
 
 
-def _density_term(n_c: int, m_c: int) -> float:
-    """One community's term of :func:`partition_density`'s sum, 0 at most 2 nodes."""
-    return n_c * (m_c - (n_c - 1)) / ((n_c - 2) * (n_c - 1)) if n_c > 2 else 0.0
+def _density_term(n_c, m_c):
+    """Communities' terms of :func:`partition_density`'s sum, for ``n_c > 2``: ints or arrays."""
+    return n_c * (m_c - (n_c - 1)) / ((n_c - 2) * (n_c - 1))
 
 
 def partition_density(g: Graph, part: Partition, penalized: bool = True) -> float:
@@ -101,7 +101,7 @@ def partition_density(g: Graph, part: Partition, penalized: bool = True) -> floa
     big = part.sizes > 2
     n_c = part.sizes[big]
     m_c = part.internal_edge_counts(g)[big]
-    terms = n_c * (m_c - (n_c - 1)) / ((n_c - 2) * (n_c - 1))
+    terms = _density_term(n_c, m_c)
     # summed in community order: ``.sum()`` adds pairwise, in another order
     total = np.cumsum(terms)[-1] if terms.size else 0.0
     d = 2.0 * total / g.node_count
@@ -183,7 +183,7 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
     label = np.zeros(n, dtype=np.int64)  # by preorder position
     size, inner = [n] + [0] * (k_max - 1), [g.edge_count] + [0] * (k_max - 1)
     terms = np.zeros(k_max)  # 0 for communities of at most 2 nodes
-    terms[0] = _density_term(n, g.edge_count)
+    terms[0] = _density_term(n, g.edge_count) if n > 2 else 0.0
     densities, best = [], (-np.inf, 0)
     for k in range(1, k_max):
         s = pos[centers[k]]
@@ -200,7 +200,8 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
         size[was] -= size[k]
         inner[k] = both // 2
         inner[was] -= left + both // 2
-        terms[was], terms[k] = _density_term(size[was], inner[was]), _density_term(size[k], inner[k])
+        for c in (was, k):
+            terms[c] = _density_term(size[c], inner[c]) if size[c] > 2 else 0.0
         # summed in community order; the zeros leave the sum unchanged
         d = 2.0 * np.cumsum(terms[: k + 1])[-1] / n
         d /= np.sqrt(k + 1)
