@@ -7,7 +7,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from isofdp import DbscanSpec, Graph, Partition
-from isofdp.density_peaks import _as_points, assign, select_dc
+from isofdp.density_peaks import DensityProfile, _as_points, assign, select_dc
 from isofdp.metrics import accuracy, nmi
 from isofdp.partition import SweepRecord, SweepResult, normalize_labels, partition_density
 
@@ -95,6 +95,35 @@ def reference_neighbor_graph(values: np.ndarray, k: int) -> set:
     for r in sorted(groups.values())[1:]:
         edges[(0, r)] = 2.0 * float(values[finite].max())
     return {(u, v, w) for (u, v), w in edges.items()}
+
+
+def reference_compute_profile(e, d_c: float) -> DensityProfile:
+    """The density profile from one full ``cdist`` matrix.
+
+    rho counts the row's distances strictly under ``d_c``; the n x n matrix,
+    masked to inf wherever the column's density rank is not higher, gives
+    delta and the nearest denser point by a row-wise argmin (first minimum:
+    distance tie -> smaller index). Reference for ``isofdp.compute_profile``.
+    """
+    if d_c <= 0:
+        raise ValueError("cutoff distance must be positive")
+    points = _as_points(e)
+    dist = cdist(points, points)
+    n = dist.shape[0]
+    rho = (dist < d_c).sum(axis=1).astype(np.int64)
+    order = np.lexsort((np.arange(n), -rho))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    top = order[0]
+    farthest = dist[top].max()
+    dist[rank[:, None] <= rank[None, :]] = np.inf
+    nearest = dist.argmin(axis=1)
+    delta = dist[np.arange(n), nearest]
+    delta[top] = farthest
+    nearest[top] = -1
+    gamma = rho * delta
+    ranking = np.lexsort((np.arange(n), -gamma))
+    return DensityProfile(rho, delta, gamma, nearest, ranking, float(d_c))
 
 
 def reference_select_k(g, profile, k_max):

@@ -1,9 +1,10 @@
-"""Labels must not depend on the BLAS thread count.
+"""Labels and density profiles must not depend on the BLAS thread count.
 
 Two fresh interpreters, one per thread count, since OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when numpy is imported. Their embeddings may
 differ in the last bits (a threaded matrix-vector product sums in another
-order); the partition and k* must not.
+order); the partition and k* must not. Nor may the density profile: its
+GEMM screen may round differently, but every decision is taken on ``cdist``.
 """
 
 import json
@@ -15,12 +16,23 @@ from pathlib import Path
 import isofdp
 
 CHILD = """
+import hashlib
 import json
-from isofdp import LfrSpec, detect_communities, generate_lfr
+
+import numpy as np
+
+from isofdp import LfrSpec, compute_profile, detect_communities, generate_lfr, select_dc
 
 labeled = generate_lfr(LfrSpec(n=1000, mu=0.4, seed=1))
 res = detect_communities(labeled.graph, knn=10, dim=16, k_max=64)
-print(json.dumps({"k_star": res.k_star, "labels": res.partition.labels.tolist()}))
+points = np.random.default_rng(0).normal(size=(700, 16))
+prof = compute_profile(points, select_dc(points, 2.0))
+fields = (prof.rho, prof.delta, prof.gamma, prof.nearest_higher, prof.ranking)
+print(json.dumps({
+    "k_star": res.k_star,
+    "labels": res.partition.labels.tolist(),
+    "profile": hashlib.sha256(b"".join(f.tobytes() for f in fields)).hexdigest(),
+}))
 """
 
 
@@ -44,3 +56,4 @@ def test_labels_invariant_to_blas_thread_count():
     one, two = detect_with_threads(1), detect_with_threads(2)
     assert one["k_star"] == two["k_star"]
     assert one["labels"] == two["labels"]
+    assert one["profile"] == two["profile"]

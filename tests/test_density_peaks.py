@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
-from isofdp import assign, compute_profile, select_dc
+from isofdp import assign, compute_profile, density_peaks, select_dc
 from isofdp.metrics import nmi
 
-from conftest import tie_heavy_grids, two_blobs
+from conftest import reference_compute_profile, tie_heavy_grids, two_blobs
 
 LINE4 = np.array([0.0, 1.0, 2.0, 10.0])  # pairwise distances 1,1,2,8,9,10
 
@@ -28,6 +29,27 @@ def separation_loop(dist, rho):
         delta[i] = m
         nearest[i] = higher[row == m].min()  # distance tie -> smaller index
     return delta, nearest
+
+
+def assert_matches_reference(points, d_c):
+    """``compute_profile`` equals the full-matrix reference byte for byte."""
+    got = compute_profile(points, d_c)
+    want = reference_compute_profile(points, d_c)
+    for field in ("rho", "delta", "gamma", "nearest_higher", "ranking"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert got.d_c == want.d_c
+    return got
+
+
+def loop_reference_grids():
+    """The grid inputs of ``test_matches_loop_references``: (points, d_c)."""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        points = rng.integers(0, 4, size=(n, 2)).astype(float)
+        yield points, float(rng.choice([0.5, 1.0, 1.5, 2.5]))
 
 
 def assign_loop(rho, gamma, nearest, centers):
@@ -211,11 +233,8 @@ class TestAssign:
 
     def test_matches_loop_references(self):
         # grid points: duplicates, distance ties and rho ties throughout
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            n = int(rng.integers(1, 25))
-            points = rng.integers(0, 4, size=(n, 2)).astype(float)
-            d_c = float(rng.choice([0.5, 1.0, 1.5, 2.5]))
+        for points, d_c in loop_reference_grids():
+            n = points.shape[0]
             prof = compute_profile(points, d_c)
             dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
             assert np.array_equal(prof.rho, (dist < d_c).sum(axis=1))
@@ -259,3 +278,108 @@ class TestInvariances:
         points = rng.normal(size=(30, 3))
         prof = compute_profile(points, select_dc(points, 15.0))
         assert np.array_equal(prof.gamma, prof.rho * prof.delta)
+
+
+class TestMatchesReference:
+    """Byte identity with the full-matrix profile where the screen is weakest.
+
+    The blocked profile decides every pair on its ``cdist`` value; these inputs
+    put many pairs inside the screen's error band or beyond its range.
+    """
+
+    def test_tie_heavy_grids(self):
+        for points in tie_heavy_grids():
+            for d_c in (0.5, 1.0, 1.5, 2.0, 2.5, select_dc(points, 2.0), select_dc(points, 30.0)):
+                assert_matches_reference(points, d_c)
+
+    def test_loop_reference_grids(self):
+        for points, d_c in loop_reference_grids():
+            assert_matches_reference(points, d_c)
+
+    def test_cutoff_equal_to_a_pair_distance(self):
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(150, 5))
+        d_c = float(cdist(points[3:4], points[7:8])[0, 0])
+        at = assert_matches_reference(points, d_c)
+        # strict: the pair at exactly d_c is not counted, one ulp more is
+        above = assert_matches_reference(points, float(np.nextafter(d_c, np.inf)))
+        assert above.rho[3] == at.rho[3] + 1 and above.rho[7] == at.rho[7] + 1
+
+    @pytest.mark.parametrize("shift, scale", [(1e8, 1.0), (0.0, 1e-150), (0.0, 1e150)])
+    def test_shifted_and_scaled(self, shift, scale):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(300, 16)) * scale + shift
+        assert_matches_reference(points, select_dc(points, 2.0))
+        assert_matches_reference(points, select_dc(points, 20.0))
+
+    @pytest.mark.parametrize("dim", [1, 33])
+    def test_dims(self, dim):
+        rng = np.random.default_rng(dim)
+        points = rng.normal(size=(200, dim))
+        assert_matches_reference(points, select_dc(points, 2.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_inputs(self, n):
+        points = np.arange(n * 2, dtype=float).reshape(n, 2) ** 2
+        for d_c in (0.5, 3.0, 100.0):
+            assert_matches_reference(points, d_c)
+
+    def test_all_coincident_but_one(self):
+        points = np.zeros((70, 3))
+        points[41] = [1.0, -2.0, 0.5]
+        for d_c in (1e-300, 1.0, 5.0):
+            assert_matches_reference(points, d_c)
+
+    def test_ragged_blocks(self, monkeypatch):
+        monkeypatch.setattr(density_peaks, "_BLOCK_ROWS", 7)
+        for points in tie_heavy_grids():
+            assert_matches_reference(points, 1.5)
+        rng = np.random.default_rng(13)
+        for n in (1, 6, 7, 8, 15, 50):
+            points = rng.normal(size=(n, 3))
+            assert_matches_reference(points, 1.0)
+
+    def test_squares_overflow(self):
+        # every pair's squared distance overflows: rho is 1 and delta inf
+        rng = np.random.default_rng(14)
+        points = rng.normal(size=(30, 3)) * 1e155
+        assert_matches_reference(points, 1e150)
+        # a clump and two far outliers: the centered squares are beyond the
+        # screen's range, the pair distances are not
+        points = np.zeros((40, 1))
+        points[:38, 0] = rng.normal(size=38)
+        points[38:, 0] = [1.2e154, 1.2e154 + 1e150]
+        for d_c in (0.5, 2e150):
+            assert_matches_reference(points, d_c)
+
+    def test_workload_sized_embedding(self):
+        rng = np.random.default_rng(15)
+        centers = rng.normal(size=(12, 16)) * 4.0
+        points = centers[rng.integers(0, 12, 700)] + rng.normal(size=(700, 16))
+        for pct in (0.5, 2.0, 10.0):
+            assert_matches_reference(points, select_dc(points, pct))
+
+
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        points = np.random.default_rng(16).normal(size=(10, 2))
+        points[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            compute_profile(points, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            select_dc(points, 2.0)
+
+
+class TestProfilePeakMemory:
+    def test_peak_is_far_below_one_n_by_n_array(self):
+        n = 2000
+        points = np.random.default_rng(17).normal(size=(n, 16))
+        d_c = select_dc(points, 2.0)
+        tracemalloc.start()
+        try:
+            compute_profile(points, d_c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n
