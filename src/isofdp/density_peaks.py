@@ -55,10 +55,19 @@ def _as_points(e) -> np.ndarray:
 
 
 def _finite_points(e) -> np.ndarray:
-    """``_as_points``, rejecting NaN and infinite coordinates."""
+    """``_as_points``, rejecting NaN and infinite coordinates.
+
+    So that every squared distance is finite, it also rejects points whose
+    bounding box has a squared diagonal beyond the float range.
+    """
     points = _as_points(e)
     if not np.isfinite(points).all():
         raise ValueError("coordinates must be finite")
+    if points.size:
+        with np.errstate(over="ignore"):
+            spread = np.square(points.max(axis=0) - points.min(axis=0)).sum()
+        if not np.isfinite(spread):
+            raise ValueError("coordinates spread too wide: squared distances overflow")
     return points
 
 
@@ -93,8 +102,8 @@ def select_dc(e, percentile: float = 2.0) -> float:
     smallest distance above that floor instead.
 
     Raises:
-        ValueError: a coordinate is NaN or infinite, or all points coincide,
-            so no distance is above the floor.
+        ValueError: a coordinate is NaN or infinite, squared distances
+            overflow, or all points coincide, so no distance is above the floor.
     """
     return _nearest_rank_cutoffs(_finite_points(e), [percentile])[0]
 
@@ -167,9 +176,10 @@ def compute_profile(e, d_c: float) -> DensityProfile:
     order the GEMM sums in.
 
     Raises:
-        ValueError: ``d_c`` is not positive, or a coordinate is NaN or infinite.
+        ValueError: ``d_c`` is not positive (NaN included), a coordinate is
+            NaN or infinite, or squared distances overflow.
     """
-    if d_c <= 0:
+    if not d_c > 0:
         raise ValueError("cutoff distance must be positive")
     points = _finite_points(e)
     n, dim = points.shape

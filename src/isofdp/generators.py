@@ -86,26 +86,30 @@ class LfrSpec:
             raise ValueError("avg_degree cannot exceed max_degree")
 
 
-def _match_stubs(stubs, rng, valid_pair=None, max_rounds=200, swap_tries=24):
-    """Pair stub endpoints into distinct simple edges.
+# swap repair budget of _match_stubs: rounds over all pairs, partners per bad pair
+_MAX_ROUNDS = 200
+_SWAP_TRIES = 24
+
+
+def _match_stubs(stubs, rng, valid_pair=None):
+    """Pair stub endpoints into the set of distinct simple edges ``(u, v)``, ``u < v``.
 
     Random matching followed by swap repair: offending pairs (self-loops,
     constraint violations, duplicates) trade endpoints with random partners
     until clean or the round budget runs out. Unrepairable pairs are dropped.
-    Returns (edge set, dropped pair count).
     """
     stubs = np.asarray(stubs, dtype=np.int64)
     if stubs.size % 2 != 0:
         raise ValueError("stub count must be even")
     if stubs.size == 0:
-        return set(), 0
+        return set()
     pairs = stubs[rng.permutation(stubs.size)].reshape(-1, 2).tolist()
     n_pairs = len(pairs)
 
     def ok(u, v):
         return u != v and (valid_pair is None or valid_pair(u, v))
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         seen = {}
         bad = []
         for idx, (u, v) in enumerate(pairs):
@@ -122,7 +126,7 @@ def _match_stubs(stubs, rng, valid_pair=None, max_rounds=200, swap_tries=24):
         progress = False
         for idx in bad:
             u, v = pairs[idx]
-            for _ in range(swap_tries):
+            for _ in range(_SWAP_TRIES):
                 other = int(rng.integers(n_pairs))
                 if other == idx:
                     continue
@@ -140,18 +144,7 @@ def _match_stubs(stubs, rng, valid_pair=None, max_rounds=200, swap_tries=24):
         if not progress:
             break
 
-    edges = set()
-    dropped = 0
-    for u, v in pairs:
-        if not ok(u, v):
-            dropped += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            dropped += 1
-        else:
-            edges.add(key)
-    return edges, dropped
+    return {(u, v) if u < v else (v, u) for u, v in pairs if ok(u, v)}
 
 
 def generate_gn(spec: GnSpec) -> LabeledGraph:
@@ -167,16 +160,14 @@ def generate_gn(spec: GnSpec) -> LabeledGraph:
         members = np.arange(block * 32, (block + 1) * 32)
         if spec.z_in == 0:
             continue
-        block_edges, _ = _match_stubs(np.repeat(members, spec.z_in), rng)
-        edges |= block_edges
+        edges |= _match_stubs(np.repeat(members, spec.z_in), rng)
     if spec.z_out > 0:
         block_of = np.arange(128) // 32
-        inter, _ = _match_stubs(
+        edges |= _match_stubs(
             np.repeat(np.arange(128), spec.z_out),
             rng,
             valid_pair=lambda u, v: block_of[u] != block_of[v],
         )
-        edges |= inter
     truth = np.repeat(np.arange(4), 32)
     return LabeledGraph(Graph.from_edges(128, edges), truth)
 
@@ -285,20 +276,18 @@ def generate_lfr(spec: LfrSpec) -> LabeledGraph:
     for c in range(sizes.shape[0]):
         members = np.flatnonzero(community == c)
         stubs = np.repeat(members, intra_deg[members])
-        community_edges, _ = _match_stubs(stubs, rng)
-        edges |= community_edges
+        edges |= _match_stubs(stubs, rng)
 
     inter_stubs = np.repeat(np.arange(spec.n), inter_deg)
-    inter_edges, _ = _match_stubs(
+    edges |= _match_stubs(
         inter_stubs, rng, valid_pair=lambda u, v: community[u] != community[v]
     )
-    edges |= inter_edges
 
     graph = Graph.from_edges(spec.n, edges)
     if (graph.degrees == 0).any():
         raise GenerationError("wiring produced an isolated node; try another seed")
-    inter_count = sum(1 for u, v in edges if community[u] != community[v])
-    achieved = inter_count / len(edges)
+    u, v = graph.edge_array.T
+    achieved = np.count_nonzero(community[u] != community[v]) / graph.edge_count
     if abs(achieved - spec.mu) > 0.03:
         raise GenerationError(
             f"achieved mixing {achieved:.3f} strays more than 0.03 from mu={spec.mu}"

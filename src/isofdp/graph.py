@@ -38,27 +38,40 @@ class GraphParseError(ValueError):
     """Malformed input file: edge list, GML or ``token<TAB>community`` labels."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph on dense indices 0..node_count-1.
 
-    ``edges`` holds each undirected pair once, as ``(u, v)`` with ``u < v``;
-    ``edge_array`` is the same set as sorted ``(m, 2)`` int64 rows, read by
-    the vectorized per-edge computations. Instances are safe to share across
-    workers; all derived views are read-only caches.
+    Besides ``node_count`` it holds two fields: ``edge_array``, each
+    undirected pair once as sorted, distinct, read-only ``(m, 2)`` int64 rows
+    ``(u, v)`` with ``u < v``, and ``tokens``, a tuple of one distinct string
+    per node. An int64 array given as ``edge_array`` is kept, not copied, and
+    made read-only. Instances are safe to share across workers; all derived
+    views are read-only caches.
     """
 
     node_count: int
-    edges: frozenset
-    id_map: dict
+    edge_array: np.ndarray
+    tokens: tuple
 
     def __post_init__(self):
         n = self.node_count
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"bad edge ({u}, {v}) for a graph on {n} nodes")
-        if sorted(self.id_map.values()) != list(range(n)):
-            raise ValueError("id_map must be a bijection onto 0..n-1")
+        edges = np.asarray(self.edge_array, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edge_array must have shape (m, 2), got {edges.shape}")
+        u, v = edges.T
+        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= n))
+        if bad.size:
+            raise ValueError(f"bad edge {tuple(edges[bad[0]].tolist())} for a graph on {n} nodes")
+        # sorted and distinct: each row strictly after the one before
+        if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+            raise ValueError("edge_array rows must be sorted and distinct")
+        tokens = tuple(map(str, self.tokens))
+        if len(tokens) != n or len(set(tokens)) != n:
+            raise ValueError("tokens must be one distinct string per node")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edge_array", edges)
+        object.__setattr__(self, "tokens", tokens)
 
     @classmethod
     def from_edges(cls, node_count, pairs, tokens=None):
@@ -67,37 +80,24 @@ class Graph:
         Self-loops are ignored and duplicate pairs collapse, so generator
         output can be passed through unfiltered.
         """
-        edges = set()
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            edges.add((u, v) if u < v else (v, u))
-        if tokens is None:
-            tokens = [str(i) for i in range(node_count)]
-        if len(tokens) != node_count:
-            raise ValueError("token list length must equal node_count")
-        id_map = {str(t): i for i, t in enumerate(tokens)}
-        return cls(node_count, frozenset(edges), id_map)
+        edges = np.array(list(pairs) or np.empty((0, 2)), dtype=np.int64)
+        edges = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)
+        return cls(node_count, np.unique(edges, axis=0), range(node_count) if tokens is None else tokens)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        same = (self.node_count, self.tokens) == (other.node_count, other.tokens)
+        return same and np.array_equal(self.edge_array, other.edge_array)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.edge_array.shape[0]
 
-    @cached_property
-    def tokens(self):
-        """Index -> original token."""
-        out = [""] * self.node_count
-        for tok, i in self.id_map.items():
-            out[i] = tok
-        return out
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edges as read-only sorted ``(m, 2)`` int64 rows ``(u, v)``, ``u < v``."""
-        arr = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
+    @property
+    def edges(self) -> frozenset:
+        """The edge set as ``(u, v)`` tuples, built anew on each call."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def degrees(self) -> np.ndarray:

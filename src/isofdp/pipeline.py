@@ -46,7 +46,6 @@ class DetectionResult:
 
     graph: Graph
     embedding: Embedding
-    d_c: float
     profile: DensityProfile
     sweep: SweepResult
     timings: dict
@@ -97,12 +96,11 @@ def detect_communities(
     timings["embedding"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    d_c = select_dc(embedding, dc_percentile)
-    profile = compute_profile(embedding, d_c)
+    profile = compute_profile(embedding, select_dc(embedding, dc_percentile))
     timings["density"] = time.perf_counter() - start
 
     start = time.perf_counter()
     sweep = select_k(g, embedding, profile, k_max)
     timings["sweep"] = time.perf_counter() - start
 
-    return DetectionResult(g, embedding, d_c, profile, sweep, timings)
+    return DetectionResult(g, embedding, profile, sweep, timings)

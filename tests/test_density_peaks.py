@@ -140,6 +140,11 @@ class TestLocalDensity:
         with pytest.raises(ValueError):
             compute_profile(LINE4, 0.0)
 
+    def test_rejects_nan_cutoff(self):
+        points = np.random.default_rng(17).normal(size=(200, 3))
+        with pytest.raises(ValueError, match="positive"):
+            compute_profile(points, float("nan"))
+
 
 class TestSeparation:
     # LINE4 at cutoff 1.5 has rho [2, 3, 2, 1]: node 1 is the density maximum
@@ -340,12 +345,9 @@ class TestMatchesReference:
             assert_matches_reference(points, 1.0)
 
     def test_squares_overflow(self):
-        # every pair's squared distance overflows: rho is 1 and delta inf
-        rng = np.random.default_rng(14)
-        points = rng.normal(size=(30, 3)) * 1e155
-        assert_matches_reference(points, 1e150)
         # a clump and two far outliers: the centered squares are beyond the
         # screen's range, the pair distances are not
+        rng = np.random.default_rng(14)
         points = np.zeros((40, 1))
         points[:38, 0] = rng.normal(size=38)
         points[38:, 0] = [1.2e154, 1.2e154 + 1e150]
@@ -368,6 +370,22 @@ class TestNonFiniteCoordinates:
         with pytest.raises(ValueError, match="finite"):
             compute_profile(points, 1.0)
         with pytest.raises(ValueError, match="finite"):
+            select_dc(points, 2.0)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0], [1e155], [1e155 * (1 + 1e-10)]],
+            np.random.default_rng(14).normal(size=(30, 3)) * 1e155,
+            [[-1e308], [1e308]],
+        ],
+    )
+    def test_overflowing_spread_rejected(self, points):
+        # squared distances beyond the float range would make gamma infinite
+        # and the ranking arbitrary
+        with pytest.raises(ValueError, match="overflow"):
+            compute_profile(points, 1e150)
+        with pytest.raises(ValueError, match="overflow"):
             select_dc(points, 2.0)
 
 

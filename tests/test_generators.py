@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,3 +107,18 @@ class TestLfrGenerator:
             LfrSpec(n=100, mu=0.5, min_community=30, max_community=20)
         with pytest.raises(ValueError):
             LfrSpec(n=100, mu=0.5, avg_degree=60, max_degree=50)
+
+
+class TestGraphFootprint:
+    def test_generated_graph_keeps_few_bytes_per_edge(self):
+        # a graph keeps arrays only: a 16-byte row per edge plus per-node
+        # tokens and caches, where a Python tuple per edge costs over 100 bytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            labeled = generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / labeled.graph.edge_count <= 64

@@ -46,7 +46,8 @@ class TestLoadEdgeList:
 
     def test_first_seen_order(self):
         g = load_edge_list("x y\nz x")
-        assert g.id_map == {"x": 0, "y": 1, "z": 2}
+        assert g.tokens == ("x", "y", "z")
+        assert g.edge_array.tolist() == [[0, 1], [0, 2]]
 
     def test_comments_and_blanks_skipped(self):
         g = load_edge_list("# header\n\n% other\n0 1\n")
@@ -72,7 +73,8 @@ class TestLoadGml:
             " edge [ source 0 target 1 ]\n]"
         )
         g = load_gml(text)
-        assert g.id_map == {"alpha": 0, "beta": 1}
+        assert g.tokens == ("alpha", "beta")
+        assert g.edge_array.tolist() == [[0, 1]]
 
     def test_missing_graph_block(self):
         with pytest.raises(GraphParseError, match="graph"):
@@ -155,8 +157,8 @@ class TestRoundTrips:
         g = load_edge_list("a b\nb c\nc a\nd a")
         again = load_gml(to_gml(g))
         assert again.node_count == g.node_count
-        assert again.edges == g.edges
-        assert again.id_map == g.id_map
+        assert again.edge_array.tobytes() == g.edge_array.tobytes()
+        assert again.tokens == g.tokens == ("a", "b", "c", "d")
 
     def test_edge_list_round_trip_token_faithful(self):
         rng = np.random.default_rng(3)
@@ -194,12 +196,64 @@ class TestRoundTrips:
 
 class TestValidation:
     def test_rejects_bad_edge_indices(self):
-        with pytest.raises(ValueError):
-            Graph(2, frozenset({(0, 5)}), {"a": 0, "b": 1})
+        # out of range, negative, reversed, self-loop
+        for row in ([0, 5], [-1, 1], [1, 0], [1, 1]):
+            with pytest.raises(ValueError, match="bad edge"):
+                Graph(2, np.array([row]), ("a", "b"))
 
-    def test_rejects_non_bijective_id_map(self):
+    def test_rejects_unsorted_or_repeated_rows(self):
+        for rows in ([[1, 2], [0, 1]], [[0, 1], [0, 1]], [[0, 2], [0, 1]]):
+            with pytest.raises(ValueError, match="sorted and distinct"):
+                Graph(3, np.array(rows), ("a", "b", "c"))
+
+    def test_rejects_non_bijective_tokens(self):
+        with pytest.raises(ValueError, match="one distinct"):
+            Graph(2, np.empty((0, 2), dtype=np.int64), ("a", "a"))
+        with pytest.raises(ValueError, match="one distinct"):
+            Graph(2, np.empty((0, 2), dtype=np.int64), ("a",))
+        with pytest.raises(ValueError, match="one distinct"):
+            Graph.from_edges(3, [(0, 1)], tokens=["a", "b"])
+
+    def test_rejects_pairs_that_are_not_pairs(self):
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            Graph.from_edges(3, [(0, 1, 2), (1, 2, 0)])
+
+    def test_direct_construction_keeps_the_array_read_only(self):
+        rows = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        g = Graph(3, rows, ["a", "b", "c"])
+        assert g.edge_array is rows
         with pytest.raises(ValueError):
-            Graph(2, frozenset(), {"a": 0, "b": 0})
+            rows[0, 0] = 2
+        assert g.tokens == ("a", "b", "c")
+        assert Graph(3, [[0, 1], [1, 2]], g.tokens) == g
+        assert g == Graph.from_edges(3, [(2, 1), (1, 0)], tokens=["a", "b", "c"])
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_reference(self, seed):
+        # duplicates, reversed pairs, self-loops and isolated nodes, against
+        # normalization by Python sets
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 30))
+        count = int(rng.integers(0, 3 * n))
+        touched = rng.integers(0, n - 3, size=(count, 2)).tolist()  # top 3 nodes isolated
+        pairs = touched + touched[: count // 3] + [[v, u] for u, v in touched[: count // 4]]
+        pairs += [[u, u] for u, _ in touched[: count // 5]]
+        rng.shuffle(pairs)
+        ref = np.array(sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}), dtype=np.int64)
+        g = Graph.from_edges(n, pairs)
+        assert g.edge_array.dtype == np.int64
+        assert g.edge_array.tobytes() == ref.tobytes()
+        assert g.edge_array.shape == (len(ref), 2)
+        assert g.edges == frozenset(map(tuple, ref.tolist()))
+        assert g.degrees[n - 3 :].tolist() == [0, 0, 0]
+        assert g.tokens == tuple(str(i) for i in range(n))
+
+    def test_accepts_sets_generators_and_arrays(self):
+        want = [[0, 1], [1, 2]]
+        for pairs in ({(1, 0), (1, 2)}, ((u, u + 1) for u in range(2)), np.array([[2, 1], [0, 1]])):
+            assert Graph.from_edges(3, pairs).edge_array.tolist() == want
 
 
 class TestRealNetworks:

@@ -214,7 +214,7 @@ class TestSelectK:
         g = Graph.from_edges(11, cliques.edges)
         res = detect_communities(g, measure=measure)
         largest = pdist(res.embedding.coordinates).max()
-        assert res.d_c >= 1e-9 * largest
+        assert res.profile.d_c >= 1e-9 * largest
 
     def test_k_max_validation(self):
         from isofdp import select_k
