@@ -18,7 +18,8 @@ from .graph import (
 )
 from .similarity import (
     MEASURES,
-    distance_matrix,
+    DistanceRows,
+    distance_rows,
     structure_similarity,
 )
 from .isomap import (

@@ -5,9 +5,9 @@ separation delta (distance to the nearest denser point), their product gamma
 whose descending order ranks the center candidates, and the assignment where
 each non-center point inherits the community of its nearest denser neighbor.
 
-rho and delta are taken over row blocks of ``_BLOCK_ROWS``, the block size of
-the k-NN scan, so no n x n array is built: a GEMM screen sorts the pairs, and
-every decision falls on the pair's exact ``cdist`` value.
+The cutoff d_c, rho and delta are taken over row blocks of ``_BLOCK_ROWS``,
+the block size of the k-NN scan, so no n x n array is built: a GEMM screen
+sorts the pairs, and every decision falls on the pair's exact ``cdist`` value.
 """
 
 from __future__ import annotations
@@ -71,19 +71,24 @@ def _finite_points(e) -> np.ndarray:
     return points
 
 
-def _nearest_rank_cutoffs(points: np.ndarray, percentiles) -> list:
-    """Nearest-rank percentiles of all pairwise distances, from one partition.
-
-    Distances at most ``1e-9`` times the largest one are rounding noise of
-    coincident points; a percentile that lands there takes the smallest
-    distance above that floor instead.
-    """
-    n = points.shape[0]
+def _check_cutoff_request(n: int, percentiles) -> None:
+    """The checks every percentile cutoff makes before it reads a distance."""
     if n < 2:
         raise ValueError("need at least 2 points to pick a cutoff")
     for percentile in percentiles:
         if not 0.0 < percentile <= 100.0:
             raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+
+
+def _nearest_rank_cutoffs(points: np.ndarray, percentiles) -> list:
+    """Nearest-rank percentiles of all pairwise distances, from one partition.
+
+    Distances at most ``1e-9`` times the largest one are rounding noise of
+    coincident points; a percentile that lands there takes the smallest
+    distance above that floor instead. The DBSCAN grid's cutoffs share this
+    one ``pdist``; :func:`select_dc` gives the same value without it.
+    """
+    _check_cutoff_request(points.shape[0], percentiles)
     dists = pdist(points)
     first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
     if first_real == dists.size:
@@ -94,18 +99,192 @@ def _nearest_rank_cutoffs(points: np.ndarray, percentiles) -> list:
     return [float(dists[kth]) for kth in kths]
 
 
+_EPS = np.finfo(float).epsneg
+
+# the strided grid of pairs that places select_dc's window takes every 8th
+# point as rows and as columns, and at most this many of each
+_SAMPLE = 512
+
+
 def select_dc(e, percentile: float = 2.0) -> float:
     """Cutoff distance at a nearest-rank percentile of all pairwise distances.
 
-    Distances at most ``1e-9`` times the largest one are rounding noise of
-    coincident points. When the percentile lands there, the cutoff is the
-    smallest distance above that floor instead.
+    Rodriguez & Laio (Science 2014) choose ``d_c`` so that a point has a small
+    percentage of the others as neighbours on average; here it is the
+    nearest-rank percentile of the n(n-1)/2 pair distances. Distances at most
+    ``1e-9`` times the largest one are rounding noise of coincident points.
+    When the percentile lands there, the cutoff is the smallest distance
+    above that floor instead.
+
+    No list of all distances is built. A strided sample of pairs places a
+    window of squared distances around the wanted rank. One pass over the
+    upper triangle in ``_BLOCK_ROWS``-row blocks, screened by the GEMM of
+    :func:`compute_profile`, counts the pairs surely below the window and
+    keeps the screen values inside it. Their partition gives the rank's
+    screen value H, and only the pairs within the screen's error bound of H
+    are computed by ``cdist``, which decides: the result is the value a full
+    sort of ``pdist`` would give. If the window missed the rank, the pass
+    runs again with a wider one. The floor is settled from bounds on the
+    largest distance, and from that distance itself only when a pair falls
+    between the bounds' floors.
 
     Raises:
         ValueError: a coordinate is NaN or infinite, squared distances
             overflow, or all points coincide, so no distance is above the floor.
     """
-    return _nearest_rank_cutoffs(_finite_points(e), [percentile])[0]
+    points = _finite_points(e)
+    n, dim = points.shape
+    _check_cutoff_request(n, [percentile])
+    size = n * (n - 1) // 2
+    rank = math.ceil(percentile / 100.0 * size) - 1
+    # the largest distance is at most the bounding box's diagonal, padded for
+    # its rounding, and at least the farthest pair of a double sweep
+    extent = points.max(axis=0) - points.min(axis=0)
+    high = float(np.sqrt(np.square(extent).sum())) * (1.0 + 8.0 * (dim + 2) * _EPS)
+    if high == 0.0:
+        raise ValueError("all points coincide; cannot pick a cutoff")
+    far = int(cdist(points[:1], points).argmax())
+    low = float(cdist(points[far : far + 1], points).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = points - points.mean(axis=0)
+        sq = np.einsum("ij,ij->i", c, c)
+        # a pair's screen value g is within tol / 2 of its squared cdist
+        # value, and so is each cut below, up to the diameter's square
+        tol = 2.0 * float(_screen_slack(sq, dim, high).max())
+        lhs = np.hstack((-2.0 * c, np.ones((n, 1))))
+        rhs = np.hstack((c, sq[:, None]))
+        buf = np.empty(min(_BLOCK_ROWS, n) * n)
+        sample, spread = _pair_sample(points)
+        floor_cut = (1e-9 * high) ** 2 + tol
+        lo_cut, hi_cut = _window(sample, rank, size, spread, tol)
+        while True:
+            below, kept, keys, near = _window_pass(
+                points, lhs, rhs, sq, lo_cut, hi_cut, floor_cut, buf
+            )
+            first_real = np.count_nonzero(near <= 1e-9 * low)
+            if first_real < np.count_nonzero(near <= 1e-9 * high) > rank:
+                diameter = _diameter(points, lhs, rhs, sq, tol, low, buf)
+                first_real = np.count_nonzero(near <= 1e-9 * diameter)
+            r = max(rank, first_real)
+            at = r - below
+            if 0 <= at < kept.size:
+                h = np.partition(kept, at)[at]
+                low_miss = h - 2.0 * tol < lo_cut
+                if not (low_miss or h + 2.0 * tol > hi_cut):
+                    break
+            else:
+                low_miss = at < 0
+            # the r-th distance is outside the window, on the side that missed:
+            # close the window just past that edge and move the far edge out
+            spread *= 4.0
+            wide_lo, wide_hi = _window(sample, r, size, spread, tol)
+            if low_miss:
+                lo_cut, hi_cut = (wide_lo if wide_lo < lo_cut else -np.inf), lo_cut + 6.0 * tol
+            else:
+                lo_cut, hi_cut = hi_cut - 6.0 * tol, (wide_hi if wide_hi > hi_cut else np.inf)
+        # the r-th squared distance is within tol / 2 of h: pairs farther from
+        # h than 2 tol are settled by the screen, the rest by cdist
+        ahead = below + np.count_nonzero(kept < h - 2.0 * tol)
+        band = ~(kept < h - 2.0 * tol) & ~(kept > h + 2.0 * tol)
+    exact = _pair_distances(points, keys[band])
+    return float(np.partition(exact, r - ahead)[r - ahead])
+
+
+def _pair_sample(points: np.ndarray):
+    """Squared distances of a strided grid of pairs, and the window's relative half-width.
+
+    Rows take every ``step``-th point from 0 and columns from ``step // 2``,
+    so no point is paired with itself. The fraction of a row's pairs under a
+    cut varies from row to row by about its own mean, so the sample's
+    fraction is off by about that over the root of the row count; the
+    half-width is six times that.
+    """
+    n = points.shape[0]
+    step = max(8, -(-n // _SAMPLE))
+    rows = points[::step]
+    d = cdist(rows, points[step // 2 :: step], "sqeuclidean")
+    return d.ravel(), 6.0 / math.sqrt(rows.shape[0])
+
+
+def _window(sample, r, size, spread, tol):
+    """Cuts on the screen value that should hold the r-th of ``size`` squared distances.
+
+    The sample's own rank for r, give or take ``spread`` times itself and
+    two more; a side that runs off the sample is open. Each cut lies ``3
+    tol`` outside its sample value, so even a window of tied values holds
+    the band of ``2 tol`` around H that the end needs.
+    """
+    k = (r + 0.5) / size * sample.size
+    lo, hi = math.floor(k * (1.0 - spread) - 2.0), math.ceil(k * (1.0 + spread) + 2.0)
+    inside = [i for i in (lo, hi) if 0 <= i < sample.size]
+    values = dict(zip(inside, np.partition(sample, inside)[inside])) if inside else {}
+    lo_cut = values[lo] - 3.0 * tol if lo in values else -np.inf
+    hi_cut = values[hi] + 3.0 * tol if hi in values else np.inf
+    return lo_cut, hi_cut
+
+
+def _window_pass(points, lhs, rhs, sq, lo_cut, hi_cut, floor_cut, buf):
+    """One screened pass over the pairs i < j, sorted by their screen value g.
+
+    Returns the number of pairs with ``g < lo_cut``; the g and the key ``i * n
+    + j`` of each pair inside the window (NaN counts as inside); and the
+    ``cdist`` value of every pair with ``g <= floor_cut``, which holds every
+    pair at or under the floor.
+    """
+    n = points.shape[0]
+    # g <= cut where the block's value, g less |c_i|^2, is under cut - |c_i|^2
+    select = max(hi_cut, floor_cut) - sq
+    below = 0
+    kept, keys, near = [], [], []
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        h = _screen(lhs[lo:hi], rhs[lo:], buf)
+        bi, bj = np.divmod(np.flatnonzero(~(h > select[lo:hi, None])), n - lo)
+        upper = bj > bi
+        bi, bj = bi[upper], bj[upper]
+        g = h[bi, bj] + sq[bi + lo]
+        under = g < lo_cut
+        below += np.count_nonzero(under)
+        inside = ~under & ~(g > hi_cut)
+        kept.append(g[inside])
+        keys.append((bi[inside] + lo) * n + bj[inside] + lo)
+        small = ~(g > floor_cut)
+        if small.any():
+            near.append(_exact_distances(points[lo:hi], points[lo:], bi[small], bj[small]))
+    return below, np.concatenate(kept), np.concatenate(keys), np.concatenate(near or [[]])
+
+
+def _diameter(points, lhs, rhs, sq, tol, low, buf) -> float:
+    """The largest ``cdist`` value over all pairs, given ``low`` at most that.
+
+    Only the pairs whose screen value is not surely under ``low^2`` are
+    computed.
+    """
+    n = points.shape[0]
+    check = (low * low - tol) - sq
+    top = low
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        h = _screen(lhs[lo:hi], rhs[lo:], buf)
+        bi, bj = np.divmod(np.flatnonzero(~(h < check[lo:hi, None])), n - lo)
+        upper = bj > bi
+        if upper.any():
+            d = _exact_distances(points[lo:hi], points[lo:], bi[upper], bj[upper])
+            top = max(top, float(d.max()))
+    return top
+
+
+def _pair_distances(points, keys) -> np.ndarray:
+    """``cdist`` values of the pairs keyed ``i * n + j``, a block of rows at a time."""
+    n = points.shape[0]
+    i, j = np.divmod(keys, n)
+    block = i // _BLOCK_ROWS
+    out = np.empty(keys.size)
+    for b in np.unique(block):
+        at = np.flatnonzero(block == b)
+        lo = int(b) * _BLOCK_ROWS
+        out[at] = _exact_distances(points[lo : lo + _BLOCK_ROWS], points, i[at] - lo, j[at])
+    return out
 
 
 def _exact_distances(rows, cols, bi, bj) -> np.ndarray:

@@ -82,7 +82,11 @@ class Graph:
         """
         edges = np.array(list(pairs) or np.empty((0, 2)), dtype=np.int64)
         edges = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)
-        return cls(node_count, np.unique(edges, axis=0), range(node_count) if tokens is None else tokens)
+        # sorted rows, then the first of each run of equal ones
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        first = np.ones(len(edges), dtype=bool)
+        first[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+        return cls(node_count, edges[first], range(node_count) if tokens is None else tokens)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

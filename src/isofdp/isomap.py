@@ -65,17 +65,27 @@ class Embedding:
         return self.dim < self.requested_dim
 
 
-def _no_distance_as_inf(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``rows`` copied into ``out``, with NaN and -inf set to inf: no distance."""
-    np.copyto(out, rows)
-    if not out.min() > -np.inf:  # a NaN minimum fails this too
-        out[~np.isfinite(out)] = np.inf
-    return out
+class _DenseRows:
+    """Row blocks of a dense distance array, NaN and -inf read as inf: no distance."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.node_count = values.shape[0]
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty((hi - lo, self.node_count)) if out is None else out
+        np.copyto(out, self.values[lo:hi])
+        if not out.min() > -np.inf:  # a NaN minimum fails this too
+            out[~np.isfinite(out)] = np.inf
+        return out
 
 
 def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     """Symmetric k-NN graph over finite distances, joined into one component.
 
+    ``d`` is an n x n array or a source of its row blocks, such as
+    :func:`isofdp.similarity.distance_rows` returns; it is read
+    ``_BLOCK_ROWS`` rows at a time, so no n x n copy or mask is made.
     Edge (i, j) is kept when j is among the ``neighborhood_size`` closest
     finite-distance partners of i, or vice versa; distance ties are broken
     toward the smaller node index, and the weight is read in the row of the
@@ -90,25 +100,28 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     groups maximally separated in the embedding while letting the projection
     proceed.
     """
-    values = np.asarray(d, dtype=float)
-    n = values.shape[0]
+    source = d if hasattr(d, "rows") else _DenseRows(np.asarray(d, dtype=float))
+    n = source.node_count
     k = int(neighborhood_size)
     if not 1 <= k <= n - 1:
         raise ValueError(f"neighborhood size must be in 1..{n - 1}, got {k}")
 
     # block buffers, reused by every block of the top-k scan and the repair
-    b = np.empty((min(_BLOCK_ROWS, n), n))
-    part = np.empty_like(b)
-    mask = np.empty(b.shape, dtype=bool)
+    height = min(_BLOCK_ROWS, n)
+    buf, part = np.empty((height, n)), np.empty((height, n))
+    flags = np.empty((height, n), dtype=bool)
+
+    def block(lo, hi):
+        return source.rows(lo, hi, out=buf[: hi - lo]), flags[: hi - lo]
+
     keys, weights = [], []
     for lo in range(0, n, _BLOCK_ROWS):
-        rows = values[lo : lo + _BLOCK_ROWS]
-        bb, take = _no_distance_as_inf(rows, b[: len(rows)]), mask[: len(rows)]
+        bb, take = block(lo, min(lo + _BLOCK_ROWS, n))
         np.fill_diagonal(bb[:, lo:], np.inf)
         # every partner at or below the k-th smallest distance; a row with
         # more than k of them (ties at the k-th, or an infinite k-th) keeps
         # those below it, then those at a finite k-th in index order
-        pp = part[: len(rows)]
+        pp = part[: len(bb)]
         np.copyto(pp, bb)
         pp.partition(k - 1, axis=1)
         kth = pp[:, k - 1 : k]
@@ -121,7 +134,7 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
             take[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
         bi, bj = np.divmod(np.flatnonzero(take), n)  # row-major, as np.nonzero
         keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
-        weights.append(rows[bi, bj])
+        weights.append(bb[bi, bj])  # finite, so as the distances hold them
     # the first occurrence of a pair comes from the lower row that selected it
     keys, first = np.unique(np.concatenate(keys), return_index=True)
     if not keys.size:
@@ -134,21 +147,21 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     if components > 1:
         # Boruvka rounds from the k-NN components: each takes its lightest
         # finite pair to another, by (w, u, v) over u < v, and those join
-        lower = np.tri(len(b), dtype=bool)  # v <= u inside a block's own columns
+        lower = np.tri(height, dtype=bool)  # v <= u inside a block's own columns
         nodes = np.arange(n)
         while components > 1:
             # per row u its best (w, v > u); per column v its best (w, u < v)
             row_w, row_v = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
             col_w, col_u = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
             for lo in range(0, n, _BLOCK_ROWS):
-                sub = values[lo : lo + _BLOCK_ROWS, lo:]
-                h, width = sub.shape
-                bb = _no_distance_as_inf(sub, b[:h, :width])
-                same = np.equal(comp[lo : lo + h, None], comp[lo:], out=mask[:h, :width])
+                hi = min(lo + _BLOCK_ROWS, n)
+                bb, same = (a[:, lo:] for a in block(lo, hi))
+                h = hi - lo
+                np.equal(comp[lo:hi, None], comp[lo:], out=same)
                 np.copyto(bb, np.inf, where=same)
                 np.copyto(bb[:, :h], np.inf, where=lower[:h, :h])
                 j = bb.argmin(axis=1)  # first minimum: the smaller v
-                row_w[lo : lo + h], row_v[lo : lo + h] = bb[nodes[:h], j], j + lo
+                row_w[lo:hi], row_v[lo:hi] = bb[nodes[:h], j], j + lo
                 # a column's best so far holds unless this block beats it; the
                 # first minimum in the block is the smaller u
                 w = bb.min(axis=0)
@@ -162,17 +175,23 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
             best = best[cand_w[best] < np.inf]  # a component with no way out
             if not best.size:
                 break
-            joins = np.unique(cand_u[best] * n + cand_v[best])  # two may pick one pair
+            # two components may pick one pair
+            joins, pick = np.unique(cand_u[best] * n + cand_v[best], return_index=True)
+            keys, weights = np.r_[keys, joins], np.r_[weights, cand_w[best[pick]]]
             ju, jv = np.divmod(joins, n)
-            keys, weights = np.r_[keys, joins], np.r_[weights, values[ju, jv]]
             merged = csr_matrix((np.ones(joins.size), (comp[ju], comp[jv])), shape=(components,) * 2)
             components, group = connected_components(merged, directed=False)
             comp = group[comp]
         if components > 1:
             # each group's smallest node r, the key of (0, r); node 0's sorts first
             reps = np.sort(np.unique(comp, return_index=True)[1])[1:]
-            # the zero diagonal cannot raise the maximum over positive distances
-            bridge = 2.0 * float(values[np.isfinite(values)].max())
+            # the largest finite distance, from one more pass; the zero
+            # diagonal cannot raise the maximum over positive distances
+            top = -np.inf
+            for lo in range(0, n, _BLOCK_ROWS):
+                bb, _ = block(lo, min(lo + _BLOCK_ROWS, n))
+                top = max(top, bb.max(where=bb < np.inf, initial=-np.inf))
+            bridge = 2.0 * float(top)
             keys, weights = np.r_[keys, reps], np.r_[weights, np.full(reps.size, bridge)]
         order = np.argsort(keys)
         keys, weights = keys[order], weights[order]

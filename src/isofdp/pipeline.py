@@ -6,13 +6,11 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .density_peaks import DensityProfile, compute_profile, select_dc
 from .graph import Graph
 from .isomap import Embedding, build_neighbor_graph, classical_mds, geodesic_distances
 from .partition import Partition, SweepResult, select_k
-from .similarity import distance_matrix
+from .similarity import DistanceRows, distance_rows
 
 __all__ = [
     "DetectionResult",
@@ -22,8 +20,8 @@ __all__ = [
 ]
 
 
-def prepared_distances(g: Graph, measure: str = "structure") -> np.ndarray:
-    """Similarity-derived distance matrix; inf where two nodes share nothing.
+def prepared_distances(g: Graph, measure: str = "structure") -> DistanceRows:
+    """Similarity-derived distances as a source of row blocks; inf where two nodes share nothing.
 
     Rejects graphs under 4 nodes, where centering and the density statistics
     are degenerate, and edgeless ones, where no measure tells nodes apart.
@@ -32,7 +30,7 @@ def prepared_distances(g: Graph, measure: str = "structure") -> np.ndarray:
         raise ValueError("graph too small: need at least 4 nodes")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
-    return distance_matrix(g, measure)
+    return distance_rows(g, measure)
 
 
 def default_k_max(n: int) -> int:
@@ -89,8 +87,8 @@ def detect_communities(
 
     start = time.perf_counter()
     ng = build_neighbor_graph(dmat, min(knn, n - 1))
-    # the k-NN graph holds all that is used of the distances; freeing them
-    # before the geodesics keeps one n x n array fewer alive at the peak
+    # the k-NN graph holds all that is used of the distances; freeing the
+    # count before the geodesics lowers the peak
     del dmat
     embedding = classical_mds(geodesic_distances(ng), dim)
     timings["embedding"] = time.perf_counter() - start

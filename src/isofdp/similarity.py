@@ -9,6 +9,7 @@ are written as similarities so the distance transform is uniform.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import identity
@@ -18,7 +19,8 @@ from .graph import Graph
 __all__ = [
     "MEASURES",
     "structure_similarity",
-    "distance_matrix",
+    "DistanceRows",
+    "distance_rows",
 ]
 
 MEASURES = ("structure", "euclidean", "jaccard", "cosine", "hamming")
@@ -38,18 +40,77 @@ def structure_similarity(g: Graph, v: int, w: int) -> float:
     return len(nv & nw) / math.sqrt(len(nv) * len(nw))
 
 
-def distance_matrix(g: Graph, measure: str = "structure") -> np.ndarray:
-    """Dense symmetric n x n distances ``d = 1/s``: zero similarity -> inf, zero diagonal.
+@dataclass(frozen=True)
+class DistanceRows:
+    """The n x n distances ``d = 1/s`` of one measure, written a block of rows at a time.
 
-    Each similarity ``s`` is a closed form of the degrees and the exact
-    shared-neighbor counts ``c = a @ a`` of the sparse adjacency (``a + I``,
-    closed neighborhoods, for ``structure``); 0/1 rows u, v differ in
-    ``deg[u] + deg[v] - 2 c`` coordinates. Structure, cosine and jaccard are
-    zero off the count's entries, so ``1/s`` is written only there; two
-    isolated nodes have jaccard similarity 1. Distance-like measures
-    (euclidean, hamming: the fraction that differs) map to similarities via
-    ``s = 1 / (1 + x)``, finite for every pair, and are computed in place in
-    the one dense array.
+    Built by :func:`distance_rows`. ``offsets`` holds ``u * n + v`` and
+    ``values`` one number per entry of the shared-neighbor count, in the
+    count's CSR order, with ``row_ptr`` its row pointer: ``1/s`` for
+    structure, cosine and jaccard, ``2 c`` for euclidean and hamming.
+    ``degrees`` are the float node degrees and ``isolated`` the nodes
+    without one.
+    """
+
+    node_count: int
+    measure: str
+    row_ptr: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
+    degrees: np.ndarray
+    isolated: np.ndarray
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``lo..hi-1``: the bytes the dense n x n array holds there.
+
+        ``out``, if given, is a C-contiguous ``(hi - lo, n)`` float array to
+        write into.
+        """
+        n = self.node_count
+        d = np.empty((hi - lo, n)) if out is None else out
+        if not d.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        flat = d.reshape(-1)  # a view, as d is contiguous
+        entries = slice(self.row_ptr[lo], self.row_ptr[hi])
+        at = self.offsets[entries] - lo * n
+        if self.measure in ("euclidean", "hamming"):
+            np.add(self.degrees[lo:hi, None], self.degrees, out=d)
+            flat[at] -= self.values[entries]
+            if self.measure == "euclidean":
+                np.sqrt(d, out=d)
+            else:
+                d /= n
+            d += 1.0
+            # s = 1 / (1 + x), then d = 1 / s: 1 + x itself can differ in the last bit
+            np.divide(1.0, d, out=d)
+            np.divide(1.0, d, out=d)
+        else:
+            d.fill(np.inf)
+            flat[at] = self.values[entries]
+            if self.measure == "jaccard" and self.isolated.size:
+                lone = self.isolated
+                d[np.ix_(lone[(lone >= lo) & (lone < hi)] - lo, lone)] = 1.0
+        diag = np.arange(lo, hi)
+        d[diag - lo, diag] = 0.0
+        return d
+
+
+def distance_rows(g: Graph, measure: str = "structure") -> DistanceRows:
+    """Distances ``d = 1/s`` between all nodes, as a source of row blocks.
+
+    Zero similarity gives inf, and the diagonal is zero. Each similarity
+    ``s`` is a closed form of the degrees and the exact shared-neighbor
+    counts ``c = a @ a`` of the sparse adjacency (``a + I``, closed
+    neighborhoods, for ``structure``); 0/1 rows u, v differ in ``deg[u] +
+    deg[v] - 2 c`` coordinates. Structure, cosine and jaccard are zero off the
+    count's entries, so ``1/s`` is computed once per entry and written only
+    there; two isolated nodes have jaccard similarity 1. Distance-like
+    measures (euclidean, hamming: the fraction that differs) map to
+    similarities via ``s = 1 / (1 + x)``, finite for every pair, and are
+    computed from the degrees and the count in each block of rows.
+
+    Only the count and the degrees are held, so memory is linear in the
+    count's entries; no n x n array is built.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; supported: {MEASURES}")
@@ -58,33 +119,35 @@ def distance_matrix(g: Graph, measure: str = "structure") -> np.ndarray:
     deg = g.degrees
     if measure == "structure":
         a = a + identity(n, dtype=a.dtype, format="csr")
-    c = (a @ a).tocoo()
-    row, col, common = c.row, c.col, c.data
+    # the product's column order within a row is left as it comes: the
+    # blocks scatter through flat offsets, which need no order
+    c = a @ a
+    per_row = np.diff(c.indptr)
+    col, common = c.indices, c.data
     if measure in ("euclidean", "hamming"):
-        degf = deg.astype(float)
-        d = degf[:, None] + degf[None, :]
-        d[row, col] -= 2 * common
-        if measure == "euclidean":
-            np.sqrt(d, out=d)
-        else:
-            d /= n
-        d += 1.0
-        # s = 1 / (1 + x), then d = 1 / s: 1 + x itself can differ in the last bit
-        np.divide(1.0, d, out=d)
-        np.divide(1.0, d, out=d)
+        values = 2.0 * common
     else:
         if measure == "structure":
-            s = common / np.sqrt((deg[row] + 1) * (deg[col] + 1))
+            # in floats: the size products are integers under 2**53, so exact
+            sizes = deg + 1.0
+            s = np.repeat(sizes, per_row)
+            s *= sizes.take(col)
+            np.divide(common, np.sqrt(s, out=s), out=s)
         elif measure == "cosine":
             norms = np.sqrt(deg)
-            s = common / (norms[row] * norms[col])
+            s = np.repeat(norms, per_row)
+            s *= norms.take(col)
+            np.divide(common, s, out=s)
         else:  # jaccard: coordinates set in either row
-            differ = deg[row] + deg[col] - 2 * common
-            s = 1.0 - differ / (differ + common)
-        d = np.full((n, n), np.inf)
-        d[row, col] = 1.0 / s
-        if measure == "jaccard":
-            isolated = np.flatnonzero(deg == 0)
-            d[np.ix_(isolated, isolated)] = 1.0
-    np.fill_diagonal(d, 0.0)
-    return d
+            differ = np.repeat(deg, per_row)
+            differ += deg.take(col)
+            differ -= 2 * common
+            s = differ / (differ + common)
+            np.subtract(1.0, s, out=s)
+        values = np.divide(1.0, s, out=s)
+    # after the values, so that their temporaries are gone
+    offsets = np.repeat(np.arange(n, dtype=np.int64) * n, per_row)
+    offsets += col
+    return DistanceRows(
+        n, measure, c.indptr, offsets, values, deg.astype(float), np.flatnonzero(deg == 0)
+    )

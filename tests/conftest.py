@@ -1,12 +1,14 @@
 """Shared fixtures and independent reference implementations (oracles)."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from isofdp import DbscanSpec, Graph, Partition
+from isofdp import DbscanSpec, Graph, GnSpec, Partition, generate_gn
 from isofdp.density_peaks import DensityProfile, _as_points, assign, select_dc
 from isofdp.metrics import accuracy, nmi
 from isofdp.partition import SweepRecord, SweepResult, normalize_labels, partition_density
@@ -19,6 +21,66 @@ def floyd_warshall(weights: np.ndarray) -> np.ndarray:
     for k in range(d.shape[0]):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
+
+
+def dense_adjacency(g) -> np.ndarray:
+    a = np.zeros((g.node_count, g.node_count))
+    u, v = g.edge_array.T
+    a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def dense_similarity(g, measure: str) -> np.ndarray:
+    """Reference: the dense kernels, one per measure, on 0/1 adjacency rows."""
+    a = dense_adjacency(g)
+    n = g.node_count
+    if measure == "structure":
+        closed = a + np.eye(n)
+        sizes = g.degrees + 1
+        values = (closed @ closed.T) / np.sqrt(np.outer(sizes, sizes))
+    elif measure == "euclidean":
+        values = 1.0 / (1.0 + squareform(pdist(a, "euclidean")))
+    elif measure == "hamming":
+        values = 1.0 / (1.0 + squareform(pdist(a, "hamming")))
+    elif measure == "jaccard":
+        values = 1.0 - squareform(pdist(a.astype(bool), "jaccard"))
+        np.fill_diagonal(values, 1.0)
+    else:  # cosine
+        norms = np.sqrt((a * a).sum(axis=1))
+        denom = np.outer(norms, norms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.where(denom > 0, (a @ a.T) / np.where(denom > 0, denom, 1.0), 0.0)
+        np.fill_diagonal(values, 1.0)
+    return (values + values.T) / 2.0
+
+
+def reference_distances(g, measure: str) -> np.ndarray:
+    """The masked reciprocal of the dense oracle: inf where s == 0, zero diagonal.
+
+    Reference for the blocks of ``isofdp.similarity.distance_rows``.
+    """
+    sim = dense_similarity(g, measure)
+    d = np.full(sim.shape, np.inf)
+    np.divide(1.0, sim, out=d, where=sim > 0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def full_rows(source) -> np.ndarray:
+    """Every row of a distance source at once: the dense n x n array."""
+    return source.rows(0, source.node_count)
+
+
+REFERENCE_GRAPHS = {
+    "gn": generate_gn(GnSpec(z_out=5, seed=3)).graph,
+    "star": Graph.from_edges(8, [(0, i) for i in range(1, 8)]),
+    "path": Graph.from_edges(8, [(i, i + 1) for i in range(7)]),
+    "k33": Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "two_k5_isolated": Graph.from_edges(
+        11, [(i, j) for c in (0, 5) for i in range(c, c + 5) for j in range(i + 1, c + 5)]
+    ),
+    "edgeless": Graph.from_edges(5, []),
+}
 
 
 def edge_set(ng) -> set:
@@ -124,6 +186,30 @@ def reference_compute_profile(e, d_c: float) -> DensityProfile:
     gamma = rho * delta
     ranking = np.lexsort((np.arange(n), -gamma))
     return DensityProfile(rho, delta, gamma, nearest, ranking, float(d_c))
+
+
+def reference_select_dc(e, percentile: float = 2.0) -> float:
+    """The cutoff from a partition of every ``pdist`` value.
+
+    The nearest-rank percentile of all pair distances; distances at most
+    ``1e-9`` times the largest are rounding noise, and a rank that lands
+    there moves up to the first distance above them. Reference for
+    ``isofdp.select_dc``, with its errors.
+    """
+    points = _as_points(e)
+    if not np.isfinite(points).all():
+        raise ValueError("coordinates must be finite")
+    if points.shape[0] < 2:
+        raise ValueError("need at least 2 points to pick a cutoff")
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    dists = pdist(points)
+    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
+    if first_real == dists.size:
+        raise ValueError("all points coincide; cannot pick a cutoff")
+    kth = max(math.ceil(percentile / 100.0 * dists.size) - 1, first_real)
+    dists.partition(kth)
+    return float(dists[kth])
 
 
 def reference_select_k(g, profile, k_max):

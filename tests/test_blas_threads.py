@@ -3,8 +3,9 @@
 Two fresh interpreters, one per thread count, since OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when numpy is imported. Their embeddings may
 differ in the last bits (a threaded matrix-vector product sums in another
-order); the partition and k* must not. Nor may the density profile: its
-GEMM screen may round differently, but every decision is taken on ``cdist``.
+order); the partition and k* must not. Nor may the density profile or the cutoff
+``select_dc`` picks: their GEMM screens may round differently, but every
+decision is taken on ``cdist``.
 """
 
 import json
@@ -28,10 +29,12 @@ res = detect_communities(labeled.graph, knn=10, dim=16, k_max=64)
 points = np.random.default_rng(0).normal(size=(700, 16))
 prof = compute_profile(points, select_dc(points, 2.0))
 fields = (prof.rho, prof.delta, prof.gamma, prof.nearest_higher, prof.ranking)
+cutoffs = np.array([select_dc(points, pct) for pct in (0.1, 2.0, 10.0, 50.0)])
 print(json.dumps({
     "k_star": res.k_star,
     "labels": res.partition.labels.tolist(),
     "profile": hashlib.sha256(b"".join(f.tobytes() for f in fields)).hexdigest(),
+    "d_c": hashlib.sha256(cutoffs.tobytes()).hexdigest(),
 }))
 """
 
@@ -57,3 +60,4 @@ def test_labels_invariant_to_blas_thread_count():
     assert one["k_star"] == two["k_star"]
     assert one["labels"] == two["labels"]
     assert one["profile"] == two["profile"]
+    assert one["d_c"] == two["d_c"]

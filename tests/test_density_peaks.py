@@ -5,10 +5,26 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from isofdp import assign, compute_profile, density_peaks, select_dc
+from isofdp import (
+    LfrSpec,
+    assign,
+    build_neighbor_graph,
+    classical_mds,
+    compute_profile,
+    density_peaks,
+    generate_lfr,
+    geodesic_distances,
+    select_dc,
+)
 from isofdp.metrics import nmi
+from isofdp.pipeline import prepared_distances
 
-from conftest import reference_compute_profile, tie_heavy_grids, two_blobs
+from conftest import (
+    reference_compute_profile,
+    reference_select_dc,
+    tie_heavy_grids,
+    two_blobs,
+)
 
 LINE4 = np.array([0.0, 1.0, 2.0, 10.0])  # pairwise distances 1,1,2,8,9,10
 
@@ -65,6 +81,34 @@ def assign_loop(rho, gamma, nearest, centers):
     return labels
 
 
+PERCENTILES = (0.1, 1.0, 2.0, 10.0, 37.5, 50.0, 100.0)
+
+
+def assert_dc_matches_reference(points, pct):
+    """``select_dc`` equals the full ``pdist`` partition, error messages included."""
+    try:
+        want = reference_select_dc(points, pct)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            select_dc(points, pct)
+        assert str(got.value) == str(err)
+        return None
+    got = select_dc(points, pct)
+    assert type(got) is float
+    assert got.hex() == want.hex()
+    return got
+
+
+def count_calls(monkeypatch, name):
+    """Record each call of ``density_peaks.<name>``, which still runs."""
+    calls = []
+    real = getattr(density_peaks, name)
+    monkeypatch.setattr(
+        density_peaks, name, lambda *args: calls.append(args) or real(*args)
+    )
+    return calls
+
+
 class TestSelectDc:
     def test_full_percentile_is_max(self):
         points = np.array([0.0, 1.0, 3.0])  # distances {1, 2, 3}
@@ -95,12 +139,13 @@ class TestSelectDc:
         assert select_dc(points, 10.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_the_full_sort(self):
+        floors = 0
         for points in tie_heavy_grids():
-            dists = np.sort(pdist(points))
-            floor = np.searchsorted(dists, 1e-9 * dists[-1], side="right")
-            for pct in (0.1, 1.0, 2.0, 10.0, 37.5, 50.0, 100.0):
-                rank = math.ceil(pct / 100.0 * dists.size)
-                assert select_dc(points, pct) == dists[max(rank - 1, floor)]
+            for pct in PERCENTILES:
+                assert_dc_matches_reference(points, pct)
+            dists = pdist(points)
+            floors += np.count_nonzero(dists <= 1e-9 * dists.max()) > 0
+        assert floors > 0
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="coincide"):
@@ -109,6 +154,115 @@ class TestSelectDc:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             select_dc(np.array([1.0]), 50.0)
+
+
+class TestScreenedCutoff:
+    """Byte identity with the ``pdist`` partition where the screened pass is weakest."""
+
+    def test_loop_reference_grids(self):
+        for points, _ in loop_reference_grids():
+            for pct in PERCENTILES:
+                assert_dc_matches_reference(points, pct)
+
+    @pytest.mark.parametrize("shift, scale", [(1e8, 1.0), (0.0, 1e-150), (0.0, 1e150), (-3e5, 1e3)])
+    def test_shifted_and_scaled(self, shift, scale):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(300, 16)) * scale + shift
+        for pct in (0.5, 2.0, 20.0):
+            assert_dc_matches_reference(points, pct)
+
+    def test_coincident_points(self):
+        # a clustered set with a fifth of its points repeated, so the rank
+        # lands among zeros at small percentiles
+        rng = np.random.default_rng(18)
+        centers = rng.normal(size=(8, 5)) * 3.0
+        points = centers[rng.integers(0, 8, 400)] + rng.normal(size=(400, 5))
+        points[::5] = points[1::5]
+        assert np.count_nonzero(pdist(points) == 0) == 80
+        for pct in (0.01, 0.05, 0.1, 2.0, 50.0):
+            assert_dc_matches_reference(points, pct)
+
+    def test_all_coincident_but_one(self):
+        points = np.zeros((70, 3))
+        points[41] = [1.0, -2.0, 0.5]
+        for pct in PERCENTILES:
+            assert_dc_matches_reference(points, pct)
+
+    def test_embedding_with_coincident_points(self):
+        # an LFR embedding as the pipeline makes it: nodes with the same
+        # geodesic rows land on the same coordinates
+        g = generate_lfr(LfrSpec(n=1000, mu=0.1, seed=0)).graph
+        ng = build_neighbor_graph(prepared_distances(g), 10)
+        points = classical_mds(geodesic_distances(ng), 16).coordinates
+        assert np.count_nonzero(pdist(points) == 0) > 0
+        for pct in (0.001, 2.0, 10.0):
+            assert_dc_matches_reference(points, pct)
+
+    def test_ragged_blocks(self, monkeypatch):
+        monkeypatch.setattr(density_peaks, "_BLOCK_ROWS", 7)
+        for points in tie_heavy_grids():
+            for pct in PERCENTILES:
+                assert_dc_matches_reference(points, pct)
+        rng = np.random.default_rng(19)
+        for n in (2, 6, 7, 8, 15, 50, 300):
+            assert_dc_matches_reference(rng.normal(size=(n, 3)), 2.0)
+
+    @pytest.mark.parametrize("miss", ["above", "below", "edge"])
+    def test_window_miss_runs_another_pass(self, miss, monkeypatch):
+        rng = np.random.default_rng(20)
+        points = rng.normal(size=(500, 4))
+        want = reference_select_dc(points, 2.0)
+        # the first window holds only distances above the cutoff, only
+        # distances below it, or starts at its square
+        first = {
+            "above": ((1.5 * want) ** 2, (3.0 * want) ** 2),
+            "below": ((0.25 * want) ** 2, (0.5 * want) ** 2),
+            "edge": (want**2, np.inf),
+        }[miss]
+        real = density_peaks._window
+        windows = []
+
+        def window(*args):
+            windows.append(args)
+            return first if len(windows) == 1 else real(*args)
+
+        monkeypatch.setattr(density_peaks, "_window", window)
+        passes = count_calls(monkeypatch, "_window_pass")
+        assert select_dc(points, 2.0).hex() == want.hex()
+        assert len(passes) >= 2 and len(windows) == len(passes)
+
+    def test_one_pass_on_workload_like_sets(self, monkeypatch):
+        passes = count_calls(monkeypatch, "_window_pass")
+        rng = np.random.default_rng(21)
+        for n in (128, 1000):
+            centers = rng.normal(size=(n // 40, 16)) * 4.0
+            points = centers[rng.integers(0, n // 40, n)] + rng.normal(size=(n, 16))
+            assert_dc_matches_reference(points, 2.0)
+        assert len(passes) == 2
+
+    @pytest.mark.parametrize("gap, settled_by_bounds", [(1.3e-9, True), (1.5e-9, False)])
+    def test_floor_between_the_diameter_bounds(self, gap, settled_by_bounds, monkeypatch):
+        # six unit vectors: the largest distance is sqrt(2), the bounding box
+        # diagonal sqrt(6). A seventh point at ``gap`` from the first is under
+        # the floor 1e-9 * sqrt(2), or between it and 1e-9 * sqrt(6), where
+        # only the exact largest distance tells
+        points = np.vstack((np.eye(6), np.eye(6)[0] + gap * np.eye(6)[1]))
+        diameters = count_calls(monkeypatch, "_diameter")
+        for pct in (1.0, 5.0, 10.0):
+            assert_dc_matches_reference(points, pct)
+        assert (len(diameters) == 0) == settled_by_bounds
+        # the gap is the smallest distance: skipped under the floor, kept above
+        dists = np.sort(pdist(points))
+        assert select_dc(points, 1.0) == dists[1 if settled_by_bounds else 0]
+
+    def test_squares_overflow(self):
+        # centered squares beyond the screen's range: every pair is exact
+        rng = np.random.default_rng(14)
+        points = np.zeros((40, 1))
+        points[:38, 0] = rng.normal(size=38)
+        points[38:, 0] = [1.2e154, 1.2e154 + 1e150]
+        for pct in PERCENTILES:
+            assert_dc_matches_reference(points, pct)
 
 
 class TestLocalDensity:
@@ -387,6 +541,20 @@ class TestNonFiniteCoordinates:
             compute_profile(points, 1e150)
         with pytest.raises(ValueError, match="overflow"):
             select_dc(points, 2.0)
+
+
+class TestSelectDcPeakMemory:
+    def test_peak_is_a_few_blocks(self):
+        n = 2000
+        points = np.random.default_rng(17).normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            select_dc(points, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block buffer, the GEMM operands, the pair sample and the window
+        assert peak <= 4 * 8 * density_peaks._BLOCK_ROWS * n
 
 
 class TestProfilePeakMemory:

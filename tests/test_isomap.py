@@ -13,7 +13,7 @@ from isofdp import (
     build_neighbor_graph,
     classical_mds,
     detect_communities,
-    distance_matrix,
+    distance_rows,
     generate_gn,
     generate_lfr,
     geodesic_distances,
@@ -23,12 +23,14 @@ from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
 from conftest import (
+    REFERENCE_GRAPHS,
     disjoint_cliques_graph,
     edge_set,
     floyd_warshall,
     neighbor_graph_matrix,
     random_connected_graph,
     reference_bridge,
+    reference_distances,
     reference_neighbor_graph,
 )
 
@@ -149,11 +151,33 @@ class TestBuildNeighborGraph:
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("shape", sorted(SPLIT_GRAPHS))
     def test_bridges_match_bridging_the_matrix_first(self, shape, measure, k):
-        d = distance_matrix(SPLIT_GRAPHS[shape], measure)
-        ng = build_neighbor_graph(d, k)
+        g = SPLIT_GRAPHS[shape]
+        d = reference_distances(g, measure)
         ref = build_neighbor_graph(reference_bridge(d), k)
-        assert ng.edges.tobytes() == ref.edges.tobytes()
-        assert ng.weights.tobytes() == ref.weights.tobytes()
+        for given in (d, distance_rows(g, measure)):
+            ng = build_neighbor_graph(given, k)
+            assert ng.edges.tobytes() == ref.edges.tobytes()
+            assert ng.weights.tobytes() == ref.weights.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [7, 64])
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("name", sorted({**REFERENCE_GRAPHS, **SPLIT_GRAPHS}))
+    def test_row_source_matches_the_dense_array(self, name, measure, block_rows, monkeypatch):
+        # the blocks the source writes make the graph the dense array makes,
+        # top-k, Boruvka rounds and bridges alike
+        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
+        g = {**REFERENCE_GRAPHS, **SPLIT_GRAPHS}[name]
+        dense, source = reference_distances(g, measure), distance_rows(g, measure)
+        for k in sorted({1, 3, min(10, g.node_count - 1)}):
+            try:
+                want = build_neighbor_graph(dense, k)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    build_neighbor_graph(source, k)
+                continue
+            got = build_neighbor_graph(source, k)
+            assert got.edges.tobytes() == want.edges.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("shape", ["split", "all_finite", "asymmetric"])
@@ -560,7 +584,7 @@ class TestPartialEigensolver:
         # graphs two of the top three eigenvalues lie within 1% of the largest
         labeled = generate_gn(GnSpec(z_out=z_out, seed=seed))
         gd = geodesic_distances(
-            build_neighbor_graph(distance_matrix(labeled.graph), 24)
+            build_neighbor_graph(prepared_distances(labeled.graph), 24)
         )
         vals, _ = reference_mds(gd, 3)
         assert np.min(-np.diff(vals)) < 0.01 * vals[0]
@@ -629,7 +653,7 @@ class TestIsomapPipeline:
 
     def test_benchmark_embedding_separates_planted_groups(self):
         labeled = generate_gn(GnSpec(z_out=1, seed=0))
-        dmat = distance_matrix(labeled.graph)
+        dmat = prepared_distances(labeled.graph)
         emb = classical_mds(geodesic_distances(build_neighbor_graph(dmat, 24)), 3)
         score = _silhouette(emb.coordinates, labeled.truth)
         assert score > 0.5
