@@ -20,7 +20,6 @@ from .similarity import (
     MEASURES,
     DistanceRows,
     distance_rows,
-    structure_similarity,
 )
 from .isomap import (
     Embedding,
@@ -37,9 +36,7 @@ from .density_peaks import (
 )
 from .partition import (
     Partition,
-    SweepRecord,
     SweepResult,
-    local_partition_density,
     partition_density,
     select_k,
 )

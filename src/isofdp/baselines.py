@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
-from .density_peaks import _as_points, _nearest_rank_cutoffs
+from .density_peaks import _check_cutoff_request, _finite_points
 from .metrics import _nmi_accuracy
 from .partition import Partition, normalize_labels
 
@@ -84,7 +85,7 @@ def _lloyd(points, k, rng):
 
 def kmeans(e, spec: KmeansSpec) -> Partition:
     """Best of ``_RESTARTS`` seeded Lloyd runs by within-cluster SSE."""
-    points = _as_points(e)
+    points = _finite_points(e)
     n = points.shape[0]
     if spec.k > n:
         raise ValueError(f"k={spec.k} exceeds the number of points {n}")
@@ -95,6 +96,23 @@ def kmeans(e, spec: KmeansSpec) -> Partition:
         if trace[-1] < best_sse:
             best_sse, best_labels = trace[-1], labels
     return Partition(normalize_labels(best_labels), spec.k)
+
+
+def _nearest_rank_cutoffs(dists: np.ndarray, percentiles) -> list:
+    """Nearest-rank percentiles of the pair distances ``dists``, from one partition.
+
+    Distances at most ``1e-9`` times the largest one are rounding noise of
+    coincident points; a percentile that lands there takes the smallest
+    distance above that floor instead, as in :func:`select_dc`. ``dists`` is
+    partitioned in place.
+    """
+    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
+    if first_real == dists.size:
+        raise ValueError("all points coincide; cannot pick a cutoff")
+    # 1-based nearest rank, moved up past the floor
+    kths = [max(math.ceil(p / 100.0 * dists.size) - 1, first_real) for p in percentiles]
+    dists.partition(kths)  # order statistics need no full sort
+    return [float(dists[kth]) for kth in kths]
 
 
 def _dbscan_raw(dist: np.ndarray, eps: float, min_pts_values) -> np.ndarray:
@@ -141,7 +159,7 @@ def dbscan_labels(e, spec: DbscanSpec) -> np.ndarray:
     within ``eps`` (ties toward the smaller core index), which makes the result
     independent of point order.
     """
-    points = _as_points(e)
+    points = _finite_points(e)
     return _dbscan_raw(cdist(points, points), spec.eps, (spec.min_pts,))[0]
 
 
@@ -167,15 +185,19 @@ def dbscan_parameter_search(
     (partition, spec, nmi, acc) of the best cell by (NMI, accuracy); ties keep
     the earliest grid entry, percentiles outermost.
     """
-    points = _as_points(e)
+    points = _finite_points(e)
     if not (len(percentiles) and len(min_pts_values)):
         raise ValueError("empty parameter grid")
     truth = np.asarray(truth)
     if truth.shape != (len(points),):
         raise ValueError("truth must hold one label per point")
     truth = normalize_labels(truth)  # once: partitions come normalized
-    eps_values = _nearest_rank_cutoffs(points, percentiles)
+    _check_cutoff_request(len(points), percentiles)
     dist = cdist(points, points)
+    # the upper triangle in pdist's order: the same bytes as pdist
+    pairs = squareform(dist, force="tovector", checks=False)
+    eps_values = _nearest_rank_cutoffs(pairs, percentiles)
+    del pairs  # half the matrix again; the cells need only dist
     best, scores = None, {}
     for eps in eps_values:
         specs = [DbscanSpec(eps, min_pts) for min_pts in min_pts_values]

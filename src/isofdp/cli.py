@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input parse error, 2 infeasible configuration,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -86,11 +87,17 @@ def _parse_values(text: str, integer: bool):
     return [int(p) if integer else float(p) for p in parts]
 
 
-def _load_graph(path: str, fmt: str | None) -> Graph:
+def _default(call, name: str):
+    """The default value of parameter ``name`` of a function or dataclass."""
+    return inspect.signature(call).parameters[name].default
+
+
+def _load_graph(path: str, fmt: str | None) -> tuple[Graph, str]:
+    """The graph in ``path`` and its format, by file extension when ``fmt`` is None."""
     if fmt is None:
         fmt = "gml" if path.endswith(".gml") else "edges"
     with open(path, "r", encoding="utf-8") as fh:
-        return load_gml(fh) if fmt == "gml" else load_edge_list(fh)
+        return (load_gml(fh) if fmt == "gml" else load_edge_list(fh)), fmt
 
 
 def _labels_for_graph(g: Graph, label_map: dict) -> np.ndarray:
@@ -101,7 +108,7 @@ def _labels_for_graph(g: Graph, label_map: dict) -> np.ndarray:
 
 
 def cmd_detect(args) -> int:
-    g = _load_graph(args.input, args.format)
+    g, fmt = _load_graph(args.input, args.format)
     result = detect_communities(
         g,
         measure=args.measure,
@@ -121,7 +128,7 @@ def cmd_detect(args) -> int:
     config = {
         "command": "detect",
         "input": args.input,
-        "format": args.format or ("gml" if args.input.endswith(".gml") else "edges"),
+        "format": fmt,
         "measure": args.measure,
         "knn": args.knn,
         "dim": args.dim,
@@ -190,54 +197,35 @@ def cmd_benchmark(args) -> int:
         raise ValueError(f"--methods {args.methods!r}: choose from {', '.join(_METHODS)}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    dc_values = (
-        _parse_values(args.dc_sweep, integer=False) if args.dc_sweep else None
-    )
+    if args.dc_sweep:
+        values = _parse_values(args.dc_sweep, integer=False)
+        runs = [(f"isofdp[dc={pct:g}]", pct) for pct in values]
+    else:
+        runs = [(method, args.dc_percentile) for method in _METHODS if method in methods]
 
     rows = []
     for param in params:
         for trial in range(args.trials):
             labeled, param_key = _benchmark_instance(suite, param, trial, args)
             g, truth = labeled.graph, labeled.truth
-            k_true = int(truth.max()) + 1
-
-            if dc_values is not None:
-                for pct in dc_values:
-                    res = detect_communities(
+            detected = {}
+            for method, pct in runs:
+                if pct not in detected:
+                    detected[pct] = detect_communities(
                         g, knn=knn, dim=dim, dc_percentile=pct, k_max=args.kmax
                     )
-                    lab = res.partition.labels
-                    rows.append(
-                        [
-                            param,
-                            trial,
-                            f"isofdp[dc={pct:g}]",
-                            repr(nmi(truth, lab)),
-                            repr(accuracy(truth, lab)),
-                            res.k_star,
-                        ]
-                    )
-                continue
-
-            res = None
-            if "isofdp" in methods or "kmeans_iso" in methods or "dbscan_iso" in methods:
-                res = detect_communities(
-                    g, knn=knn, dim=dim, dc_percentile=args.dc_percentile, k_max=args.kmax
-                )
-            if "isofdp" in methods:
-                lab = res.partition.labels
-                rows.append(
-                    [param, trial, "isofdp", repr(nmi(truth, lab)), repr(accuracy(truth, lab)), res.k_star]
-                )
-            if "kmeans_iso" in methods:
-                km_seed = subseed(args.seed, suite, param_key, trial, _STREAM_KMEANS)
-                part = kmeans(res.embedding, KmeansSpec(k=k_true, seed=km_seed))
-                rows.append(
-                    [param, trial, "kmeans_iso", repr(nmi(truth, part.labels)), repr(accuracy(truth, part.labels)), part.k]
-                )
-            if "dbscan_iso" in methods:
-                part, _, best_n, best_a = dbscan_parameter_search(res.embedding, truth)
-                rows.append([param, trial, "dbscan_iso", repr(best_n), repr(best_a), part.k])
+                res = detected[pct]
+                if method == "kmeans_iso":
+                    km_seed = subseed(args.seed, suite, param_key, trial, _STREAM_KMEANS)
+                    k_true = int(truth.max()) + 1
+                    part = kmeans(res.embedding, KmeansSpec(k=k_true, seed=km_seed))
+                    scores = nmi(truth, part.labels), accuracy(truth, part.labels)
+                elif method == "dbscan_iso":
+                    part, _, *scores = dbscan_parameter_search(res.embedding, truth)
+                else:
+                    part = res.partition
+                    scores = nmi(truth, part.labels), accuracy(truth, part.labels)
+                rows.append([param, trial, method, repr(scores[0]), repr(scores[1]), part.k])
 
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"benchmark_{suite}.csv")
@@ -305,7 +293,7 @@ def cmd_eval(args) -> int:
 def cmd_embed(args) -> int:
     if args.dim_sweep is not None and args.dim_sweep < 1:
         raise ValueError(f"--dim-sweep must be >= 1, got {args.dim_sweep}")
-    g = _load_graph(args.input, args.format)
+    g, _ = _load_graph(args.input, args.format)
     dmat = prepared_distances(g, args.measure)
     ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))
     gd = geodesic_distances(ng)
@@ -328,9 +316,12 @@ def _add_graph_input(p):
     p.add_argument("--input", required=True, help="path to the network file")
     p.add_argument("--format", choices=["edges", "gml"], default=None,
                    help="input format (default: by file extension)")
-    p.add_argument("--measure", choices=list(MEASURES), default="structure")
-    p.add_argument("--knn", type=int, default=10, help="neighborhood size for the k-NN graph")
-    p.add_argument("--dim", type=int, default=2, help="embedding dimension")
+    p.add_argument("--measure", choices=list(MEASURES),
+                   default=_default(detect_communities, "measure"))
+    p.add_argument("--knn", type=int, default=_default(detect_communities, "knn"),
+                   help="neighborhood size for the k-NN graph")
+    p.add_argument("--dim", type=int, default=_default(detect_communities, "dim"),
+                   help="embedding dimension")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect communities in one network")
     _add_graph_input(p)
-    p.add_argument("--dc-percentile", type=float, default=2.0,
+    p.add_argument("--dc-percentile", type=float,
+                   default=_default(detect_communities, "dc_percentile"),
                    help="pairwise-distance percentile fixing the density cutoff")
     p.add_argument("--kmax", type=int, default=None,
                    help="largest community count to try (default ~2*sqrt(n))")
@@ -358,35 +350,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run isofdp only, once per cutoff percentile, e.g. 1..5")
     p.add_argument("--knn", type=int, default=None, help="override the suite preset")
     p.add_argument("--dim", type=int, default=None, help="override the suite preset")
-    p.add_argument("--dc-percentile", type=float, default=2.0)
+    p.add_argument("--dc-percentile", type=float,
+                   default=_default(detect_communities, "dc_percentile"))
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=0, help="master seed; trials derive from it")
     p.add_argument("--out-dir", default="isofdp-out")
     p.add_argument("--lfr-n", type=int, default=1000)
-    p.add_argument("--lfr-avg-degree", type=float, default=20.0)
-    p.add_argument("--lfr-max-degree", type=int, default=50)
-    p.add_argument("--lfr-min-community", type=int, default=20)
-    p.add_argument("--lfr-max-community", type=int, default=60)
+    p.add_argument("--lfr-avg-degree", type=float, default=_default(LfrSpec, "avg_degree"))
+    p.add_argument("--lfr-max-degree", type=int, default=_default(LfrSpec, "max_degree"))
+    p.add_argument("--lfr-min-community", type=int, default=_default(LfrSpec, "min_community"))
+    p.add_argument("--lfr-max-community", type=int, default=_default(LfrSpec, "max_community"))
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("generate", help="write a benchmark instance to disk")
     fam = p.add_subparsers(dest="family", required=True)
     pg = fam.add_parser("gn", help="four 32-node blocks, degree 16")
     pg.add_argument("--zout", type=int, required=True)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=int, default=_default(GnSpec, "seed"))
     pg.add_argument("--out-dir", default=".")
     pg.add_argument("--name", default=None)
     pg.set_defaults(func=cmd_generate)
     pl = fam.add_parser("lfr", help="power-law degrees and community sizes")
     pl.add_argument("--mu", type=float, required=True)
     pl.add_argument("--n", type=int, default=1000)
-    pl.add_argument("--avg-degree", type=float, default=20.0)
-    pl.add_argument("--max-degree", type=int, default=50)
-    pl.add_argument("--t1", type=float, default=2.0)
-    pl.add_argument("--t2", type=float, default=1.0)
-    pl.add_argument("--min-community", type=int, default=20)
-    pl.add_argument("--max-community", type=int, default=60)
-    pl.add_argument("--seed", type=int, default=0)
+    pl.add_argument("--avg-degree", type=float, default=_default(LfrSpec, "avg_degree"))
+    pl.add_argument("--max-degree", type=int, default=_default(LfrSpec, "max_degree"))
+    pl.add_argument("--t1", type=float, default=_default(LfrSpec, "t1"))
+    pl.add_argument("--t2", type=float, default=_default(LfrSpec, "t2"))
+    pl.add_argument("--min-community", type=int, default=_default(LfrSpec, "min_community"))
+    pl.add_argument("--max-community", type=int, default=_default(LfrSpec, "max_community"))
+    pl.add_argument("--seed", type=int, default=_default(LfrSpec, "seed"))
     pl.add_argument("--out-dir", default=".")
     pl.add_argument("--name", default=None)
     pl.set_defaults(func=cmd_generate)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .isomap import _BLOCK_ROWS
 
@@ -78,25 +78,6 @@ def _check_cutoff_request(n: int, percentiles) -> None:
     for percentile in percentiles:
         if not 0.0 < percentile <= 100.0:
             raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-
-
-def _nearest_rank_cutoffs(points: np.ndarray, percentiles) -> list:
-    """Nearest-rank percentiles of all pairwise distances, from one partition.
-
-    Distances at most ``1e-9`` times the largest one are rounding noise of
-    coincident points; a percentile that lands there takes the smallest
-    distance above that floor instead. The DBSCAN grid's cutoffs share this
-    one ``pdist``; :func:`select_dc` gives the same value without it.
-    """
-    _check_cutoff_request(points.shape[0], percentiles)
-    dists = pdist(points)
-    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
-    if first_real == dists.size:
-        raise ValueError("all points coincide; cannot pick a cutoff")
-    # 1-based nearest rank, moved up past the floor
-    kths = [max(math.ceil(p / 100.0 * dists.size) - 1, first_real) for p in percentiles]
-    dists.partition(kths)  # in place; order statistics need no full sort
-    return [float(dists[kth]) for kth in kths]
 
 
 _EPS = np.finfo(float).epsneg

@@ -21,10 +21,8 @@ from .graph import Graph
 
 __all__ = [
     "Partition",
-    "SweepRecord",
     "SweepResult",
     "normalize_labels",
-    "local_partition_density",
     "partition_density",
     "select_k",
 ]
@@ -67,22 +65,6 @@ class Partition:
         """Edges of ``g`` with both endpoints in the same community."""
         lu, lv = self.labels[g.edge_array.T]
         return np.bincount(lu[lu == lv], minlength=self.k)
-
-
-def local_partition_density(g: Graph, part: Partition, c: int) -> float:
-    """Edge saturation of one community beyond its spanning tree.
-
-    ``(m_c - (n_c - 1)) / (n_c (n_c - 1) / 2 - (n_c - 1))``: 0 for a tree,
-    1 for a clique, negative when the community is internally disconnected.
-    Communities with at most 2 nodes score 0 (the denominator vanishes).
-    """
-    if not 0 <= c < part.k:
-        raise ValueError(f"community id {c} out of range 0..{part.k - 1}")
-    n_c = int(part.sizes[c])
-    if n_c <= 2:
-        return 0.0
-    m_c = int(part.internal_edge_counts(g)[c])
-    return (m_c - (n_c - 1)) / (n_c * (n_c - 1) / 2 - (n_c - 1))
 
 
 def _density_term(n_c, m_c):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from inspect import signature
 
 from .density_peaks import DensityProfile, compute_profile, select_dc
 from .graph import Graph
@@ -40,7 +41,11 @@ def default_k_max(n: int) -> int:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Everything the pipeline produced for one graph."""
+    """Everything the pipeline produced for one graph.
+
+    ``timings`` holds the seconds of each stage call under its
+    ``<module>.<function>`` name, in call order.
+    """
 
     graph: Graph
     embedding: Embedding
@@ -66,7 +71,7 @@ def detect_communities(
     measure: str = "structure",
     knn: int = 10,
     dim: int = 2,
-    dc_percentile: float = 2.0,
+    dc_percentile: float = signature(select_dc).parameters["percentile"].default,
     k_max: int | None = None,
 ) -> DetectionResult:
     """Run the full pipeline on one graph and pick the best community count.
@@ -81,24 +86,22 @@ def detect_communities(
     k_max = default_k_max(n) if k_max is None else min(int(k_max), n)
     timings = {}
 
-    start = time.perf_counter()
-    dmat = prepared_distances(g, measure)
-    timings["similarity"] = time.perf_counter() - start
+    def timed(name, stage, *args):
+        start = time.perf_counter()
+        out = stage(*args)
+        timings[name] = time.perf_counter() - start
+        return out
 
-    start = time.perf_counter()
-    ng = build_neighbor_graph(dmat, min(knn, n - 1))
+    dmat = timed("pipeline.prepared_distances", prepared_distances, g, measure)
+    ng = timed("isomap.build_neighbor_graph", build_neighbor_graph, dmat, min(knn, n - 1))
     # the k-NN graph holds all that is used of the distances; freeing the
     # count before the geodesics lowers the peak
     del dmat
-    embedding = classical_mds(geodesic_distances(ng), dim)
-    timings["embedding"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    profile = compute_profile(embedding, select_dc(embedding, dc_percentile))
-    timings["density"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sweep = select_k(g, embedding, profile, k_max)
-    timings["sweep"] = time.perf_counter() - start
-
+    gd = timed("isomap.geodesic_distances", geodesic_distances, ng)
+    embedding = timed("isomap.classical_mds", classical_mds, gd, dim)
+    # and the embedding all that is used of the geodesics
+    del gd
+    d_c = timed("density_peaks.select_dc", select_dc, embedding, dc_percentile)
+    profile = timed("density_peaks.compute_profile", compute_profile, embedding, d_c)
+    sweep = timed("partition.select_k", select_k, g, embedding, profile, k_max)
     return DetectionResult(g, embedding, profile, sweep, timings)

@@ -8,7 +8,6 @@ are written as similarities so the distance transform is uniform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,26 +17,11 @@ from .graph import Graph
 
 __all__ = [
     "MEASURES",
-    "structure_similarity",
     "DistanceRows",
     "distance_rows",
 ]
 
 MEASURES = ("structure", "euclidean", "jaccard", "cosine", "hamming")
-
-
-def structure_similarity(g: Graph, v: int, w: int) -> float:
-    """Closed-neighborhood overlap of two nodes, in [0, 1].
-
-    ``N(v)`` is the set of neighbors of ``v`` plus ``v`` itself; the score is
-    ``|N(v) & N(w)| / sqrt(|N(v)| * |N(w)|)``.
-    """
-    n = g.node_count
-    if not (0 <= v < n and 0 <= w < n):
-        raise IndexError(f"node index out of range for a graph on {n} nodes")
-    nv = {v, *g.adjacency[v].indices.tolist()}
-    nw = {w, *g.adjacency[w].indices.tolist()}
-    return len(nv & nw) / math.sqrt(len(nv) * len(nw))
 
 
 @dataclass(frozen=True)

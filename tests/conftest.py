@@ -212,6 +212,25 @@ def reference_select_dc(e, percentile: float = 2.0) -> float:
     return float(dists[kth])
 
 
+def reference_community_densities(g, part) -> list:
+    """Each community's D_c of Ahn, Bagrow & Lehmann, from its size and internal edges.
+
+    ``(m_c - (n_c - 1)) / (n_c (n_c - 1) / 2 - (n_c - 1))``: 0 for a tree,
+    1 for a clique, negative when the community is internally disconnected,
+    and 0 for at most 2 nodes, where the denominator vanishes. Reference for
+    the terms of ``isofdp.partition_density``.
+    """
+    sizes = np.bincount(part.labels, minlength=part.k).tolist()
+    inner = [0] * part.k
+    for u, v in g.edge_array.tolist():
+        if part.labels[u] == part.labels[v]:
+            inner[part.labels[u]] += 1
+    return [
+        (m - (n - 1)) / (n * (n - 1) / 2 - (n - 1)) if n > 2 else 0.0
+        for n, m in zip(sizes, inner)
+    ]
+
+
 def reference_select_k(g, profile, k_max):
     """The count sweep with every k labeled and scored from scratch.
 

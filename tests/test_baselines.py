@@ -375,3 +375,38 @@ class TestDbscanGridPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * 8 * n * n
+
+
+def _bad_points(kind):
+    """40 points in two blobs, one coordinate made non-finite or spread until squares overflow."""
+    points, _ = two_blobs(np.random.default_rng(3))
+    if kind == "nan":
+        points[7, 1] = np.nan
+    elif kind == "inf":
+        points[7, 1] = np.inf
+    else:  # finite, but the squared diagonal of the bounding box overflows
+        points[7, 1] = 1e200
+    return points
+
+
+_BASELINES = {
+    "kmeans": lambda points: kmeans(points, KmeansSpec(k=2)),
+    "dbscan": lambda points: dbscan(points, DbscanSpec(eps=1.0)),
+    "dbscan_labels": lambda points: dbscan_labels(points, DbscanSpec(eps=1.0)),
+    "dbscan_parameter_search": lambda points: dbscan_parameter_search(
+        points, np.zeros(len(points), dtype=int)
+    ),
+}
+
+
+class TestBaselinesRejectNonFinitePoints:
+    @pytest.mark.parametrize("kind", ["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("name", sorted(_BASELINES))
+    def test_errors_match_select_dc(self, name, kind):
+        points = _bad_points(kind)
+        with pytest.raises(ValueError) as want:
+            select_dc(points)
+        with pytest.raises(ValueError) as got:
+            _BASELINES[name](points)
+        assert str(got.value) == str(want.value)
+        assert "coordinates" in str(got.value)

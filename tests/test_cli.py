@@ -1,12 +1,14 @@
+import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
 
 import pytest
 
-from isofdp import Graph, GnSpec, generate_gn, to_gml
-from isofdp.cli import main, _parse_values
+from isofdp import Graph, GnSpec, LfrSpec, detect_communities, generate_gn, select_dc, to_gml
+from isofdp.cli import build_parser, main, _parse_values
 from isofdp.isomap import geodesic_distances
 from isofdp.reports import load_labels, save_labels
 from isofdp.similarity import MEASURES
@@ -42,6 +44,54 @@ class TestParseValues:
     def test_reversed_range_rejected(self, integer):
         with pytest.raises(ValueError, match="empty range"):
             _parse_values("5..1", integer=integer)
+
+
+DETECT = inspect.signature(detect_communities).parameters
+SPEC_DEFAULTS = {
+    spec: {
+        f.name: f.default for f in dataclasses.fields(spec) if f.default is not dataclasses.MISSING
+    }
+    for spec in (GnSpec, LfrSpec)
+}
+
+
+class TestDefaults:
+    """Each CLI default is the default of the call the flag feeds."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["detect", "--input", "g.edges"], ["measure", "knn", "dim", "dc_percentile"]),
+            (["embed", "--input", "g.edges"], ["measure", "knn", "dim"]),
+            (["benchmark", "--suite", "gn"], ["dc_percentile"]),
+        ],
+    )
+    def test_detection_flags(self, argv, names):
+        args = build_parser().parse_args(argv)
+        for name in names:
+            assert getattr(args, name) == DETECT[name].default, name
+
+    def test_detection_percentile_is_select_dc_default(self):
+        want = inspect.signature(select_dc).parameters["percentile"].default
+        assert DETECT["dc_percentile"].default == want
+
+    def test_generate_gn(self):
+        args = build_parser().parse_args(["generate", "gn", "--zout", "4"])
+        assert set(SPEC_DEFAULTS[GnSpec]) == {"seed"}
+        assert args.seed == SPEC_DEFAULTS[GnSpec]["seed"]
+
+    def test_generate_lfr(self):
+        args = build_parser().parse_args(["generate", "lfr", "--mu", "0.3"])
+        for name, default in SPEC_DEFAULTS[LfrSpec].items():
+            assert getattr(args, name) == default, name
+            assert type(getattr(args, name)) is type(default), name
+
+    def test_benchmark_lfr_flags(self):
+        args = build_parser().parse_args(["benchmark", "--suite", "lfr"])
+        # no --lfr-t1/--lfr-t2 flags, and a trial's generator seed derives from --seed
+        for name, default in SPEC_DEFAULTS[LfrSpec].items():
+            if name not in ("seed", "t1", "t2"):
+                assert getattr(args, f"lfr_{name}") == default, name
 
 
 class TestGenerate:
@@ -80,6 +130,17 @@ class TestDetect:
         assert len(report["communities"]) == 128
         assert report["metrics"]["nmi"] == 1.0
         assert report["config"]["knn"] == 24
+        assert report["config"]["format"] == "edges"
+        # one timing per stage call, under the benchmark's layer names
+        assert set(report["timings_ms"]) == {
+            "pipeline.prepared_distances",
+            "isomap.build_neighbor_graph",
+            "isomap.geodesic_distances",
+            "isomap.classical_mds",
+            "density_peaks.select_dc",
+            "density_peaks.compute_profile",
+            "partition.select_k",
+        }
         # every CSV artifact has a header row
         assert (out / "sweep.csv").read_text().splitlines()[0] == "k,penalized_density"
         assert (out / "decision_graph.csv").read_text().splitlines()[0] == "token,rho,delta,gamma"

@@ -14,7 +14,6 @@ from isofdp import (
     generate_gn,
     generate_lfr,
     load_edge_list,
-    local_partition_density,
     partition_density,
     select_dc,
     select_k,
@@ -23,7 +22,12 @@ from isofdp import connected_components
 from isofdp.density_peaks import DensityProfile
 from isofdp.partition import normalize_labels
 
-from conftest import disjoint_cliques_graph, reference_select_k, tie_heavy_grids
+from conftest import (
+    disjoint_cliques_graph,
+    reference_community_densities,
+    reference_select_k,
+    tie_heavy_grids,
+)
 
 
 def random_partitioned_graph(rng, n, k):
@@ -86,38 +90,34 @@ class TestNormalizeLabels:
 
 
 class TestLocalPartitionDensity:
+    """D_c of one community: the unpenalized partition density of a 1-community labeling."""
+
     def test_tree_community_scores_zero(self):
         g = load_edge_list("0 1\n1 2\n2 3")
         part = Partition.from_labels([0, 0, 0, 0])
-        assert local_partition_density(g, part, 0) == 0.0
+        assert partition_density(g, part, penalized=False) == 0.0
 
     def test_clique_community_scores_one(self):
         g, labels = disjoint_cliques_graph([5])
         part = Partition.from_labels(labels)
-        assert local_partition_density(g, part, 0) == 1.0
+        assert partition_density(g, part, penalized=False) == 1.0
 
     def test_intermediate_value(self):
         # 5 nodes, 7 edges: (7 - 4) / (10 - 4) = 0.5
         g = load_edge_list("0 1\n0 2\n0 3\n0 4\n1 2\n2 3\n3 4")
         part = Partition.from_labels([0] * 5)
         assert g.edge_count == 7
-        assert local_partition_density(g, part, 0) == 0.5
+        assert partition_density(g, part, penalized=False) == 0.5
 
     def test_small_communities_score_zero(self):
-        g = load_edge_list("0 1\n2 3")
-        part = Partition.from_labels([0, 0, 1, 1])
-        assert local_partition_density(g, part, 0) == 0.0
+        g = load_edge_list("0 1")
+        part = Partition.from_labels([0, 0])
+        assert partition_density(g, part, penalized=False) == 0.0
 
     def test_disconnected_community_goes_negative(self):
         g = load_edge_list("0 1\n2 3")
         part = Partition.from_labels([0, 0, 0, 0])  # 4 nodes, 2 edges < n-1
-        assert local_partition_density(g, part, 0) < 0.0
-
-    def test_community_id_range(self):
-        g = load_edge_list("0 1")
-        part = Partition.from_labels([0, 0])
-        with pytest.raises(ValueError):
-            local_partition_density(g, part, 1)
+        assert partition_density(g, part, penalized=False) < 0.0
 
 
 class TestPartitionDensity:
@@ -155,10 +155,8 @@ class TestPartitionDensity:
         rng = np.random.default_rng(9)
         for _ in range(10):
             g, part = random_partitioned_graph(rng, 24, int(rng.integers(2, 6)))
-            weighted = sum(
-                part.sizes[c] / g.node_count * local_partition_density(g, part, c)
-                for c in range(part.k)
-            )
+            local = reference_community_densities(g, part)
+            weighted = sum(part.sizes[c] / g.node_count * local[c] for c in range(part.k))
             assert partition_density(g, part, penalized=False) == pytest.approx(
                 weighted, abs=1e-12
             )

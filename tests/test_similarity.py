@@ -13,7 +13,6 @@ from isofdp import (
     generate_gn,
     generate_lfr,
     load_edge_list,
-    structure_similarity,
 )
 from isofdp.isomap import _BLOCK_ROWS
 from isofdp.pipeline import prepared_distances
@@ -28,32 +27,30 @@ TWO_EDGES = load_edge_list("0 1\n2 3")
 
 class TestStructureSimilarity:
     def test_triangle_adjacent_pair_is_one(self):
-        assert structure_similarity(TRIANGLE, 0, 1) == 1.0
+        assert full_rows(distance_rows(TRIANGLE, "structure"))[0, 1] == 1.0
 
     def test_path_end_pair(self):
         # N(a) = {a, b}, N(b) = {a, b, c}: overlap 2 of sqrt(2 * 3)
-        expected = 2 / math.sqrt(6)
-        assert structure_similarity(PATH3, 0, 1) == pytest.approx(expected, abs=1e-12)
+        expected = math.sqrt(6) / 2
+        d = full_rows(distance_rows(PATH3, "structure"))
+        assert d[0, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_disjoint_closed_neighborhoods(self):
-        assert structure_similarity(TWO_EDGES, 0, 2) == 0.0
+        assert full_rows(distance_rows(TWO_EDGES, "structure"))[0, 2] == np.inf
 
     def test_self_similarity_is_one(self):
-        for v in range(PATH3.node_count):
-            assert structure_similarity(PATH3, v, v) == 1.0
+        # the count's diagonal entries hold 1/s(v, v) before the blocks zero it
+        source = distance_rows(PATH3, "structure")
+        diagonal = source.offsets % (PATH3.node_count + 1) == 0
+        assert np.count_nonzero(diagonal) == PATH3.node_count
+        assert np.all(source.values[diagonal] == 1.0)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(5)
         g = generate_gn(GnSpec(z_out=5, seed=9)).graph
-        for _ in range(50):
-            v, w = rng.integers(0, g.node_count, size=2)
-            assert structure_similarity(g, int(v), int(w)) == pytest.approx(
-                structure_similarity(g, int(w), int(v)), abs=0
-            )
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            structure_similarity(PATH3, 0, 99)
+        source = distance_rows(g, "structure")
+        rows, cols = np.divmod(source.offsets, g.node_count)
+        by_pair = dict(zip(zip(rows.tolist(), cols.tolist()), source.values.tolist()))
+        assert all(by_pair[v, u] == d for (u, v), d in by_pair.items())
 
 
 class TestDistanceRows:
@@ -118,14 +115,8 @@ class TestDistanceRows:
         assert np.array_equal(d, 1.0 - np.eye(3))
 
     def test_matches_pairwise_function(self):
-        g = PATH3
-        d = full_rows(distance_rows(g, "structure"))
-        for v in range(g.node_count):
-            for w in range(g.node_count):
-                if v != w:
-                    assert d[v, w] == pytest.approx(
-                        1.0 / structure_similarity(g, v, w), abs=1e-12
-                    )
+        d = full_rows(distance_rows(PATH3, "structure"))
+        np.testing.assert_allclose(d, reference_distances(PATH3, "structure"), rtol=0, atol=1e-12)
 
     def test_jaccard_cross_pair_is_infinite(self):
         d = full_rows(distance_rows(TWO_EDGES, "jaccard"))
