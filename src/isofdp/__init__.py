@@ -8,13 +8,10 @@ of the community count scored by a penalized partition density.
 from .graph import (
     Graph,
     GraphParseError,
-    connected_components,
-    from_json,
     load_edge_list,
     load_gml,
     to_edge_list,
     to_gml,
-    to_json,
 )
 from .similarity import (
     MEASURES,

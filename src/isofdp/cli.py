@@ -154,7 +154,7 @@ def cmd_detect(args) -> int:
     write_csv(
         os.path.join(args.out_dir, "embedding.csv"),
         ["token"] + [f"x{j + 1}" for j in range(dim)],
-        embedding_rows(result),
+        embedding_rows(g.tokens, result.embedding.coordinates),
     )
     line = f"k_star={result.k_star} communities over {g.node_count} nodes -> {args.out_dir}"
     if metrics:
@@ -305,9 +305,9 @@ def cmd_embed(args) -> int:
         print(f"residual variances for dim 1..{args.dim_sweep} -> {out}")
         return 0
     emb = classical_mds(gd, args.dim)
-    rows = ([tok] + [repr(float(x)) for x in emb.coordinates[i]] for i, tok in enumerate(g.tokens))
     out = os.path.join(args.out_dir, "embedding.csv")
-    write_csv(out, ["token"] + [f"x{j + 1}" for j in range(emb.dim)], rows)
+    header = ["token"] + [f"x{j + 1}" for j in range(emb.dim)]
+    write_csv(out, header, embedding_rows(g.tokens, emb.coordinates))
     print(f"{g.node_count} nodes embedded into {emb.dim} dimensions -> {out}")
     return 0
 
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=0, help="master seed; trials derive from it")
     p.add_argument("--out-dir", default="isofdp-out")
-    p.add_argument("--lfr-n", type=int, default=1000)
+    p.add_argument("--lfr-n", type=int, default=_default(LfrSpec, "n"))
     p.add_argument("--lfr-avg-degree", type=float, default=_default(LfrSpec, "avg_degree"))
     p.add_argument("--lfr-max-degree", type=int, default=_default(LfrSpec, "max_degree"))
     p.add_argument("--lfr-min-community", type=int, default=_default(LfrSpec, "min_community"))
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=cmd_generate)
     pl = fam.add_parser("lfr", help="power-law degrees and community sizes")
     pl.add_argument("--mu", type=float, required=True)
-    pl.add_argument("--n", type=int, default=1000)
+    pl.add_argument("--n", type=int, default=_default(LfrSpec, "n"))
     pl.add_argument("--avg-degree", type=float, default=_default(LfrSpec, "avg_degree"))
     pl.add_argument("--max-degree", type=int, default=_default(LfrSpec, "max_degree"))
     pl.add_argument("--t1", type=float, default=_default(LfrSpec, "t1"))

@@ -57,7 +57,7 @@ class GnSpec:
         return 16 - self.z_out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LfrSpec:
     """Power-law benchmark parameters.
 
@@ -67,7 +67,7 @@ class LfrSpec:
     ``mu`` fraction of its links outside its own community.
     """
 
-    n: int
+    n: int = 1000
     mu: float
     avg_degree: float = 20.0
     max_degree: int = 50

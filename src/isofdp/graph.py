@@ -7,7 +7,6 @@ on the dense form and exports map indices back to tokens.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -15,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _components
 
 logger = logging.getLogger(__name__)
 
@@ -24,11 +22,8 @@ __all__ = [
     "GraphParseError",
     "load_edge_list",
     "load_gml",
-    "connected_components",
     "to_edge_list",
     "to_gml",
-    "to_json",
-    "from_json",
 ]
 
 _COMMENT_PREFIXES = ("#", "%")
@@ -250,14 +245,6 @@ def load_gml(source) -> Graph:
     return Graph.from_edges(len(index_of), pairs, tokens=list(id_map))
 
 
-def connected_components(g: Graph) -> np.ndarray:
-    """Per-node int64 component labels: 0-based, ordered by smallest member index.
-
-    Isolated nodes are components of their own.
-    """
-    return _components(g.adjacency, directed=False)[1].astype(np.int64)
-
-
 def to_edge_list(g: Graph) -> str:
     """Serialize as dense-index edge list, edges sorted."""
     lines = [f"{u} {v}" for u, v in g.edge_array.tolist()]
@@ -274,15 +261,3 @@ def to_gml(g: Graph) -> str:
     out.append("]")
     return "\n".join(out) + "\n"
 
-
-def to_json(g: Graph) -> str:
-    """Canonical JSON export: ``{"nodes": [tokens...], "edges": [[u, v], ...]}``."""
-    payload = {"nodes": g.tokens, "edges": g.edge_array.tolist()}
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> Graph:
-    payload = json.loads(text)
-    return Graph.from_edges(
-        len(payload["nodes"]), payload["edges"], tokens=payload["nodes"]
-    )

@@ -10,6 +10,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.sparse.linalg import eigsh
 
+from .similarity import DistanceRows
+
 __all__ = [
     "LANDMARKS",
     "NeighborGraph",
@@ -65,32 +67,15 @@ class Embedding:
         return self.dim < self.requested_dim
 
 
-class _DenseRows:
-    """Row blocks of a dense distance array, NaN and -inf read as inf: no distance."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self.node_count = values.shape[0]
-
-    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.empty((hi - lo, self.node_count)) if out is None else out
-        np.copyto(out, self.values[lo:hi])
-        if not out.min() > -np.inf:  # a NaN minimum fails this too
-            out[~np.isfinite(out)] = np.inf
-        return out
-
-
-def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
+def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGraph:
     """Symmetric k-NN graph over finite distances, joined into one component.
 
-    ``d`` is an n x n array or a source of its row blocks, such as
-    :func:`isofdp.similarity.distance_rows` returns; it is read
-    ``_BLOCK_ROWS`` rows at a time, so no n x n copy or mask is made.
-    Edge (i, j) is kept when j is among the ``neighborhood_size`` closest
-    finite-distance partners of i, or vice versa; distance ties are broken
-    toward the smaller node index, and the weight is read in the row of the
-    smaller node that selected the pair. NaN and -inf mean no distance, as
-    inf does. If the k-NN graph is disconnected, its components are joined
+    ``d`` is the source of row blocks :func:`isofdp.similarity.distance_rows`
+    returns, whose rows are exactly symmetric; it is read ``_BLOCK_ROWS``
+    rows at a time, so no n x n copy or mask is made. Edge (i, j) is kept
+    when j is among the ``neighborhood_size`` closest finite-distance
+    partners of i, or vice versa; distance ties are broken toward the smaller
+    node index. If the k-NN graph is disconnected, its components are joined
     by their minimum spanning forest over the finite pairs ``u < v``, with
     weight ``d[u, v]`` and ties broken by (w, u, v), which is unique under
     that order: the edges Kruskal would add. Groups that still share no
@@ -100,8 +85,7 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     groups maximally separated in the embedding while letting the projection
     proceed.
     """
-    source = d if hasattr(d, "rows") else _DenseRows(np.asarray(d, dtype=float))
-    n = source.node_count
+    n = d.node_count
     k = int(neighborhood_size)
     if not 1 <= k <= n - 1:
         raise ValueError(f"neighborhood size must be in 1..{n - 1}, got {k}")
@@ -112,7 +96,7 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
     flags = np.empty((height, n), dtype=bool)
 
     def block(lo, hi):
-        return source.rows(lo, hi, out=buf[: hi - lo]), flags[: hi - lo]
+        return d.rows(lo, hi, out=buf[: hi - lo]), flags[: hi - lo]
 
     keys, weights = [], []
     for lo in range(0, n, _BLOCK_ROWS):
@@ -135,7 +119,7 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
         bi, bj = np.divmod(np.flatnonzero(take), n)  # row-major, as np.nonzero
         keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
         weights.append(bb[bi, bj])  # finite, so as the distances hold them
-    # the first occurrence of a pair comes from the lower row that selected it
+    # a pair that both its rows selected comes twice, with one weight
     keys, first = np.unique(np.concatenate(keys), return_index=True)
     if not keys.size:
         raise ValueError("no finite distances at all; graph has no edges")
@@ -146,38 +130,28 @@ def build_neighbor_graph(d, neighborhood_size: int) -> NeighborGraph:
 
     if components > 1:
         # Boruvka rounds from the k-NN components: each takes its lightest
-        # finite pair to another, by (w, u, v) over u < v, and those join
-        lower = np.tri(height, dtype=bool)  # v <= u inside a block's own columns
+        # finite pair to another, by (w, u, v) over u < v, and those join. As
+        # the rows are symmetric, that pair is the least (w, min, max) over
+        # the component's rows of each row's first minimum outside it
         nodes = np.arange(n)
+        row_w, row_v = np.empty(n), np.empty(n, dtype=np.int64)
         while components > 1:
-            # per row u its best (w, v > u); per column v its best (w, u < v)
-            row_w, row_v = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
-            col_w, col_u = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
             for lo in range(0, n, _BLOCK_ROWS):
                 hi = min(lo + _BLOCK_ROWS, n)
-                bb, same = (a[:, lo:] for a in block(lo, hi))
-                h = hi - lo
-                np.equal(comp[lo:hi, None], comp[lo:], out=same)
+                bb, same = block(lo, hi)
+                np.equal(comp[lo:hi, None], comp, out=same)
                 np.copyto(bb, np.inf, where=same)
-                np.copyto(bb[:, :h], np.inf, where=lower[:h, :h])
-                j = bb.argmin(axis=1)  # first minimum: the smaller v
-                row_w[lo:hi], row_v[lo:hi] = bb[nodes[:h], j], j + lo
-                # a column's best so far holds unless this block beats it; the
-                # first minimum in the block is the smaller u
-                w = bb.min(axis=0)
-                better = np.flatnonzero(w < col_w[lo:])
-                col_w[better + lo] = w[better]
-                col_u[better + lo] = bb[:, better].argmin(axis=0) + lo
-            cand_w, cand_c = np.r_[row_w, col_w], np.r_[comp, comp]
-            cand_u, cand_v = np.r_[nodes, col_u], np.r_[row_v, nodes]
-            order = np.lexsort((cand_v, cand_u, cand_w, cand_c))
-            best = order[np.unique(cand_c[order], return_index=True)[1]]
-            best = best[cand_w[best] < np.inf]  # a component with no way out
+                row_v[lo:hi] = bb.argmin(axis=1)  # first minimum: the smaller v
+                row_w[lo:hi] = bb[nodes[: hi - lo], row_v[lo:hi]]
+            u, v = np.minimum(nodes, row_v), np.maximum(nodes, row_v)
+            order = np.lexsort((v, u, row_w, comp))
+            best = order[np.unique(comp[order], return_index=True)[1]]
+            best = best[row_w[best] < np.inf]  # a component with no way out
             if not best.size:
                 break
             # two components may pick one pair
-            joins, pick = np.unique(cand_u[best] * n + cand_v[best], return_index=True)
-            keys, weights = np.r_[keys, joins], np.r_[weights, cand_w[best[pick]]]
+            joins, pick = np.unique(u[best] * n + v[best], return_index=True)
+            keys, weights = np.r_[keys, joins], np.r_[weights, row_w[best[pick]]]
             ju, jv = np.divmod(joins, n)
             merged = csr_matrix((np.ones(joins.size), (comp[ju], comp[jv])), shape=(components,) * 2)
             components, group = connected_components(merged, directed=False)
@@ -313,10 +287,8 @@ def classical_mds(gd, dim: int) -> Embedding:
         return Embedding(np.zeros((n, 1)), np.zeros(1), dim)
     vals = eigvals[:keep]
     vecs = eigvecs[:, :keep]
-    for j in range(keep):
-        anchor = np.argmax(np.abs(vecs[:, j]))
-        if vecs[anchor, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(keep)] < 0
+    vecs[:, flip] = -vecs[:, flip]
     coords = vecs * np.sqrt(vals)
     if l < n:
         mean_sq = np.square(block).mean(axis=1)

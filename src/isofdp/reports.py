@@ -13,7 +13,6 @@ from .graph import GraphParseError
 __all__ = [
     "atomic_write_text",
     "write_csv",
-    "csv_text",
     "save_labels",
     "load_labels",
     "build_report",
@@ -36,16 +35,12 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def csv_text(header, rows) -> str:
+def write_csv(path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
-
-
-def write_csv(path, header, rows) -> None:
-    atomic_write_text(path, csv_text(header, rows))
+    atomic_write_text(path, buf.getvalue())
 
 
 def save_labels(path, tokens, labels) -> None:
@@ -95,10 +90,10 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def embedding_rows(result):
-    coords = result.embedding.coordinates
-    for i, tok in enumerate(result.graph.tokens):
-        yield [tok] + [repr(float(x)) for x in coords[i]]
+def embedding_rows(tokens, coordinates):
+    """One CSV row per node: its token, then its coordinates as ``repr`` floats."""
+    for tok, row in zip(tokens, coordinates):
+        yield [tok] + [repr(float(x)) for x in row]
 
 
 def decision_graph_rows(result):

@@ -33,7 +33,8 @@ class DistanceRows:
     count's CSR order, with ``row_ptr`` its row pointer: ``1/s`` for
     structure, cosine and jaccard, ``2 c`` for euclidean and hamming.
     ``degrees`` are the float node degrees and ``isolated`` the nodes
-    without one.
+    without one. The array is exactly symmetric, which the repair of
+    :func:`isofdp.isomap.build_neighbor_graph` relies on.
     """
 
     node_count: int

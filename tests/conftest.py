@@ -12,6 +12,7 @@ from isofdp import DbscanSpec, Graph, GnSpec, Partition, generate_gn
 from isofdp.density_peaks import DensityProfile, _as_points, assign, select_dc
 from isofdp.metrics import accuracy, nmi
 from isofdp.partition import SweepRecord, SweepResult, normalize_labels, partition_density
+from isofdp.similarity import DistanceRows
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -69,6 +70,25 @@ def reference_distances(g, measure: str) -> np.ndarray:
 def full_rows(source) -> np.ndarray:
     """Every row of a distance source at once: the dense n x n array."""
     return source.rows(0, source.node_count)
+
+
+def distance_source(values) -> DistanceRows:
+    """A ``DistanceRows`` whose rows are a dense distance array.
+
+    Finite off-diagonal entries become the source's entries; everything else
+    (inf, NaN, -inf) reads inf, and the diagonal reads zero. An array that is
+    not symmetric is rejected, as every ``distance_rows`` source is.
+    """
+    d = np.array(values, dtype=float)
+    n = d.shape[0]
+    d[~np.isfinite(d)] = np.inf
+    np.fill_diagonal(d, np.inf)
+    if not np.array_equal(d, d.T):
+        raise ValueError("distances must be symmetric")
+    offsets = np.flatnonzero(d < np.inf)
+    row_ptr = np.searchsorted(offsets, np.arange(n + 1) * n)
+    none = np.empty(0, dtype=np.int64)
+    return DistanceRows(n, "structure", row_ptr, offsets, d.flat[offsets], np.zeros(n), none)
 
 
 REFERENCE_GRAPHS = {

@@ -31,6 +31,7 @@ from isofdp.cli import SUITE_PRESETS, main as cli_main
 
 from conftest import (
     disjoint_cliques_graph,
+    distance_source,
     floyd_warshall,
     neighbor_graph_matrix,
     random_connected_graph,
@@ -184,7 +185,7 @@ def test_criterion_6_geodesic_oracle():
         np.fill_diagonal(w, 0.0)
         for (u, v), weight in edges.items():
             w[u, v] = w[v, u] = weight
-        ng = build_neighbor_graph(w, int(rng.integers(3, 12)))
+        ng = build_neighbor_graph(distance_source(w), int(rng.integers(3, 12)))
         got = geodesic_distances(ng, landmarks=n)  # all pairs, as n may exceed the default
         expected = floyd_warshall(neighbor_graph_matrix(ng))
         worst = max(worst, float(np.max(np.abs(got - expected))))

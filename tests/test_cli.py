@@ -371,6 +371,14 @@ class TestEmbed:
         assert lines[0] == "token,x1,x2,x3"
         assert len(lines) == 129
 
+    def test_detect_writes_the_same_embedding(self, gn_instance, tmp_path):
+        edges_path, _ = gn_instance
+        flags = ["--input", edges_path, "--measure", "cosine", "--knn", 12, "--dim", 4]
+        for command in ("detect", "embed"):
+            assert run([command, *flags, "--out-dir", tmp_path / command]) == 0
+        detected = (tmp_path / "detect" / "embedding.csv").read_bytes()
+        assert detected == (tmp_path / "embed" / "embedding.csv").read_bytes()
+
     def test_dim_sweep(self, gn_instance, tmp_path):
         edges_path, _ = gn_instance
         out = tmp_path / "sweep"

@@ -107,6 +107,8 @@ class TestLfrGenerator:
             LfrSpec(n=100, mu=0.5, min_community=30, max_community=20)
         with pytest.raises(ValueError):
             LfrSpec(n=100, mu=0.5, avg_degree=60, max_degree=50)
+        with pytest.raises(TypeError):
+            LfrSpec(100, 0.5)  # keywords only
 
 
 class TestGraphFootprint:

@@ -6,31 +6,13 @@ import pytest
 from isofdp import (
     Graph,
     GraphParseError,
-    connected_components,
-    from_json,
     load_edge_list,
     load_gml,
     to_edge_list,
     to_gml,
-    to_json,
 )
 
 DATA_REAL = os.path.join(os.path.dirname(__file__), "..", "data", "real")
-
-
-def component_oracle(n, edges):
-    """Label propagation to a fixed point; independent of the BFS in the library."""
-    labels = list(range(n))
-    changed = True
-    while changed:
-        changed = False
-        for u, v in edges:
-            m = min(labels[u], labels[v])
-            if labels[u] != m or labels[v] != m:
-                labels[u] = labels[v] = m
-                changed = True
-    canonical = {}
-    return np.array([canonical.setdefault(lab, len(canonical)) for lab in labels])
 
 
 class TestLoadEdgeList:
@@ -128,28 +110,6 @@ class TestEdgeArray:
         g = Graph.from_edges(3, [])
         assert g.edge_array.shape == (0, 2)
         assert g.degrees.tolist() == [0, 0, 0]
-        assert connected_components(g).tolist() == [0, 1, 2]
-
-
-class TestConnectedComponents:
-    def test_path(self):
-        g = load_edge_list("0 1\n1 2")
-        assert connected_components(g).tolist() == [0, 0, 0]
-
-    def test_two_disjoint_edges(self):
-        g = load_edge_list("0 1\n2 3")
-        assert connected_components(g).tolist() == [0, 0, 1, 1]
-
-    def test_matches_label_propagation_oracle(self):
-        rng = np.random.default_rng(7)
-        n = 50
-        pairs = set()
-        for _ in range(55):
-            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
-            pairs.add((int(u), int(v)))
-        g = Graph.from_edges(n, pairs)
-        expected = component_oracle(n, sorted(pairs))
-        assert connected_components(g).tolist() == expected.tolist()
 
 
 class TestRoundTrips:
@@ -176,11 +136,6 @@ class TestRoundTrips:
         }
         assert recovered == g.edges
         assert again.node_count == g.node_count
-
-    def test_json_round_trip_exact(self):
-        g = load_edge_list("a b\nb c\nd c")
-        again = from_json(to_json(g))
-        assert again == g
 
     def test_degree_sum_is_twice_edge_count(self):
         rng = np.random.default_rng(11)

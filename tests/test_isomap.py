@@ -25,8 +25,10 @@ from isofdp.similarity import MEASURES
 from conftest import (
     REFERENCE_GRAPHS,
     disjoint_cliques_graph,
+    distance_source,
     edge_set,
     floyd_warshall,
+    full_rows,
     neighbor_graph_matrix,
     random_connected_graph,
     reference_bridge,
@@ -48,19 +50,30 @@ SPLIT_GRAPHS = {
 }
 
 
+# the k-NN tests' graphs and a few benchmark graphs, each under every measure
+SYMMETRY_GRAPHS = {
+    **REFERENCE_GRAPHS,
+    **SPLIT_GRAPHS,
+    "gn_zout1": generate_gn(GnSpec(z_out=1, seed=0)).graph,
+    "gn_zout8": generate_gn(GnSpec(z_out=8, seed=1)).graph,
+    "lfr_mu0.1": generate_lfr(LfrSpec(n=500, mu=0.1, seed=0)).graph,
+    "lfr_mu0.6": generate_lfr(LfrSpec(n=1000, mu=0.6, seed=1)).graph,
+}
+
+
 def line_distance_matrix(positions):
     pos = np.asarray(positions, dtype=float)[:, None]
     return squareform(pdist(pos))
 
 
-def grouped_distances(rng, groups, size, asymmetric=False, split=False):
+def grouped_distances(rng, groups, size, split=False):
     """Distances over ``groups`` groups of ``size`` nodes, in shuffled node order.
 
     Inside a group they are 1 or 2. Between groups a and b they are 3 plus
     the bit length of ``a ^ b``, so every pair of groups at one level ties,
     and joining the groups takes one minimum-spanning-forest round per level.
-    ``asymmetric`` adds 0 or 1 below the diagonal. With ``split`` the groups
-    below ``groups // 2`` have no distance to the others: inf, NaN or -inf.
+    With ``split`` the groups below ``groups // 2`` have no distance to the
+    others: inf, NaN or -inf.
     """
     n = groups * size
     group = np.repeat(np.arange(groups), size)
@@ -68,8 +81,6 @@ def grouped_distances(rng, groups, size, asymmetric=False, split=False):
     d = np.where(group[:, None] == group, rng.integers(1, 3, size=(n, n)), cross.reshape(n, n))
     d = np.triu(d, 1).astype(float)
     d += d.T
-    if asymmetric:
-        d += np.tril(rng.integers(0, 2, size=(n, n)), -1)
     np.fill_diagonal(d, 0.0)
     if split:
         apart = (group[:, None] < groups // 2) != (group < groups // 2)
@@ -81,19 +92,19 @@ def grouped_distances(rng, groups, size, asymmetric=False, split=False):
 class TestBuildNeighborGraph:
     def test_symmetric_one_nn_on_three_points(self):
         d = line_distance_matrix([0.0, 1.0, 2.0])
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         assert {(u, v) for u, v, _ in edge_set(ng)} == {(0, 1), (1, 2)}
 
     def test_full_neighborhood_gives_complete_graph(self):
         d = line_distance_matrix([0.0, 1.0, 3.0, 7.0])
-        ng = build_neighbor_graph(d, 3)
+        ng = build_neighbor_graph(distance_source(d), 3)
         assert len(ng.edges) == 6
 
     def test_disconnected_clumps_repaired_with_smallest_bridge(self):
         # two clumps of 3; all cross distances exceed intra distances
         points = [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]
         d = line_distance_matrix(points)
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         cross = [(u, v, w) for u, v, w in edge_set(ng) if u < 3 <= v]
         assert cross == [(2, 3, 8.0)]  # single smallest cross-clump edge
 
@@ -108,12 +119,12 @@ class TestBuildNeighborGraph:
                 [5.0, 9.0, 1.0, 0.0],
             ]
         )
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         assert edge_set(ng) - {(0, 1, 1.0), (2, 3, 1.0)} == {(0, 3, 5.0)}
 
     def test_node_without_finite_partner_is_bridged(self):
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         assert edge_set(ng) == {(0, 1, 1.0), (0, 2, 2.0)}
 
     def test_groups_without_finite_distance_are_bridged(self):
@@ -121,7 +132,7 @@ class TestBuildNeighborGraph:
         np.fill_diagonal(d, 0.0)
         d[0, 1] = d[1, 0] = 1.0
         d[2, 3] = d[3, 2] = 1.0
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         assert edge_set(ng) == {(0, 1, 1.0), (2, 3, 1.0), (0, 2, 2.0)}
         # the appended bridge is sorted in, as in ``Graph.edge_array``
         assert ng.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
@@ -136,7 +147,7 @@ class TestBuildNeighborGraph:
         for (u, v), w in {(0, 3): 1.0, (1, 5): 1.0, (2, 4): 1.0, (2, 3): 3.0,
                           (0, 2): 4.0, (0, 4): 5.0, (3, 4): 6.0}.items():
             d[u, v] = d[v, u] = w
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         assert edge_set(ng) == {
             (0, 3, 1.0), (1, 5, 1.0), (2, 4, 1.0), (2, 3, 3.0), (0, 1, 12.0)
         }
@@ -145,7 +156,14 @@ class TestBuildNeighborGraph:
         d = np.full((4, 4), np.inf)
         np.fill_diagonal(d, 0.0)
         with pytest.raises(ValueError, match="no finite distances at all"):
-            build_neighbor_graph(d, 1)
+            build_neighbor_graph(distance_source(d), 1)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_GRAPHS))
+    def test_distance_rows_are_exactly_symmetric(self, name, measure):
+        # the repair takes each pair from either of its rows, by the same bytes
+        d = full_rows(distance_rows(SYMMETRY_GRAPHS[name], measure))
+        assert d.tobytes() == d.T.tobytes()
 
     @pytest.mark.parametrize("k", [3, 10])
     @pytest.mark.parametrize("measure", MEASURES)
@@ -153,8 +171,8 @@ class TestBuildNeighborGraph:
     def test_bridges_match_bridging_the_matrix_first(self, shape, measure, k):
         g = SPLIT_GRAPHS[shape]
         d = reference_distances(g, measure)
-        ref = build_neighbor_graph(reference_bridge(d), k)
-        for given in (d, distance_rows(g, measure)):
+        ref = build_neighbor_graph(distance_source(reference_bridge(d)), k)
+        for given in (distance_source(d), distance_rows(g, measure)):
             ng = build_neighbor_graph(given, k)
             assert ng.edges.tobytes() == ref.edges.tobytes()
             assert ng.weights.tobytes() == ref.weights.tobytes()
@@ -167,7 +185,8 @@ class TestBuildNeighborGraph:
         # top-k, Boruvka rounds and bridges alike
         monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
         g = {**REFERENCE_GRAPHS, **SPLIT_GRAPHS}[name]
-        dense, source = reference_distances(g, measure), distance_rows(g, measure)
+        dense = distance_source(reference_distances(g, measure))
+        source = distance_rows(g, measure)
         for k in sorted({1, 3, min(10, g.node_count - 1)}):
             try:
                 want = build_neighbor_graph(dense, k)
@@ -180,35 +199,27 @@ class TestBuildNeighborGraph:
             assert got.weights.tobytes() == want.weights.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("shape", ["split", "all_finite", "asymmetric"])
+    @pytest.mark.parametrize("shape", ["split", "all_finite"])
     def test_row_blocks_match_reference_neighbor_graph(self, shape, seed, monkeypatch):
         # small integer weights tie often; 7-row blocks split n = 40 unevenly
         monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", 7)
         rng = np.random.default_rng(seed)
         n = 40
-        d = rng.integers(1, 6, size=(n, n)).astype(float)
-        if shape != "asymmetric":
-            d = np.triu(d, 1)
-            d += d.T
+        d = np.triu(rng.integers(1, 6, size=(n, n)), 1).astype(float)
+        d += d.T
         np.fill_diagonal(d, 0.0)
         if shape != "all_finite":  # euclidean and hamming have no inf
             # inf entries leave some groups with no finite distance between them
             far = np.triu(rng.random((n, n)) < 0.8 + 0.03 * seed, 1)
             d[far | far.T] = np.inf
-        from_higher_row = 0  # pairs weighed by what the higher row reads
         for k in (1, 2, 5):  # k > 1 puts ties at the k-th boundary
-            ng = build_neighbor_graph(d, k)
+            ng = build_neighbor_graph(distance_source(d), k)
             assert edge_set(ng) == reference_neighbor_graph(d, k)
             assert len(ng.edges) == len(edge_set(ng))
-            u, v = ng.edges.T
-            from_higher_row += np.count_nonzero((ng.weights == d[v, u]) & (ng.weights != d[u, v]))
-        if shape == "asymmetric":  # so the reference pins which row gives the weight
-            assert from_higher_row > 0
 
     @pytest.mark.parametrize("block_rows", [7, 64])
-    @pytest.mark.parametrize("shape", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("groups, size", [(16, 4), (32, 3)])
-    def test_repair_over_many_components(self, groups, size, shape, block_rows, monkeypatch):
+    def test_repair_over_many_components(self, groups, size, block_rows, monkeypatch):
         isomap = sys.modules["isofdp.isomap"]
         monkeypatch.setattr(isomap, "_BLOCK_ROWS", block_rows)
         searches = []
@@ -217,8 +228,8 @@ class TestBuildNeighborGraph:
             isomap, "connected_components", lambda *a, **kw: searches.append(1) or search(*a, **kw)
         )
         rng = np.random.default_rng(groups)
-        d = grouped_distances(rng, groups, size, asymmetric=shape == "asymmetric")
-        ng = build_neighbor_graph(d, size - 1)
+        d = grouped_distances(rng, groups, size)
+        ng = build_neighbor_graph(distance_source(d), size - 1)
         assert edge_set(ng) == reference_neighbor_graph(d, size - 1)
         # the k-NN graph is the groups, and each repair edge joins two
         assert np.count_nonzero(ng.weights > 3) == groups - 1
@@ -227,35 +238,15 @@ class TestBuildNeighborGraph:
         assert len(searches) - 1 == groups.bit_length() - 1
 
     @pytest.mark.parametrize("block_rows", [7, 64])
-    @pytest.mark.parametrize("shape", ["symmetric", "asymmetric"])
-    def test_repair_ends_with_groups_to_bridge(self, shape, block_rows, monkeypatch):
+    def test_repair_ends_with_groups_to_bridge(self, block_rows, monkeypatch):
         monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(5)
-        d = grouped_distances(rng, 16, 4, asymmetric=shape == "asymmetric", split=True)
-        ng = build_neighbor_graph(d, 3)
+        d = grouped_distances(rng, 16, 4, split=True)
+        ng = build_neighbor_graph(distance_source(d), 3)
         assert edge_set(ng) == reference_neighbor_graph(d, 3)
         bridge = 2.0 * d[np.isfinite(d)].max()
         assert np.count_nonzero(ng.weights == bridge) == 1
         assert np.count_nonzero((ng.weights > 3) & (ng.weights < bridge)) == 14
-
-    @pytest.mark.parametrize("block_rows", [7, 64])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_nan_and_negative_inf_mean_no_distance(self, seed, block_rows, monkeypatch):
-        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
-        rng = np.random.default_rng(seed)
-        n = 30
-        d = rng.integers(1, 5, size=(n, n)).astype(float)
-        if seed % 2:
-            d = np.triu(d, 1) + np.triu(d, 1).T
-        np.fill_diagonal(d, 0.0)
-        gone = rng.random((n, n)) < 0.6
-        d[gone] = rng.choice([np.inf, np.nan, -np.inf], size=np.count_nonzero(gone))
-        as_inf = np.where(np.isfinite(d), d, np.inf)
-        for k in (1, 3, 6):
-            ng, ref = build_neighbor_graph(d, k), build_neighbor_graph(as_inf, k)
-            assert edge_set(ng) == reference_neighbor_graph(d, k)
-            assert ng.edges.tobytes() == ref.edges.tobytes()
-            assert ng.weights.tobytes() == ref.weights.tobytes()
 
     def test_distance_ties_break_to_smaller_index(self):
         d = np.array(
@@ -266,14 +257,14 @@ class TestBuildNeighborGraph:
                 [5.0, 5.0, 5.0, 0.0],
             ]
         )
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         assert (0, 1) in {(u, v) for u, v, _ in edge_set(ng)}
 
 
 class TestGeodesicDistances:
     def test_three_node_path(self):
         d = line_distance_matrix([0.0, 1.0, 2.0])
-        ng = build_neighbor_graph(d, 1)
+        ng = build_neighbor_graph(distance_source(d), 1)
         gd = geodesic_distances(ng)
         assert gd[0, 2] == pytest.approx(2.0, abs=1e-12)
 
@@ -286,7 +277,7 @@ class TestGeodesicDistances:
             np.fill_diagonal(w, 0.0)
             for (u, v), weight in edges.items():
                 w[u, v] = w[v, u] = weight
-            ng = build_neighbor_graph(w, n - 1)
+            ng = build_neighbor_graph(distance_source(w), n - 1)
             gd = geodesic_distances(ng)
             expected = floyd_warshall(neighbor_graph_matrix(ng))
             assert np.max(np.abs(gd - expected)) <= 1e-9
@@ -298,7 +289,7 @@ class TestGeodesicDistances:
         np.fill_diagonal(w, 0.0)
         for (u, v), weight in edges.items():
             w[u, v] = w[v, u] = weight
-        gd = geodesic_distances(build_neighbor_graph(w, 10))
+        gd = geodesic_distances(build_neighbor_graph(distance_source(w), 10))
         for _ in range(300):
             i, j, k = rng.integers(0, 40, size=3)
             assert gd[i, k] <= gd[i, j] + gd[j, k] + 1e-12
@@ -310,7 +301,7 @@ class TestGeodesicDistances:
         np.fill_diagonal(w, 0.0)
         for (u, v), weight in edges.items():
             w[u, v] = w[v, u] = weight
-        ng = build_neighbor_graph(w, 6)
+        ng = build_neighbor_graph(distance_source(w), 6)
         gd = geodesic_distances(ng)
         for u, v, weight in edge_set(ng):
             assert gd[u, v] <= weight + 1e-12
@@ -358,7 +349,8 @@ class TestLandmarkGeodesics:
         # on the unit 8-cycle node 0's farthest is 4; then 2 and 6 tie at 2,
         # then the four odd nodes tie at 1: both ties go to the smaller index
         cycle = {(i, (i + 1) % 8): 1.0 for i in range(8)}
-        gd = geodesic_distances(build_neighbor_graph(weight_matrix(8, cycle), 2), 5)
+        ng = build_neighbor_graph(distance_source(weight_matrix(8, cycle)), 2)
+        gd = geodesic_distances(ng, 5)
         expected = floyd_warshall(weight_matrix(8, cycle))[[0, 4, 2, 6, 1]]
         assert gd.tolist() == expected.tolist()
 
@@ -368,7 +360,7 @@ class TestLandmarkGeodesics:
         for _ in range(5):
             n = int(rng.integers(20, 80))
             w = weight_matrix(n, random_connected_graph(rng, n, extra_edges=2 * n))
-            ng = build_neighbor_graph(w, int(rng.integers(3, 8)))
+            ng = build_neighbor_graph(distance_source(w), int(rng.integers(3, 8)))
             full = floyd_warshall(neighbor_graph_matrix(ng))
             gd = geodesic_distances(ng, landmarks)
             assert gd.shape == (landmarks, n)
@@ -378,7 +370,7 @@ class TestLandmarkGeodesics:
         # two groups of three nodes at distance 0 from each other, 1 apart
         d = np.ones((6, 6))
         d[:3, :3] = d[3:, 3:] = 0.0
-        gd = geodesic_distances(build_neighbor_graph(d, 2), 4)
+        gd = geodesic_distances(build_neighbor_graph(distance_source(d), 2), 4)
         assert gd.tolist() == [[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0]]
         # two landmarks place the groups 1 apart, each on one point
         assert np.allclose(pdist(classical_mds(gd, 2).coordinates), squareform(d), atol=1e-12)
@@ -395,7 +387,7 @@ class TestLandmarkGeodesics:
 
     @pytest.mark.parametrize("landmarks", [1, 0, -3])
     def test_fewer_than_two_landmarks_rejected(self, landmarks):
-        ng = build_neighbor_graph(line_distance_matrix(np.arange(6.0)), 1)
+        ng = build_neighbor_graph(distance_source(line_distance_matrix(np.arange(6.0))), 1)
         with pytest.raises(ValueError, match="landmarks"):
             geodesic_distances(ng, landmarks)
 
@@ -410,7 +402,7 @@ class TestLandmarkMds:
     def points_geodesics(self, n=60, p=3, landmarks=12, seed=21):
         points = np.random.default_rng(seed).normal(size=(n, p))
         # the complete graph: every geodesic is the straight-line distance
-        ng = build_neighbor_graph(squareform(pdist(points)), n - 1)
+        ng = build_neighbor_graph(distance_source(squareform(pdist(points))), n - 1)
         return points, geodesic_distances(ng, landmarks)
 
     def test_triangulated_landmarks_match_block_mds(self):
@@ -457,7 +449,7 @@ class TestLandmarkMds:
 
     def test_coincident_nodes_give_one_zero_column(self):
         # every node at distance 0 from node 0: one landmark row
-        gd = geodesic_distances(build_neighbor_graph(np.zeros((6, 6)), 2), 3)
+        gd = geodesic_distances(build_neighbor_graph(distance_source(np.zeros((6, 6))), 2), 3)
         assert gd.shape == (1, 6)
         emb = classical_mds(gd, 2)
         assert emb.coordinates.shape == (6, 1) and not emb.coordinates.any()
@@ -642,7 +634,7 @@ class TestIsomapPipeline:
     def test_line_ordering_recovered(self):
         positions = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         d = line_distance_matrix(positions)
-        emb = classical_mds(geodesic_distances(build_neighbor_graph(d, 2)), 1)
+        emb = classical_mds(geodesic_distances(build_neighbor_graph(distance_source(d), 2)), 1)
         coord = emb.coordinates[:, 0]
         order = np.argsort(coord)
         assert order.tolist() in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0])
@@ -663,8 +655,8 @@ class TestIsomapPipeline:
         points = rng.normal(size=(12, 3))
         d = squareform(pdist(points))
         perm = rng.permutation(12)
-        emb = classical_mds(geodesic_distances(build_neighbor_graph(d, 4)), 2)
-        permuted = d[np.ix_(perm, perm)]
+        emb = classical_mds(geodesic_distances(build_neighbor_graph(distance_source(d), 4)), 2)
+        permuted = distance_source(d[np.ix_(perm, perm)])
         emb_perm = classical_mds(geodesic_distances(build_neighbor_graph(permuted, 4)), 2)
         assert np.allclose(emb_perm.coordinates[np.argsort(perm)], emb.coordinates, atol=1e-8)
 

@@ -18,7 +18,6 @@ from isofdp import (
     select_dc,
     select_k,
 )
-from isofdp import connected_components
 from isofdp.density_peaks import DensityProfile
 from isofdp.partition import normalize_labels
 
@@ -167,12 +166,12 @@ class TestSelectK:
         g, labels = disjoint_cliques_graph([5, 5])
         result = detect_communities(g, knn=4, dim=2)
         assert result.k_star == 2
-        components = connected_components(g)
+        # each clique, a component of its own, gets one label
         pred = result.partition.labels
         mapping = {}
-        for comp, lab in zip(components, pred):
-            mapping.setdefault(comp, lab)
-        assert all(mapping[c] == lab for c, lab in zip(components, pred))
+        for clique, lab in zip(labels, pred):
+            mapping.setdefault(clique, lab)
+        assert all(mapping[c] == lab for c, lab in zip(labels, pred))
         # the sweep confirms the peak rather than trusting the argmax
         densities = dict(result.sweep.table())
         assert densities[2] == max(densities.values())
