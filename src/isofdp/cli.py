@@ -25,6 +25,7 @@ from .reports import (
     atomic_write_text,
     build_report,
     decision_graph_rows,
+    embedding_header,
     embedding_rows,
     load_labels,
     report_json,
@@ -150,10 +151,9 @@ def cmd_detect(args) -> int:
         ["token", "rho", "delta", "gamma"],
         decision_graph_rows(result),
     )
-    dim = result.embedding.dim
     write_csv(
         os.path.join(args.out_dir, "embedding.csv"),
-        ["token"] + [f"x{j + 1}" for j in range(dim)],
+        embedding_header(result.embedding.dim),
         embedding_rows(g.tokens, result.embedding.coordinates),
     )
     line = f"k_star={result.k_star} communities over {g.node_count} nodes -> {args.out_dir}"
@@ -306,8 +306,7 @@ def cmd_embed(args) -> int:
         return 0
     emb = classical_mds(gd, args.dim)
     out = os.path.join(args.out_dir, "embedding.csv")
-    header = ["token"] + [f"x{j + 1}" for j in range(emb.dim)]
-    write_csv(out, header, embedding_rows(g.tokens, emb.coordinates))
+    write_csv(out, embedding_header(emb.dim), embedding_rows(g.tokens, emb.coordinates))
     print(f"{g.node_count} nodes embedded into {emb.dim} dimensions -> {out}")
     return 0
 

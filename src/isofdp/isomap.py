@@ -1,4 +1,4 @@
-"""Manifold projection of a distance matrix: k-NN graph, geodesics, classical MDS."""
+"""Manifold projection of row-block distances: k-NN graph, geodesics, classical MDS."""
 
 from __future__ import annotations
 
@@ -22,8 +22,9 @@ __all__ = [
     "residual_variances",
 ]
 
-# rows each k-NN and repair scan takes at a time: one n x n copy or mask would
-# be its peak, and at n=3000 256-row blocks already raise the max RSS by 6%
+# rows each k-NN and repair read takes at a time: every temporary of the k-NN
+# graph is one block's, each array at most 8 n bytes a row (a dense block),
+# and at n=3000 256-row dense blocks raised the max RSS by 6%
 _BLOCK_ROWS = 64
 
 # geodesic rows per embedding: graphs up to this size keep all-pairs geodesics
@@ -72,53 +73,52 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
     ``d`` is the source of row blocks :func:`isofdp.similarity.distance_rows`
     returns, whose rows are exactly symmetric; it is read ``_BLOCK_ROWS``
-    rows at a time, so no n x n copy or mask is made. Edge (i, j) is kept
-    when j is among the ``neighborhood_size`` closest finite-distance
-    partners of i, or vice versa; distance ties are broken toward the smaller
-    node index. If the k-NN graph is disconnected, its components are joined
-    by their minimum spanning forest over the finite pairs ``u < v``, with
-    weight ``d[u, v]`` and ties broken by (w, u, v), which is unique under
-    that order: the edges Kruskal would add. Groups that still share no
-    finite distance, such as the components of a disconnected graph, are
-    joined by a star of bridges from node 0 to each group's smallest node.
-    Each bridge weighs twice the largest finite distance, which keeps the
-    groups maximally separated in the embedding while letting the projection
-    proceed.
+    rows at a time through :meth:`~isofdp.similarity.DistanceRows.entries`,
+    so no n x n copy or mask is made. Edge (i, j) is kept when j is among
+    the ``neighborhood_size`` closest finite-distance partners of i, or vice
+    versa; distance ties are broken toward the smaller node index. If the
+    k-NN graph is disconnected, its components are joined by their minimum
+    spanning forest over the finite pairs ``u < v``, with weight ``d[u, v]``
+    and ties broken by (w, u, v), which is unique under that order: the
+    edges Kruskal would add. Groups that still share no finite distance,
+    such as the components of a disconnected graph, are joined by a star of
+    bridges from node 0 to each group's smallest node. Each bridge weighs
+    twice the largest finite distance, which keeps the groups maximally
+    separated in the embedding while letting the projection proceed.
     """
     n = d.node_count
     k = int(neighborhood_size)
     if not 1 <= k <= n - 1:
         raise ValueError(f"neighborhood size must be in 1..{n - 1}, got {k}")
-
-    # block buffers, reused by every block of the top-k scan and the repair
-    height = min(_BLOCK_ROWS, n)
-    buf, part = np.empty((height, n)), np.empty((height, n))
-    flags = np.empty((height, n), dtype=bool)
-
-    def block(lo, hi):
-        return d.rows(lo, hi, out=buf[: hi - lo]), flags[: hi - lo]
+    blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 
     keys, weights = [], []
-    for lo in range(0, n, _BLOCK_ROWS):
-        bb, take = block(lo, min(lo + _BLOCK_ROWS, n))
-        np.fill_diagonal(bb[:, lo:], np.inf)
+    for rows in blocks:
+        # at least k + 1 slots, so a row with fewer than k finite distances
+        # has more than k at or below its infinite k-th, as a dense row has
+        vals, cols = d.entries(rows, k + 1)
+        cols = np.broadcast_to(cols, vals.shape)
         # every partner at or below the k-th smallest distance; a row with
         # more than k of them (ties at the k-th, or an infinite k-th) keeps
-        # those below it, then those at a finite k-th in index order
-        pp = part[: len(bb)]
-        np.copyto(pp, bb)
-        pp.partition(k - 1, axis=1)
-        kth = pp[:, k - 1 : k]
-        np.less_equal(bb, kth, out=take)
+        # those below it, then those at a finite k-th in column order
+        kth = np.partition(vals, k - 1, axis=1)[:, k - 1 : k]
+        take = vals <= kth
         over = np.flatnonzero(take.sum(axis=1) > k)
         if over.size:
-            bo, ko = bb[over], kth[over]
-            below, tied = bo < ko, (bo == ko) & np.isfinite(ko)
-            room = k - below.sum(axis=1, keepdims=True)
-            take[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        bi, bj = np.divmod(np.flatnonzero(take), n)  # row-major, as np.nonzero
-        keys.append(np.minimum(bi + lo, bj) * n + np.maximum(bi + lo, bj))
-        weights.append(bb[bi, bj])  # finite, so as the distances hold them
+            vo, ko = vals[over], kth[over]
+            below, tied = vo < ko, (vo == ko) & np.isfinite(ko)
+            # the tied slots by row, then column, and each one's place in its row
+            r, s = np.nonzero(tied)
+            by_col = np.lexsort((cols[over[r], s], r))
+            r, s = r[by_col], s[by_col]
+            keep = np.arange(r.size) - np.searchsorted(r, r) < k - below.sum(axis=1)[r]
+            below[r[keep], s[keep]] = True
+            take[over] = below
+        bi, slot = np.divmod(np.flatnonzero(take), take.shape[1])  # row-major, as np.nonzero
+        bj = cols[bi, slot]
+        weights.append(vals[bi, slot])  # finite, so as the distances hold them
+        bi += rows.start
+        keys.append(np.minimum(bi, bj) * n + np.maximum(bi, bj))
     # a pair that both its rows selected comes twice, with one weight
     keys, first = np.unique(np.concatenate(keys), return_index=True)
     if not keys.size:
@@ -132,17 +132,19 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
         # Boruvka rounds from the k-NN components: each takes its lightest
         # finite pair to another, by (w, u, v) over u < v, and those join. As
         # the rows are symmetric, that pair is the least (w, min, max) over
-        # the component's rows of each row's first minimum outside it
+        # the component's rows of each row's least (w, column) outside it
         nodes = np.arange(n)
         row_w, row_v = np.empty(n), np.empty(n, dtype=np.int64)
+        scan = blocks
         while components > 1:
-            for lo in range(0, n, _BLOCK_ROWS):
-                hi = min(lo + _BLOCK_ROWS, n)
-                bb, same = block(lo, hi)
-                np.equal(comp[lo:hi, None], comp, out=same)
-                np.copyto(bb, np.inf, where=same)
-                row_v[lo:hi] = bb.argmin(axis=1)  # first minimum: the smaller v
-                row_w[lo:hi] = bb[nodes[: hi - lo], row_v[lo:hi]]
+            for rows in scan:
+                idx = nodes[rows]
+                vals, cols = d.entries(rows, 1)
+                vals[comp.take(cols) == comp[idx, None]] = np.inf
+                w = vals.min(axis=1, keepdims=True)
+                row_w[idx] = w[:, 0]
+                cols = np.broadcast_to(cols, vals.shape)
+                row_v[idx] = np.min(cols, axis=1, where=vals == w, initial=n)
             u, v = np.minimum(nodes, row_v), np.maximum(nodes, row_v)
             order = np.lexsort((v, u, row_w, comp))
             best = order[np.unique(comp[order], return_index=True)[1]]
@@ -156,15 +158,18 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
             merged = csr_matrix((np.ones(joins.size), (comp[ju], comp[jv])), shape=(components,) * 2)
             components, group = connected_components(merged, directed=False)
             comp = group[comp]
+            # components only merge, so a row whose partner is still outside
+            # its own keeps it; the others are read again
+            stale = np.flatnonzero((comp[row_v] == comp) & (row_w < np.inf))
+            scan = [stale[i : i + _BLOCK_ROWS] for i in range(0, stale.size, _BLOCK_ROWS)]
         if components > 1:
             # each group's smallest node r, the key of (0, r); node 0's sorts first
             reps = np.sort(np.unique(comp, return_index=True)[1])[1:]
-            # the largest finite distance, from one more pass; the zero
-            # diagonal cannot raise the maximum over positive distances
+            # the largest finite distance off the diagonal, from one more pass
             top = -np.inf
-            for lo in range(0, n, _BLOCK_ROWS):
-                bb, _ = block(lo, min(lo + _BLOCK_ROWS, n))
-                top = max(top, bb.max(where=bb < np.inf, initial=-np.inf))
+            for rows in blocks:
+                vals, _ = d.entries(rows, 1)
+                top = max(top, vals.max(where=vals < np.inf, initial=-np.inf))
             bridge = 2.0 * float(top)
             keys, weights = np.r_[keys, reps], np.r_[weights, np.full(reps.size, bridge)]
         order = np.argsort(keys)

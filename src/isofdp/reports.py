@@ -90,6 +90,11 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def embedding_header(dim: int) -> list:
+    """The header of the embedding CSV: ``token``, then ``x1..x<dim>``."""
+    return ["token"] + [f"x{j + 1}" for j in range(dim)]
+
+
 def embedding_rows(tokens, coordinates):
     """One CSV row per node: its token, then its coordinates as ``repr`` floats."""
     for tok, row in zip(tokens, coordinates):

@@ -26,12 +26,14 @@ MEASURES = ("structure", "euclidean", "jaccard", "cosine", "hamming")
 
 @dataclass(frozen=True)
 class DistanceRows:
-    """The n x n distances ``d = 1/s`` of one measure, written a block of rows at a time.
+    """The n x n distances ``d = 1/s`` of one measure, read a block of rows at a time.
 
-    Built by :func:`distance_rows`. ``offsets`` holds ``u * n + v`` and
-    ``values`` one number per entry of the shared-neighbor count, in the
-    count's CSR order, with ``row_ptr`` its row pointer: ``1/s`` for
-    structure, cosine and jaccard, ``2 c`` for euclidean and hamming.
+    Built by :func:`distance_rows`. ``columns`` and ``values`` hold one
+    column index and one number per entry of the shared-neighbor count, in
+    the count's CSR order, with ``row_ptr`` its row pointer: ``1/s`` for
+    structure, cosine and jaccard, ``2 c`` for euclidean and hamming. Within
+    a row the entries are in the order the sparse product left them, not in
+    column order, and the diagonal is one of them wherever ``c[v, v] > 0``.
     ``degrees`` are the float node degrees and ``isolated`` the nodes
     without one. The array is exactly symmetric, which the repair of
     :func:`isofdp.isomap.build_neighbor_graph` relies on.
@@ -40,27 +42,74 @@ class DistanceRows:
     node_count: int
     measure: str
     row_ptr: np.ndarray
-    offsets: np.ndarray
+    columns: np.ndarray
     values: np.ndarray
     degrees: np.ndarray
     isolated: np.ndarray
 
-    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows ``lo..hi-1``: the bytes the dense n x n array holds there.
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo..hi-1``: the bytes the dense n x n array holds there."""
+        return self._dense(np.arange(lo, hi), slice(self.row_ptr[lo], self.row_ptr[hi]))
 
-        ``out``, if given, is a C-contiguous ``(hi - lo, n)`` float array to
-        write into.
+    def entries(self, rows, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distances of ``rows`` to the other nodes, with the column of each.
+
+        ``rows`` is a slice or an array of row indices. Returns ``values``,
+        ``(len(rows), w)`` with the diagonal read as inf, and ``columns``,
+        which broadcasts against it, in one of two layouts:
+
+        - padded: each row's finite distances in the count's order, then
+          inf (column 0) up to ``w``, the longest row's count or ``width``
+          if larger; ``columns`` has the shape of ``values``. A row's finite
+          distances are its count entries; under jaccard an isolated node's
+          are its 1.0 to each isolated node.
+        - dense: the rows of the n x n array, ``w = n``, and ``columns`` is
+          ``0..n-1``, one row for all.
+
+        The padded layout is read when its values and columns take less room
+        than the dense rows; euclidean and hamming, finite for every pair,
+        are always dense.
         """
         n = self.node_count
-        d = np.empty((hi - lo, n)) if out is None else out
-        if not d.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        flat = d.reshape(-1)  # a view, as d is contiguous
-        entries = slice(self.row_ptr[lo], self.row_ptr[hi])
-        at = self.offsets[entries] - lo * n
+        ptr = self.row_ptr
+        idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+        counts = ptr[idx + 1] - ptr[idx]
+        if isinstance(rows, slice):
+            src = slice(ptr[rows.start], ptr[rows.stop])
+        else:  # each row's entries, concatenated
+            src = np.repeat(ptr[idx] - (np.cumsum(counts) - counts), counts)
+            src += np.arange(src.size)
+        lone = np.flatnonzero(self.degrees[idx] == 0) if self.measure == "jaccard" else idx[:0]
         if self.measure in ("euclidean", "hamming"):
-            np.add(self.degrees[lo:hi, None], self.degrees, out=d)
-            flat[at] -= self.values[entries]
+            longest = n
+        else:
+            longest = max(counts.max(initial=0), self.isolated.size if lone.size else 0)
+        longest = max(int(longest), width)
+        if longest * (self.values.itemsize + self.columns.itemsize) >= n * self.values.itemsize:
+            vals = self._dense(idx, src)
+            vals[np.arange(idx.size), idx] = np.inf
+            return vals, np.arange(n)
+        filled = np.arange(longest, dtype=counts.dtype) < counts[:, None]
+        vals = np.full((idx.size, longest), np.inf)
+        cols = np.zeros((idx.size, longest), dtype=self.columns.dtype)
+        vals[filled] = self.values[src]
+        cols[filled] = self.columns[src]
+        if lone.size:  # no count entries: the row is empty up to here
+            vals[lone, : self.isolated.size] = 1.0
+            cols[lone, : self.isolated.size] = self.isolated
+        vals[cols == idx.astype(cols.dtype)[:, None]] = np.inf
+        return vals, cols
+
+    def _dense(self, idx: np.ndarray, src) -> np.ndarray:
+        """The dense rows ``idx``, whose count entries are ``src``."""
+        n = self.node_count
+        d = np.empty((idx.size, n))
+        flat = d.reshape(-1)  # a view, as d is contiguous
+        at = np.repeat(np.arange(idx.size) * n, self.row_ptr[idx + 1] - self.row_ptr[idx])
+        at += self.columns[src]
+        if self.measure in ("euclidean", "hamming"):
+            np.add(self.degrees[idx, None], self.degrees, out=d)
+            flat[at] -= self.values[src]
             if self.measure == "euclidean":
                 np.sqrt(d, out=d)
             else:
@@ -71,12 +120,10 @@ class DistanceRows:
             np.divide(1.0, d, out=d)
         else:
             d.fill(np.inf)
-            flat[at] = self.values[entries]
+            flat[at] = self.values[src]
             if self.measure == "jaccard" and self.isolated.size:
-                lone = self.isolated
-                d[np.ix_(lone[(lone >= lo) & (lone < hi)] - lo, lone)] = 1.0
-        diag = np.arange(lo, hi)
-        d[diag - lo, diag] = 0.0
+                d[np.ix_(np.flatnonzero(self.degrees[idx] == 0), self.isolated)] = 1.0
+        d[np.arange(idx.size), idx] = 0.0
         return d
 
 
@@ -105,7 +152,8 @@ def distance_rows(g: Graph, measure: str = "structure") -> DistanceRows:
     if measure == "structure":
         a = a + identity(n, dtype=a.dtype, format="csr")
     # the product's column order within a row is left as it comes: the
-    # blocks scatter through flat offsets, which need no order
+    # blocks scatter by column, and the k-NN graph's rules read columns,
+    # not positions
     c = a @ a
     per_row = np.diff(c.indptr)
     col, common = c.indices, c.data
@@ -130,9 +178,6 @@ def distance_rows(g: Graph, measure: str = "structure") -> DistanceRows:
             s = differ / (differ + common)
             np.subtract(1.0, s, out=s)
         values = np.divide(1.0, s, out=s)
-    # after the values, so that their temporaries are gone
-    offsets = np.repeat(np.arange(n, dtype=np.int64) * n, per_row)
-    offsets += col
     return DistanceRows(
-        n, measure, c.indptr, offsets, values, deg.astype(float), np.flatnonzero(deg == 0)
+        n, measure, c.indptr, col, values, deg.astype(float), np.flatnonzero(deg == 0)
     )

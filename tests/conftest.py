@@ -1,6 +1,7 @@
 """Shared fixtures and independent reference implementations (oracles)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from isofdp import DbscanSpec, Graph, GnSpec, Partition, generate_gn
+from isofdp import DbscanSpec, Graph, GnSpec, LfrSpec, Partition, generate_gn, generate_lfr
 from isofdp.density_peaks import DensityProfile, _as_points, assign, select_dc
 from isofdp.metrics import accuracy, nmi
 from isofdp.partition import SweepRecord, SweepResult, normalize_labels, partition_density
@@ -76,8 +77,11 @@ def distance_source(values) -> DistanceRows:
     """A ``DistanceRows`` whose rows are a dense distance array.
 
     Finite off-diagonal entries become the source's entries; everything else
-    (inf, NaN, -inf) reads inf, and the diagonal reads zero. An array that is
-    not symmetric is rejected, as every ``distance_rows`` source is.
+    (inf, NaN, -inf) reads inf, and the diagonal reads zero. As the sparse
+    product leaves them, each row's entries include the diagonal (1/s = 1)
+    and come in an order other than column order: a seeded shuffle, reversed
+    where it came out sorted. An array that is not symmetric is rejected, as
+    every ``distance_rows`` source is.
     """
     d = np.array(values, dtype=float)
     n = d.shape[0]
@@ -85,10 +89,17 @@ def distance_source(values) -> DistanceRows:
     np.fill_diagonal(d, np.inf)
     if not np.array_equal(d, d.T):
         raise ValueError("distances must be symmetric")
-    offsets = np.flatnonzero(d < np.inf)
-    row_ptr = np.searchsorted(offsets, np.arange(n + 1) * n)
+    np.fill_diagonal(d, 1.0)
+    rng = np.random.default_rng(0)
+    columns = []
+    for row in d:
+        cols = rng.permutation(np.flatnonzero(row < np.inf))
+        columns.append(cols[::-1] if np.all(np.diff(cols) > 0) else cols)
+    row_ptr = np.r_[0, np.cumsum([c.size for c in columns])]
+    cols = np.concatenate(columns).astype(np.int32)
+    values = d[np.repeat(np.arange(n), np.diff(row_ptr)), cols]
     none = np.empty(0, dtype=np.int64)
-    return DistanceRows(n, "structure", row_ptr, offsets, d.flat[offsets], np.zeros(n), none)
+    return DistanceRows(n, "structure", row_ptr, cols, values, np.zeros(n), none)
 
 
 REFERENCE_GRAPHS = {
@@ -402,3 +413,19 @@ def lesmis_graph():
     index = {t: i for i, t in enumerate(tokens)}
     pairs = [(index[u], index[v]) for u, v in g.edges()]
     return Graph.from_edges(len(tokens), pairs, tokens=tokens)
+
+
+@pytest.fixture(scope="module")
+def lfr_graph():
+    """The LFR graph at n=2000, mu 0.3, that the memory bounds are measured on."""
+    return generate_lfr(LfrSpec(n=2000, mu=0.3, seed=0)).graph
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The ``tracemalloc`` peak of one call: what it allocates, not what it was given."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,12 +5,13 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from isofdp import Graph, GnSpec, LfrSpec, detect_communities, generate_gn, select_dc, to_gml
 from isofdp.cli import build_parser, main, _parse_values
 from isofdp.isomap import geodesic_distances
-from isofdp.reports import load_labels, save_labels
+from isofdp.reports import embedding_header, embedding_rows, load_labels, save_labels
 from isofdp.similarity import MEASURES
 
 from conftest import disjoint_cliques_graph
@@ -370,6 +371,12 @@ class TestEmbed:
         lines = (out / "embedding.csv").read_text().splitlines()
         assert lines[0] == "token,x1,x2,x3"
         assert len(lines) == 129
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_header_width_is_the_row_width(self, dim):
+        coordinates = np.arange(2.0 * dim).reshape(2, dim)
+        rows = list(embedding_rows(["a", "b"], coordinates))
+        assert [len(row) for row in rows] == [len(embedding_header(dim))] * 2
 
     def test_detect_writes_the_same_embedding(self, gn_instance, tmp_path):
         edges_path, _ = gn_instance

@@ -18,7 +18,7 @@ from isofdp import (
     generate_lfr,
     geodesic_distances,
 )
-from isofdp.isomap import LANDMARKS, NeighborGraph, residual_variances
+from isofdp.isomap import _BLOCK_ROWS, LANDMARKS, NeighborGraph, residual_variances
 from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
@@ -34,6 +34,7 @@ from conftest import (
     reference_bridge,
     reference_distances,
     reference_neighbor_graph,
+    traced_peak,
 )
 
 
@@ -48,6 +49,14 @@ SPLIT_GRAPHS = {
     "k4_k6_k8_isolated3": with_isolated(disjoint_cliques_graph([4, 6, 8])[0], 3),
     "gn_isolated4": with_isolated(generate_gn(GnSpec(z_out=4, seed=0)).graph, 4),
 }
+
+
+# a hub joined to 110 leaves, the last of which starts a 40-node path, and 3
+# isolated nodes: at 64-row blocks, the leaves' blocks are dense and the
+# path's padded
+HUB_AND_PATH = Graph.from_edges(
+    154, [(0, i) for i in range(1, 111)] + [(i, i + 1) for i in range(110, 150)]
+)
 
 
 # the k-NN tests' graphs and a few benchmark graphs, each under every measure
@@ -217,6 +226,24 @@ class TestBuildNeighborGraph:
             assert edge_set(ng) == reference_neighbor_graph(d, k)
             assert len(ng.edges) == len(edge_set(ng))
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_padded_and_dense_blocks_match_reference_neighbor_graph(self, measure):
+        # the leaves' count rows hold the hub and every leaf, too long to pad;
+        # the path's hold a few nodes, tied pairwise at p - 1 and p + 1
+        g = HUB_AND_PATH
+        n, source = g.node_count, distance_rows(g, measure)
+        # the blocks as the k = 10 scan reads them
+        dense = {
+            source.entries(slice(lo, min(lo + _BLOCK_ROWS, n)), 11)[0].shape[1] == n
+            for lo in range(0, n, _BLOCK_ROWS)
+        }
+        assert dense == ({True} if measure in ("euclidean", "hamming") else {True, False})
+        d = reference_distances(g, measure)
+        for k in (1, 3, 10):
+            ng = build_neighbor_graph(source, k)
+            assert edge_set(ng) == reference_neighbor_graph(d, k)
+            assert len(ng.edges) == len(edge_set(ng))
+
     @pytest.mark.parametrize("block_rows", [7, 64])
     @pytest.mark.parametrize("groups, size", [(16, 4), (32, 3)])
     def test_repair_over_many_components(self, groups, size, block_rows, monkeypatch):
@@ -259,6 +286,16 @@ class TestBuildNeighborGraph:
         )
         ng = build_neighbor_graph(distance_source(d), 1)
         assert (0, 1) in {(u, v) for u, v, _ in edge_set(ng)}
+
+
+class TestNeighborGraphPeakMemory:
+    @pytest.mark.parametrize("measure", ["structure", "cosine", "jaccard"])
+    def test_peak_is_a_few_blocks(self, lfr_graph, measure):
+        # every temporary is per block of rows: one int64 array over all the
+        # count's entries (4.2 MB here) is over the bound by itself
+        source = distance_rows(lfr_graph, measure)
+        peak = traced_peak(build_neighbor_graph, source, 10)
+        assert peak <= 4 * 8 * _BLOCK_ROWS * lfr_graph.node_count
 
 
 class TestGeodesicDistances:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,18 +6,16 @@ import pytest
 from isofdp import (
     Graph,
     GnSpec,
-    LfrSpec,
     detect_communities,
     distance_rows,
     generate_gn,
-    generate_lfr,
     load_edge_list,
 )
 from isofdp.isomap import _BLOCK_ROWS
 from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
-from conftest import REFERENCE_GRAPHS, dense_similarity, full_rows, reference_distances
+from conftest import REFERENCE_GRAPHS, dense_similarity, full_rows, reference_distances, traced_peak
 
 TRIANGLE = load_edge_list("0 1\n1 2\n2 0")
 PATH3 = load_edge_list("a b\nb c")
@@ -41,16 +38,26 @@ class TestStructureSimilarity:
     def test_self_similarity_is_one(self):
         # the count's diagonal entries hold 1/s(v, v) before the blocks zero it
         source = distance_rows(PATH3, "structure")
-        diagonal = source.offsets % (PATH3.node_count + 1) == 0
+        rows = np.repeat(np.arange(PATH3.node_count), np.diff(source.row_ptr))
+        diagonal = source.columns == rows
         assert np.count_nonzero(diagonal) == PATH3.node_count
         assert np.all(source.values[diagonal] == 1.0)
 
     def test_symmetry(self):
         g = generate_gn(GnSpec(z_out=5, seed=9)).graph
         source = distance_rows(g, "structure")
-        rows, cols = np.divmod(source.offsets, g.node_count)
+        rows = np.repeat(np.arange(g.node_count), np.diff(source.row_ptr))
+        cols = source.columns
         by_pair = dict(zip(zip(rows.tolist(), cols.tolist()), source.values.tolist()))
         assert all(by_pair[v, u] == d for (u, v), d in by_pair.items())
+
+
+BLOCK_GRAPHS = {
+    **REFERENCE_GRAPHS,
+    "gn_isolated": Graph.from_edges(131, generate_gn(GnSpec(z_out=3, seed=4)).graph.edge_array),
+    # padded blocks with isolated rows: jaccard's 1.0 between them
+    "path_isolated": Graph.from_edges(24, [(i, i + 1) for i in range(19)]),
+}
 
 
 class TestDistanceRows:
@@ -68,29 +75,36 @@ class TestDistanceRows:
         assert d.tobytes() == reference_distances(g, measure).tobytes()
 
     @pytest.mark.parametrize("measure", MEASURES)
-    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS) + ["gn_isolated"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
     def test_every_block_matches_the_dense_reference(self, name, measure):
-        # ragged 7-row blocks, written into a reused buffer as the k-NN scan
-        # and the repair ask for them
-        if name == "gn_isolated":
-            g = generate_gn(GnSpec(z_out=3, seed=4)).graph
-            g = Graph.from_edges(g.node_count + 3, g.edge_array)
-        else:
-            g = REFERENCE_GRAPHS[name]
+        # ragged 7-row blocks
+        g = BLOCK_GRAPHS[name]
         source, want = distance_rows(g, measure), reference_distances(g, measure)
         n = g.node_count
-        buf = np.full((7, n), np.nan)
         for lo in range(0, n, 7):
             hi = min(lo + 7, n)
-            got = source.rows(lo, hi, out=buf[: hi - lo])
-            assert np.shares_memory(got, buf)
-            assert got.tobytes() == want[lo:hi].tobytes()
-            assert source.rows(lo, hi).tobytes() == got.tobytes()
+            assert source.rows(lo, hi).tobytes() == want[lo:hi].tobytes()
 
-    def test_out_must_be_contiguous(self):
-        source = distance_rows(TRIANGLE, "structure")
-        with pytest.raises(ValueError, match="contiguous"):
-            source.rows(0, 3, out=np.empty((3, 6))[:, ::2])
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+    def test_entries_are_the_finite_distances_off_the_diagonal(self, name, measure):
+        # ragged 7-row blocks, read in order and gathered in a shuffled order
+        g = BLOCK_GRAPHS[name]
+        source, want = distance_rows(g, measure), reference_distances(g, measure)
+        np.fill_diagonal(want, np.inf)
+        n = g.node_count
+        rng = np.random.default_rng(0)
+        for lo in range(0, n, 7):
+            for rows in (slice(lo, min(lo + 7, n)), rng.permutation(np.arange(lo, min(lo + 7, n)))):
+                vals, cols = source.entries(rows, 3)
+                cols = np.broadcast_to(cols, vals.shape)
+                # padded only where values and int32 columns take less room
+                assert vals.shape[1] == n or 3 <= vals.shape[1] < 2 * n / 3
+                r, at = np.nonzero(vals < np.inf)
+                got = np.full((vals.shape[0], n), np.inf)
+                got[r, cols[r, at]] = vals[r, at]
+                assert got.tobytes() == want[rows].tobytes()
+                assert r.size == np.count_nonzero(want[rows] < np.inf)  # each one once
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_empty_input(self, measure):
@@ -148,21 +162,7 @@ class TestDistanceRows:
 
 def count_entries(g, measure):
     """Entries of the sparse shared-neighbor count behind a measure."""
-    return distance_rows(g, measure).offsets.size
-
-
-@pytest.fixture(scope="module")
-def lfr_graph():
-    return generate_lfr(LfrSpec(n=2000, mu=0.3, seed=0)).graph
-
-
-def traced_peak(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return distance_rows(g, measure).values.size
 
 
 class TestDistancePeakMemory:
