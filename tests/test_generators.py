@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,65 @@ class TestLfrGenerator:
             LfrSpec(n=100, mu=0.5, avg_degree=60, max_degree=50)
         with pytest.raises(TypeError):
             LfrSpec(100, 0.5)  # keywords only
+
+
+# First 16 hex digits of SHA-256 over edge_array.tobytes() then truth.tobytes(),
+# one per seed 0, 1, 2. They pin the draw stream itself: a change to how the
+# generators consume their random numbers changes these graphs, where the
+# determinism tests above, which compare two runs of the same code, would pass.
+GN_DIGESTS = {
+    0: ("071793b10663cfdf", "2b091293edc4d670", "452c00566a0a301b"),
+    2: ("3c5878bca1c55e33", "da9048561e96eea4", "e436255dd197b078"),
+    4: ("e4f6505c3c188415", "64b69d9b23f94928", "8944da4d72d9cb84"),
+    6: ("62b7d72bb1beee27", "98e68182c7fbb40f", "edd7366b6b7df113"),
+    8: ("7974e08eb855450a", "541d0f780de59d57", "dcf2f40b5a249f79"),
+    10: ("f7f49aa904a1f2c5", "a6c3705893e53ea3", "172b053bf4fc1b99"),
+    12: ("d5b9576f216372c8", "d30ff353a0e62871", "e094cf91cb96dade"),
+    14: ("6783fc030d472e90", "78dddcc564f3a0f2", "021959b63a628f3f"),
+    16: ("151a2f5caa9328fb", "eddaba5ae01e1a02", "8adacf79d60af903"),
+}
+LFR_DIGESTS = {
+    (200, 0.1): ("8ab9997c6af6b96a", "db41d74aea5dc358", "1cbab107129531fb"),
+    (200, 0.3): ("955252ce823b3c94", "ddf63ff5c0b209a4", "6bf3d9f7cd709e0e"),
+    (200, 0.5): ("5bd83ca6c8e007dc", "3266e10661630951", "c2fd420e3bfe317d"),
+    (200, 0.8): ("76f97bae0cad0b83", "282dadff77cd2d38", "3629600a3119162e"),
+    (1000, 0.1): ("5844c3597811ba05", "2975940efbe4961d", "3ad8c310d9968512"),
+    (1000, 0.3): ("7360a53348f50502", "5e5b201da520a871", "670df83ed7263fb2"),
+    (1000, 0.5): ("da6911dec10db0c9", "7d7a578869cd38b3", "64d58693436ca394"),
+    (1000, 0.8): ("d715f13bff97e972", "3518be31912b15d2", "41011991e284a9fd"),
+}
+
+
+def _digest(labeled):
+    h = hashlib.sha256(labeled.graph.edge_array.tobytes())
+    h.update(labeled.truth.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestGoldenDigests:
+    """Each spec reproduces the same graph across versions, byte for byte."""
+
+    @pytest.mark.parametrize("z_out", sorted(GN_DIGESTS))
+    def test_gn(self, z_out):
+        got = tuple(_digest(generate_gn(GnSpec(z_out=z_out, seed=s))) for s in range(3))
+        assert got == GN_DIGESTS[z_out]
+
+    @pytest.mark.parametrize("n, mu", sorted(LFR_DIGESTS))
+    def test_lfr(self, n, mu):
+        got = tuple(_digest(generate_lfr(LfrSpec(n=n, mu=mu, seed=s))) for s in range(3))
+        assert got == LFR_DIGESTS[n, mu]
+
+    def test_lfr_3000(self):
+        assert _digest(generate_lfr(LfrSpec(n=3000, mu=0.3, seed=0))) == "968aed6b548ca872"
+
+    def test_rejected_spec_keeps_its_message(self):
+        # fails only after the wiring, so the message reads the matched graph
+        spec = LfrSpec(
+            n=60, mu=0.5, avg_degree=3, max_degree=20, min_community=10, max_community=20
+        )
+        with pytest.raises(GenerationError) as info:
+            generate_lfr(spec)
+        assert str(info.value) == "achieved mixing 0.357 strays more than 0.03 from mu=0.5"
 
 
 class TestGraphFootprint:
