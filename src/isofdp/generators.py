@@ -10,6 +10,7 @@ platform.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,69 +83,91 @@ class LfrSpec:
             raise ValueError("mu must lie strictly between 0 and 1")
         if not self.min_community <= self.max_community <= self.n:
             raise ValueError("need min_community <= max_community <= n")
+        if self.min_community < 1:
+            raise ValueError("min_community must be at least 1")
+        if self.avg_degree < 1:
+            raise ValueError("avg_degree must be at least 1: every node has a link")
         if self.avg_degree > self.max_degree:
             raise ValueError("avg_degree cannot exceed max_degree")
 
 
-# swap repair budget of _match_stubs: rounds over all pairs, partners per bad pair
+# swap repair budget of _match_stubs: rounds over all pairs, partners per bad
+# pair. A round's partners are drawn ahead in one batch, enough for every try
+# the round can make; the draws it leaves unread start the next round's batch
 _MAX_ROUNDS = 200
 _SWAP_TRIES = 24
 
 
-def _match_stubs(stubs, rng, valid_pair=None):
-    """Pair stub endpoints into the set of distinct simple edges ``(u, v)``, ``u < v``.
+def _match_stubs(stubs, rng, group):
+    """Pair stub endpoints into distinct simple edges: ``(m, 2)`` int64 rows, either order.
 
-    Random matching followed by swap repair: offending pairs (self-loops,
-    constraint violations, duplicates) trade endpoints with random partners
-    until clean or the round budget runs out. Unrepairable pairs are dropped.
+    ``group`` holds one label per node, indexable by node id (a list, for
+    speed); no pair may join two nodes with the same label, so giving every
+    node its own label forbids only self-loops. Random matching followed by
+    swap repair: offending pairs (same label, duplicates) trade endpoints with
+    random partners until clean or the round budget runs out. Unrepairable
+    pairs are dropped.
+
+    Partners are drawn in batches (see ``_SWAP_TRIES``). All draws share the
+    bound ``n_pairs``, under which PCG64 yields the same values batched as one
+    at a time, so at the end the generator is rewound and advanced by the
+    draws actually read: it ends where one draw per try would leave it.
     """
     stubs = np.asarray(stubs, dtype=np.int64)
     if stubs.size % 2 != 0:
         raise ValueError("stub count must be even")
     if stubs.size == 0:
-        return set()
-    pairs = stubs[rng.permutation(stubs.size)].reshape(-1, 2).tolist()
-    n_pairs = len(pairs)
+        return np.empty((0, 2), dtype=np.int64)
+    us, vs = stubs[rng.permutation(stubs.size)].reshape(-1, 2).T.tolist()
+    n_pairs = len(us)
+    span = len(group)
+    start = rng.bit_generator.state
+    draws = []
+    read = 0
 
-    def ok(u, v):
-        return u != v and (valid_pair is None or valid_pair(u, v))
+    def key(x, y):  # one int per unordered pair
+        return x * span + y if x < y else y * span + x
 
-    for _ in range(_MAX_ROUNDS):
-        seen = {}
+    # the pass after the last round only scans, so ``bad`` ends up describing
+    # the final pairs
+    for rounds_left in range(_MAX_ROUNDS, -1, -1):
+        # a pair is bad when its labels match or an earlier pair has its key
+        seen = set()
         bad = []
-        for idx, (u, v) in enumerate(pairs):
-            if not ok(u, v):
-                bad.append(idx)
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+        for idx, u, v in zip(range(n_pairs), us, vs):
+            k = key(u, v)
+            if group[u] == group[v] or k in seen:
                 bad.append(idx)
             else:
-                seen[key] = idx
-        if not bad:
+                seen.add(k)
+        if not bad or not rounds_left:
             break
+        short = read + len(bad) * _SWAP_TRIES - len(draws)
+        if short > 0:
+            draws += rng.integers(n_pairs, size=short).tolist()
         progress = False
         for idx in bad:
-            u, v = pairs[idx]
-            for _ in range(_SWAP_TRIES):
-                other = int(rng.integers(n_pairs))
+            u, v = us[idx], vs[idx]
+            for other in draws[read : read + _SWAP_TRIES]:
+                read += 1
                 if other == idx:
                     continue
-                a, b = pairs[other]
-                if not (ok(u, b) and ok(a, v)):
+                a, b = us[other], vs[other]
+                if group[u] == group[b] or group[a] == group[v]:
                     continue
-                k1 = (u, b) if u < b else (b, u)
-                k2 = (a, v) if a < v else (v, a)
+                k1 = key(u, b)
+                k2 = key(a, v)
                 if k1 in seen or k2 in seen or k1 == k2:
                     continue
-                pairs[idx] = [u, b]
-                pairs[other] = [a, v]
+                vs[idx], vs[other] = b, v
                 progress = True
                 break
         if not progress:
             break
 
-    return {(u, v) if u < v else (v, u) for u, v in pairs if ok(u, v)}
+    rng.bit_generator.state = start
+    rng.integers(n_pairs, size=read)
+    return np.delete(np.array([us, vs], dtype=np.int64).T, bad, axis=0)
 
 
 def generate_gn(spec: GnSpec) -> LabeledGraph:
@@ -155,21 +178,15 @@ def generate_gn(spec: GnSpec) -> LabeledGraph:
     with probability z_in/31 and a cross pair with z_out/96.
     """
     rng = np.random.default_rng(spec.seed)
-    edges = set()
-    for block in range(4):
-        members = np.arange(block * 32, (block + 1) * 32)
-        if spec.z_in == 0:
-            continue
-        edges |= _match_stubs(np.repeat(members, spec.z_in), rng)
-    if spec.z_out > 0:
-        block_of = np.arange(128) // 32
-        edges |= _match_stubs(
-            np.repeat(np.arange(128), spec.z_out),
-            rng,
-            valid_pair=lambda u, v: block_of[u] != block_of[v],
-        )
+    nodes = list(range(128))
+    block_of = [u // 32 for u in nodes]
+    parts = [
+        _match_stubs(np.repeat(np.arange(block * 32, (block + 1) * 32), spec.z_in), rng, nodes)
+        for block in range(4)
+    ]
+    parts.append(_match_stubs(np.repeat(np.arange(128), spec.z_out), rng, block_of))
     truth = np.repeat(np.arange(4), 32)
-    return LabeledGraph(Graph.from_edges(128, edges), truth)
+    return LabeledGraph(Graph.from_edges(128, np.concatenate(parts)), truth)
 
 
 def _power_law_weights(exponent, low, high):
@@ -195,11 +212,13 @@ def _draw_power_law(rng, exponent, low, high, size):
 
 
 def _draw_community_sizes(rng, spec: LfrSpec, max_tries=100):
+    values = np.arange(spec.min_community, spec.max_community + 1)
+    _, p = _power_law_weights(spec.t2, spec.min_community, spec.max_community)
     for _ in range(max_tries):
         sizes = []
         total = 0
         while total < spec.n:
-            s = int(_draw_power_law(rng, spec.t2, spec.min_community, spec.max_community, 1)[0])
+            s = int(rng.choice(values, size=1, p=p)[0])
             sizes.append(s)
             total += s
         excess = total - spec.n
@@ -218,23 +237,36 @@ def _draw_community_sizes(rng, spec: LfrSpec, max_tries=100):
 
 
 def _assign_members(rng, sizes, intra_deg, max_tries=50):
-    """Place nodes into communities large enough for their in-community degree."""
-    n = intra_deg.shape[0]
-    order = np.argsort(-intra_deg, kind="stable")
+    """Place nodes into communities large enough for their in-community degree.
+
+    Nodes go in order of falling intra-degree, each to a uniform pick among
+    the communities with room that are larger than its intra-degree. As the
+    degree falls, communities only join that set, by falling size, or leave
+    it when full, so it is kept as one sorted list.
+    """
+    order = np.argsort(-intra_deg, kind="stable").tolist()
+    need = intra_deg.tolist()
+    size_of = sizes.tolist()
+    by_size = np.argsort(-sizes, kind="stable").tolist()
     for _ in range(max_tries):
-        capacity = sizes.copy()
-        community = np.full(n, -1, dtype=np.int64)
-        feasible = True
+        capacity = size_of.copy()
+        community = [-1] * len(need)
+        eligible = []
+        joined = 0
         for i in order:
-            candidates = np.flatnonzero((capacity > 0) & (sizes > intra_deg[i]))
-            if candidates.size == 0:
-                feasible = False
+            while joined < len(by_size) and size_of[by_size[joined]] > need[i]:
+                bisect.insort(eligible, by_size[joined])
+                joined += 1
+            if not eligible:
                 break
-            c = int(rng.choice(candidates))
+            pick = int(rng.integers(len(eligible)))
+            c = eligible[pick]
             community[i] = c
             capacity[c] -= 1
-        if feasible:
-            return community
+            if capacity[c] == 0:
+                del eligible[pick]
+        else:
+            return np.asarray(community, dtype=np.int64)
     raise GenerationError("could not fit intra-degrees into the drawn community sizes")
 
 
@@ -262,28 +294,24 @@ def generate_lfr(spec: LfrSpec) -> LabeledGraph:
 
     sizes = _draw_community_sizes(rng, spec)
     community = _assign_members(rng, sizes, intra_deg)
+    # each community's members in ascending order; every community is full
+    members_of = np.split(np.argsort(community, kind="stable"), np.cumsum(sizes)[:-1])
 
     # per-community stub-sum parity: flip one intra stub to an inter stub
-    for c in range(sizes.shape[0]):
-        members = np.flatnonzero(community == c)
+    for members in members_of:
         if intra_deg[members].sum() % 2 == 0:
             continue
         with_stub = members[intra_deg[members] > 0]
         intra_deg[int(rng.choice(with_stub))] -= 1
     inter_deg = degrees - intra_deg
 
-    edges = set()
-    for c in range(sizes.shape[0]):
-        members = np.flatnonzero(community == c)
-        stubs = np.repeat(members, intra_deg[members])
-        edges |= _match_stubs(stubs, rng)
+    nodes = list(range(spec.n))
+    parts = [
+        _match_stubs(np.repeat(members, intra_deg[members]), rng, nodes) for members in members_of
+    ]
+    parts.append(_match_stubs(np.repeat(np.arange(spec.n), inter_deg), rng, community.tolist()))
 
-    inter_stubs = np.repeat(np.arange(spec.n), inter_deg)
-    edges |= _match_stubs(
-        inter_stubs, rng, valid_pair=lambda u, v: community[u] != community[v]
-    )
-
-    graph = Graph.from_edges(spec.n, edges)
+    graph = Graph.from_edges(spec.n, np.concatenate(parts))
     if (graph.degrees == 0).any():
         raise GenerationError("wiring produced an isolated node; try another seed")
     u, v = graph.edge_array.T

@@ -73,9 +73,12 @@ class Graph:
         """Build from index pairs; tokens default to decimal indices.
 
         Self-loops are ignored and duplicate pairs collapse, so generator
-        output can be passed through unfiltered.
+        output can be passed through unfiltered. An ``(m, 2)`` integer array
+        is read as it is, not row by row.
         """
-        edges = np.array(list(pairs) or np.empty((0, 2)), dtype=np.int64)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs) or np.empty((0, 2))
+        edges = np.asarray(pairs, dtype=np.int64)
         edges = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)
         # sorted rows, then the first of each run of equal ones
         edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ class TestGenerate:
         assert code == 0
         assert os.path.exists(tmp_path / "lfr_mu0.3_seed2.edges")
         assert os.path.exists(tmp_path / "lfr_mu0.3_seed2.truth")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--min-community", 0, "min_community must be at least 1"),
+            ("--avg-degree", 0, "avg_degree must be at least 1"),
+        ],
+    )
+    def test_degree_or_size_below_one_exits_2(self, tmp_path, capsys, flag, value, message):
+        # every node has a degree and a community of at least 1, so such a
+        # spec is infeasible: refused up front, before any draw can warn
+        out = tmp_path / "data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["generate", "lfr", "--mu", 0.3, flag, value, "--out-dir", out])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestDetect:

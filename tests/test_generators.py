@@ -108,6 +108,10 @@ class TestLfrGenerator:
             LfrSpec(n=100, mu=0.5, min_community=30, max_community=20)
         with pytest.raises(ValueError):
             LfrSpec(n=100, mu=0.5, avg_degree=60, max_degree=50)
+        with pytest.raises(ValueError, match="min_community must be at least 1"):
+            LfrSpec(n=100, mu=0.5, min_community=0)
+        with pytest.raises(ValueError, match="avg_degree must be at least 1"):
+            LfrSpec(n=100, mu=0.5, avg_degree=0.5)
         with pytest.raises(TypeError):
             LfrSpec(100, 0.5)  # keywords only
 
@@ -169,6 +173,38 @@ class TestGoldenDigests:
         with pytest.raises(GenerationError) as info:
             generate_lfr(spec)
         assert str(info.value) == "achieved mixing 0.357 strays more than 0.03 from mu=0.5"
+
+
+class TestDrawStream:
+    """numpy properties the generators rely on to stay byte-identical."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 7, 300, 10**6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_bounded_draws_equal_single_draws(self, bound, seed):
+        # the swap repair draws its partners in batches, then rewinds the
+        # generator and re-draws the count it read
+        single = np.random.default_rng(seed)
+        batched = np.random.default_rng(seed)
+        start = batched.bit_generator.state
+        want = [int(single.integers(bound)) for _ in range(50)]
+        got = batched.integers(bound, size=20).tolist() + batched.integers(bound, size=30).tolist()
+        assert got == want
+        assert batched.bit_generator.state == single.bit_generator.state
+        batched.integers(bound, size=13)
+        batched.bit_generator.state = start
+        batched.integers(bound, size=50)
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_choice_equals_an_index_draw(self, seed):
+        # community membership picks among eligible communities by index
+        picked = np.random.default_rng(seed)
+        indexed = np.random.default_rng(seed)
+        for length in (1, 2, 5, 33):
+            pool = np.arange(length) * 3 + 1
+            for _ in range(10):
+                assert int(picked.choice(pool)) == int(pool[indexed.integers(length)])
+        assert picked.bit_generator.state == indexed.bit_generator.state
 
 
 class TestGraphFootprint:
