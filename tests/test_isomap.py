@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -286,6 +287,42 @@ class TestBuildNeighborGraph:
         )
         ng = build_neighbor_graph(distance_source(d), 1)
         assert (0, 1) in {(u, v) for u, v, _ in edge_set(ng)}
+
+
+# per measure: the LFR graphs (n=1000, seed 0) by mixing whose k-NN graphs the
+# digest covers after the GN graphs z_out 1..8 (seed 0), and the digest's first
+# 16 hex digits. Euclidean and hamming read dense rows, the slowest, so they
+# take one LFR graph
+KNN_DIGESTS = {
+    "structure": ((0.2, 0.4, 0.6, 0.8), "f3201c050970282f"),
+    "euclidean": ((0.3,), "c8597db45aa18383"),
+    "jaccard": ((0.2, 0.4, 0.6, 0.8), "b10e41fd88e98cc9"),
+    "cosine": ((0.2, 0.4, 0.6, 0.8), "2bea1920b8d361a5"),
+    "hamming": ((0.3,), "0f745a0f565aa55e"),
+}
+
+
+@pytest.fixture(scope="module")
+def digest_graphs():
+    gn = [generate_gn(GnSpec(z_out=z_out, seed=0)).graph for z_out in range(1, 9)]
+    mixings = sorted({mu for mus, _ in KNN_DIGESTS.values() for mu in mus})
+    return gn, {mu: generate_lfr(LfrSpec(n=1000, mu=mu, seed=0)).graph for mu in mixings}
+
+
+@pytest.mark.parametrize("measure", sorted(KNN_DIGESTS))
+def test_neighbor_graphs_keep_their_digests(digest_graphs, measure):
+    # every edge and weight, byte for byte, across versions: the benchmark
+    # graphs tie often at the k-th distance
+    gn, lfr = digest_graphs
+    mixings, expected = KNN_DIGESTS[measure]
+    h = hashlib.sha256()
+    for g in gn + [lfr[mu] for mu in mixings]:
+        d = prepared_distances(g, measure)
+        for k in (1, 3, 10):
+            ng = build_neighbor_graph(d, k)
+            h.update(ng.edges.tobytes())
+            h.update(ng.weights.tobytes())
+    assert h.hexdigest()[:16] == expected
 
 
 class TestNeighborGraphPeakMemory:
