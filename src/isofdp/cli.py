@@ -11,6 +11,7 @@ import inspect
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -47,6 +48,16 @@ _SUITE_CODE = {"gn": 1, "lfr": 2}
 _METHODS = ("isofdp", "kmeans_iso", "dbscan_iso")
 _STREAM_GENERATOR = 0
 _STREAM_KMEANS = 1
+
+# per command, the prefix of its LfrSpec flags and their fields, in the flags'
+# order; benchmark draws mu and the seed from --mu and --seed
+_LFR_FLAGS = {
+    "generate": (
+        "",
+        ("mu", "n", "avg_degree", "max_degree", "t1", "t2", "min_community", "max_community", "seed"),
+    ),
+    "benchmark": ("lfr_", ("n", "avg_degree", "max_degree", "min_community", "max_community")),
+}
 
 
 def subseed(master: int, suite: str, param_key: int, trial: int, stream: int) -> int:
@@ -91,6 +102,22 @@ def _parse_values(text: str, integer: bool):
 def _default(call, name: str):
     """The default value of parameter ``name`` of a function or dataclass."""
     return inspect.signature(call).parameters[name].default
+
+
+def _add_lfr_flags(p, command: str) -> None:
+    """The ``LfrSpec`` flags of ``command``, each typed and defaulted as its field."""
+    prefix, names = _LFR_FLAGS[command]
+    types = typing.get_type_hints(LfrSpec)
+    for name in names:
+        default = _default(LfrSpec, name)
+        given = {"required": True} if default is inspect.Parameter.empty else {"default": default}
+        p.add_argument("--" + (prefix + name).replace("_", "-"), type=types[name], **given)
+
+
+def _lfr_spec(args, command: str, **fields) -> LfrSpec:
+    """The ``LfrSpec`` of the flags :func:`_add_lfr_flags` gave ``command``, and ``fields``."""
+    prefix, names = _LFR_FLAGS[command]
+    return LfrSpec(**{name: getattr(args, prefix + name) for name in names}, **fields)
 
 
 def _load_graph(path: str, fmt: str | None) -> tuple[Graph, str]:
@@ -169,17 +196,7 @@ def _benchmark_instance(suite, param, trial, args):
     if suite == "gn":
         labeled = generate_gn(GnSpec(z_out=param, seed=gen_seed))
     else:
-        labeled = generate_lfr(
-            LfrSpec(
-                n=args.lfr_n,
-                mu=param,
-                avg_degree=args.lfr_avg_degree,
-                max_degree=args.lfr_max_degree,
-                min_community=args.lfr_min_community,
-                max_community=args.lfr_max_community,
-                seed=gen_seed,
-            )
-        )
+        labeled = generate_lfr(_lfr_spec(args, "benchmark", mu=param, seed=gen_seed))
     return labeled, param_key
 
 
@@ -250,19 +267,7 @@ def cmd_generate(args) -> int:
         labeled = generate_gn(GnSpec(z_out=args.zout, seed=args.seed))
         name = args.name or f"gn_zout{args.zout}_seed{args.seed}"
     else:
-        labeled = generate_lfr(
-            LfrSpec(
-                n=args.n,
-                mu=args.mu,
-                avg_degree=args.avg_degree,
-                max_degree=args.max_degree,
-                t1=args.t1,
-                t2=args.t2,
-                min_community=args.min_community,
-                max_community=args.max_community,
-                seed=args.seed,
-            )
-        )
+        labeled = generate_lfr(_lfr_spec(args, "generate"))
         name = args.name or f"lfr_mu{args.mu:g}_seed{args.seed}"
     os.makedirs(args.out_dir, exist_ok=True)
     edge_path = os.path.join(args.out_dir, f"{name}.edges")
@@ -354,11 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=0, help="master seed; trials derive from it")
     p.add_argument("--out-dir", default="isofdp-out")
-    p.add_argument("--lfr-n", type=int, default=_default(LfrSpec, "n"))
-    p.add_argument("--lfr-avg-degree", type=float, default=_default(LfrSpec, "avg_degree"))
-    p.add_argument("--lfr-max-degree", type=int, default=_default(LfrSpec, "max_degree"))
-    p.add_argument("--lfr-min-community", type=int, default=_default(LfrSpec, "min_community"))
-    p.add_argument("--lfr-max-community", type=int, default=_default(LfrSpec, "max_community"))
+    _add_lfr_flags(p, "benchmark")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("generate", help="write a benchmark instance to disk")
@@ -370,15 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--name", default=None)
     pg.set_defaults(func=cmd_generate)
     pl = fam.add_parser("lfr", help="power-law degrees and community sizes")
-    pl.add_argument("--mu", type=float, required=True)
-    pl.add_argument("--n", type=int, default=_default(LfrSpec, "n"))
-    pl.add_argument("--avg-degree", type=float, default=_default(LfrSpec, "avg_degree"))
-    pl.add_argument("--max-degree", type=int, default=_default(LfrSpec, "max_degree"))
-    pl.add_argument("--t1", type=float, default=_default(LfrSpec, "t1"))
-    pl.add_argument("--t2", type=float, default=_default(LfrSpec, "t2"))
-    pl.add_argument("--min-community", type=int, default=_default(LfrSpec, "min_community"))
-    pl.add_argument("--max-community", type=int, default=_default(LfrSpec, "max_community"))
-    pl.add_argument("--seed", type=int, default=_default(LfrSpec, "seed"))
+    _add_lfr_flags(pl, "generate")
     pl.add_argument("--out-dir", default=".")
     pl.add_argument("--name", default=None)
     pl.set_defaults(func=cmd_generate)

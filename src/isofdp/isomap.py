@@ -74,9 +74,11 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
     ``d`` is the source of row blocks :func:`isofdp.similarity.distance_rows`
     returns, whose rows are exactly symmetric; it is read ``_BLOCK_ROWS``
     rows at a time through :meth:`~isofdp.similarity.DistanceRows.entries`,
-    so no n x n copy or mask is made. Edge (i, j) is kept when j is among
-    the ``neighborhood_size`` closest finite-distance partners of i, or vice
-    versa; distance ties are broken toward the smaller node index. If the
+    so no n x n copy or mask is made. Each row i keeps its first
+    ``neighborhood_size`` partners j at a finite distance in (distance, j)
+    order, so ties go to the smaller node index, and a row with fewer finite
+    distances keeps them all; edge (i, j) is kept when row i or row j keeps
+    the other. If the
     k-NN graph is disconnected, its components are joined by their minimum
     spanning forest over the finite pairs ``u < v``, with weight ``d[u, v]``
     and ties broken by (w, u, v), which is unique under that order: the
@@ -94,27 +96,18 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
     keys, weights = [], []
     for rows in blocks:
-        # at least k + 1 slots, so a row with fewer than k finite distances
-        # has more than k at or below its infinite k-th, as a dense row has
-        vals, cols = d.entries(rows, k + 1)
+        vals, cols = d.entries(rows, k)
         cols = np.broadcast_to(cols, vals.shape)
-        # every partner at or below the k-th smallest distance; a row with
-        # more than k of them (ties at the k-th, or an infinite k-th) keeps
-        # those below it, then those at a finite k-th in column order
+        # the partners at or below each row's k-th distance, in (row, distance,
+        # column) order; capping an infinite k-th leaves a row with fewer than
+        # k finite distances only those
         kth = np.partition(vals, k - 1, axis=1)[:, k - 1 : k]
-        take = vals <= kth
-        over = np.flatnonzero(take.sum(axis=1) > k)
-        if over.size:
-            vo, ko = vals[over], kth[over]
-            below, tied = vo < ko, (vo == ko) & np.isfinite(ko)
-            # the tied slots by row, then column, and each one's place in its row
-            r, s = np.nonzero(tied)
-            by_col = np.lexsort((cols[over[r], s], r))
-            r, s = r[by_col], s[by_col]
-            keep = np.arange(r.size) - np.searchsorted(r, r) < k - below.sum(axis=1)[r]
-            below[r[keep], s[keep]] = True
-            take[over] = below
-        bi, slot = np.divmod(np.flatnonzero(take), take.shape[1])  # row-major, as np.nonzero
+        r, s = np.nonzero(vals <= np.minimum(kth, np.finfo(float).max))
+        order = np.lexsort((cols[r, s], vals[r, s], r))
+        r, s = r[order], s[order]
+        # the first k of each row
+        keep = np.arange(r.size) - np.searchsorted(r, r) < k
+        bi, slot = r[keep], s[keep]
         bj = cols[bi, slot]
         weights.append(vals[bi, slot])  # finite, so as the distances hold them
         bi += rows.start
@@ -122,7 +115,10 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
     # a pair that both its rows selected comes twice, with one weight
     keys, first = np.unique(np.concatenate(keys), return_index=True)
     if not keys.size:
-        raise ValueError("no finite distances at all; graph has no edges")
+        raise ValueError(
+            "no finite distances at all: no two nodes share a neighbor, "
+            f"so every {d.measure} similarity is 0"
+        )
     weights = np.concatenate(weights)[first]
 
     adj = csr_matrix((np.ones(keys.size), np.divmod(keys, n)), shape=(n, n))
@@ -184,8 +180,10 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndarray:
     """Exact shortest paths over the neighbor graph, from every node or from landmarks.
 
-    With ``landmarks >= n`` the result is the exactly symmetric n x n all-pairs
-    array. Otherwise it is the ``l x n`` block of exact rows from ``l <=
+    With ``landmarks >= n`` the result is the n x n all-pairs array, each row
+    as Dijkstra returns it, so symmetric only up to rounding:
+    :func:`classical_mds` makes the block it reads exactly symmetric.
+    Otherwise it is the ``l x n`` block of exact rows from ``l <=
     landmarks`` nodes picked by max-min distance: node 0 first, then each time
     the node farthest from the landmarks so far (the first maximum, so ties go
     to the smaller index). The selection stops early once every node is at
@@ -203,10 +201,7 @@ def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndar
     if rows[0].max() == np.inf:
         raise ValueError("neighbor graph is disconnected")
     if landmarks >= n:
-        dist = _csgraph_dijkstra(both)
-        dist = np.minimum(dist, dist.T)  # enforce exact symmetry
-        np.fill_diagonal(dist, 0.0)
-        return dist
+        return _csgraph_dijkstra(both)
     mind = rows[0].copy()  # distance from each node to its nearest landmark
     while len(rows) < landmarks and mind.max() > 0:
         rows.append(_csgraph_dijkstra(both, indices=int(mind.argmax())))
@@ -229,28 +224,29 @@ def _centered_gram(d: np.ndarray) -> np.ndarray:
 
 
 def _landmark_block(d: np.ndarray) -> np.ndarray:
-    """The distances among the sources of ``l < n`` geodesic rows; ``d`` if square.
+    """The distances among the sources of the rows ``d``, the one input MDS reads.
 
-    A row of exact shortest paths is 0 at its source, so the source's column
-    is the first zero of the row, or that of a node at distance 0 from it,
-    whose column holds the same distances. Which nodes the rows come from,
-    and in which order, is not read. The block is made exactly symmetric with
-    a zero diagonal.
+    Row i of an n x n array is from node i. A row of ``l < n`` exact shortest
+    paths is 0 at its source, so the source's column is the first zero of the
+    row, or that of a node at distance 0 from it, whose column holds the same
+    distances; which nodes the rows come from, and in which order, is not
+    read. Either way each row is 0 at its source's column, which makes the
+    diagonal zero, and the block is made exactly symmetric here, as the
+    shortest paths from u to v and from v to u can differ in the last bit.
     """
     l, n = d.shape
-    if l == n:
-        return d
-    cols = d.argmin(axis=1)
+    cols = np.arange(n) if l == n else d.argmin(axis=1)
     if l > n or d[np.arange(l), cols].any():
         raise ValueError("need n x n distances or l < n geodesic rows, each 0 at its source")
     block = d[:, cols]
-    block = np.minimum(block, block.T)
-    np.fill_diagonal(block, 0.0)
-    return block
+    return np.minimum(block, block.T)
 
 
 def classical_mds(gd, dim: int) -> Embedding:
     """Project distances to ``dim`` coordinates: an n x n matrix, or l x n landmark rows.
+
+    Either is read through the exactly symmetric block of distances among
+    its rows' sources, with a zero diagonal.
 
     Keeps the top ``dim`` eigenpairs with eigenvalue above a relative positive
     threshold; when fewer are available the embedding carries fewer columns

@@ -53,10 +53,11 @@ def load_labels(source) -> dict:
     """Read a label file back as token -> community id.
 
     Raises:
-        GraphParseError: a line does not hold a token and an integer community.
+        GraphParseError: a line does not hold a token and an integer community,
+            or repeats the token of an earlier line.
     """
     text = source.read() if hasattr(source, "read") else str(source)
-    out = {}
+    out, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -64,6 +65,11 @@ def load_labels(source) -> dict:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise GraphParseError(f"label file line {lineno}: expected 'token<TAB>community'")
+        if parts[0] in line_of:
+            raise GraphParseError(
+                f"label file line {lineno}: token {parts[0]!r} repeats line {line_of[parts[0]]}"
+            )
+        line_of[parts[0]] = lineno
         try:
             out[parts[0]] = int(parts[1])
         except ValueError:

@@ -227,6 +227,28 @@ class TestDetect:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_repeated_truth_token_exits_1(self, gn_instance, tmp_path, capsys):
+        # the last line for a token used to win, and nmi was reported against it
+        edges_path, truth_path = gn_instance
+        lines = truth_path.read_text().splitlines()
+        token, community = lines[0].split("\t")
+        truth = tmp_path / "twice.truth"
+        truth.write_text("\n".join([*lines, f"{token}\t{int(community) + 1}"]) + "\n")
+        code = run(["detect", "--input", edges_path, "--truth", truth, "--out-dir", tmp_path / "o"])
+        assert code == 1
+        assert f"line {len(lines) + 1}: token {token!r} repeats line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", ["jaccard", "cosine"])
+    def test_no_shared_neighbor_exits_2_naming_it(self, tmp_path, capsys, measure):
+        # two edges, but no two nodes share a neighbor
+        path = tmp_path / "pairs.edges"
+        path.write_text("0 1\n2 3\n")
+        code = run(["detect", "--input", path, "--measure", measure, "--out-dir", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"no two nodes share a neighbor, so every {measure} similarity is 0" in err
+        assert "graph has no edges" not in err
+
     def test_truth_missing_nodes_exits_2(self, gn_instance, tmp_path):
         edges_path, _ = gn_instance
         truth = tmp_path / "short.truth"
@@ -293,6 +315,15 @@ class TestEval:
         save_labels(truth, ["a", "b"], [0, 1])
         save_labels(pred, ["a", "x"], [0, 1])
         assert run(["eval", "--truth", truth, "--pred", pred]) == 2
+
+    def test_repeated_token_exits_1(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        twice = tmp_path / "twice.txt"
+        save_labels(good, ["a", "b"], [0, 1])
+        twice.write_text("a 0\nb 1\na 1\n")
+        for files in ([twice, good], [good, twice]):
+            assert run(["eval", "--truth", files[0], "--pred", files[1]]) == 1
+            assert "line 3: token 'a' repeats line 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, message",

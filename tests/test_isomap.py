@@ -19,7 +19,13 @@ from isofdp import (
     generate_lfr,
     geodesic_distances,
 )
-from isofdp.isomap import _BLOCK_ROWS, LANDMARKS, NeighborGraph, residual_variances
+from isofdp.isomap import (
+    _BLOCK_ROWS,
+    LANDMARKS,
+    NeighborGraph,
+    _landmark_block,
+    residual_variances,
+)
 from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
@@ -200,8 +206,8 @@ class TestBuildNeighborGraph:
         for k in sorted({1, 3, min(10, g.node_count - 1)}):
             try:
                 want = build_neighbor_graph(dense, k)
-            except ValueError as err:
-                with pytest.raises(ValueError, match=str(err)):
+            except ValueError as err:  # the same error, naming the source's measure
+                with pytest.raises(ValueError, match=str(err).replace(dense.measure, measure)):
                     build_neighbor_graph(source, k)
                 continue
             got = build_neighbor_graph(source, k)
@@ -235,7 +241,7 @@ class TestBuildNeighborGraph:
         n, source = g.node_count, distance_rows(g, measure)
         # the blocks as the k = 10 scan reads them
         dense = {
-            source.entries(slice(lo, min(lo + _BLOCK_ROWS, n)), 11)[0].shape[1] == n
+            source.entries(slice(lo, min(lo + _BLOCK_ROWS, n)), 10)[0].shape[1] == n
             for lo in range(0, n, _BLOCK_ROWS)
         }
         assert dense == ({True} if measure in ("euclidean", "hamming") else {True, False})
@@ -455,9 +461,26 @@ class TestLandmarkGeodesics:
         ng = build_neighbor_graph(prepared_distances(labeled.graph), 24)
         n = ng.node_count
         assert n <= LANDMARKS  # so the default stays exact here too
+        w = csr_matrix((ng.weights, tuple(ng.edges.T)), shape=(n, n))
+        raw = dijkstra(w, directed=False).tobytes()
         expected = all_pairs_reference(ng).tobytes()
-        assert geodesic_distances(ng, n + extra).tobytes() == expected
-        assert geodesic_distances(ng).tobytes() == expected
+        for gd in (geodesic_distances(ng, n + extra), geodesic_distances(ng)):
+            # the rows as Dijkstra returns them; the MDS input is made symmetric
+            assert gd.tobytes() == raw
+            assert _landmark_block(gd).tobytes() == expected
+
+    @pytest.mark.parametrize("landmarks", [20, LANDMARKS])
+    def test_landmark_block_is_exactly_symmetric_with_zero_diagonal(self, landmarks):
+        # 20 landmark rows, or all 128: both blocks read unequal bytes across
+        # the diagonal of the rows
+        labeled = generate_gn(GnSpec(z_out=5, seed=2))
+        gd = geodesic_distances(build_neighbor_graph(prepared_distances(labeled.graph), 24), landmarks)
+        sources = gd[:, gd.argmin(axis=1)]
+        assert sources.tobytes() != sources.T.tobytes()
+        block = _landmark_block(gd)
+        assert block.shape == (len(gd), len(gd))
+        assert block.tobytes() == block.T.tobytes()
+        assert not np.diagonal(block).any()
 
     @pytest.mark.parametrize("landmarks", [1, 0, -3])
     def test_fewer_than_two_landmarks_rejected(self, landmarks):
@@ -499,12 +522,17 @@ class TestLandmarkMds:
         scale = np.abs(block.coordinates).max()
         assert np.max(np.abs(emb.coordinates[sources] - block.coordinates)) <= 1e-9 * scale
 
-    @pytest.mark.parametrize("rows", ["no_zero", "tall"])
+    @pytest.mark.parametrize("rows", ["no_zero", "tall", "square_no_zero"])
     def test_rows_that_are_not_geodesic_rejected(self, rows):
         _, gd = self.points_geodesics()
         block = landmark_block(gd, gd.argmin(axis=1))
-        # every row of the tall input is 0 somewhere, but there are more rows than columns
-        d = gd + 1.0 if rows == "no_zero" else np.vstack([block, block[:1]])
+        # every row of the tall input is 0 somewhere, but there are more rows
+        # than columns; row i of a square input is from node i, so 0 at i
+        d = {
+            "no_zero": gd + 1.0,
+            "tall": np.vstack([block, block[:1]]),
+            "square_no_zero": block + 1.0,
+        }[rows]
         for call in (lambda: classical_mds(d, 2), lambda: residual_variances(d, 2)):
             with pytest.raises(ValueError, match="geodesic rows"):
                 call()
