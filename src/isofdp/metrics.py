@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .partition import normalize_labels
 
@@ -45,6 +44,9 @@ def _nmi(counts: np.ndarray) -> float:
 
 
 def _accuracy(counts: np.ndarray) -> float:
+    # imported here: scipy.optimize is a tenth of the time of importing isofdp
+    from scipy.optimize import linear_sum_assignment
+
     return float(counts[linear_sum_assignment(counts, maximize=True)].sum() / counts.sum())
 
 

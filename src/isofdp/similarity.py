@@ -23,6 +23,10 @@ __all__ = [
 
 MEASURES = ("structure", "euclidean", "jaccard", "cosine", "hamming")
 
+# rows of the count whose distances are written at a time: every temporary
+# of distance_rows is one chunk's, a few arrays over its entries
+_CHUNK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class DistanceRows:
@@ -34,6 +38,9 @@ class DistanceRows:
     structure, cosine and jaccard, ``2 c`` for euclidean and hamming. Within
     a row the entries are in the order the sparse product left them, not in
     column order, and the diagonal is one of them wherever ``c[v, v] > 0``.
+    ``values`` is the float64 product's own data, each count overwritten by
+    its distance, and ``columns`` its indices, int32 below 2**31 entries:
+    12 bytes an entry.
     ``degrees`` are the float node degrees and ``isolated`` the nodes
     without one. The array is exactly symmetric, which the repair of
     :func:`isofdp.isomap.build_neighbor_graph` relies on.
@@ -142,42 +149,56 @@ def distance_rows(g: Graph, measure: str = "structure") -> DistanceRows:
     computed from the degrees and the count in each block of rows.
 
     Only the count and the degrees are held, so memory is linear in the
-    count's entries; no n x n array is built.
+    count's entries; no n x n array is built. The product is taken in
+    floats, exact for integers under 2**53, and each entry's distance is
+    written over its own count, a chunk of ``_CHUNK_ROWS`` rows at a time:
+    the count is held at 12 bytes an entry, and the stage peaks one chunk's
+    temporaries above that.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; supported: {MEASURES}")
     n = g.node_count
-    a = g.adjacency
-    deg = g.degrees
+    deg = g.degrees.astype(float)
+    # the count in floats, so that each entry's distance is written over it
+    a = g.adjacency.astype(float)
     if measure == "structure":
-        a = a + identity(n, dtype=a.dtype, format="csr")
+        a = a + identity(n, format="csr")
     # the product's column order within a row is left as it comes: the
     # blocks scatter by column, and the k-NN graph's rules read columns,
     # not positions
     c = a @ a
-    per_row = np.diff(c.indptr)
-    col, common = c.indices, c.data
+    ptr, col, values = c.indptr, c.indices, c.data
     if measure in ("euclidean", "hamming"):
-        values = 2.0 * common
+        values *= 2.0
     else:
-        if measure == "structure":
-            # in floats: the size products are integers under 2**53, so exact
-            sizes = deg + 1.0
-            s = np.repeat(sizes, per_row)
-            s *= sizes.take(col)
-            np.divide(common, np.sqrt(s, out=s), out=s)
-        elif measure == "cosine":
-            norms = np.sqrt(deg)
-            s = np.repeat(norms, per_row)
-            s *= norms.take(col)
-            np.divide(common, s, out=s)
-        else:  # jaccard: coordinates set in either row
-            differ = np.repeat(deg, per_row)
-            differ += deg.take(col)
-            differ -= 2 * common
-            s = differ / (differ + common)
-            np.subtract(1.0, s, out=s)
-        values = np.divide(1.0, s, out=s)
-    return DistanceRows(
-        n, measure, c.indptr, col, values, deg.astype(float), np.flatnonzero(deg == 0)
-    )
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            span = slice(ptr[lo], ptr[hi])
+            du = np.repeat(deg[lo:hi], np.diff(ptr[lo : hi + 1]))
+            _write_distances(measure, values[span], du, deg.take(col[span]))
+            del du  # freed before the next chunk's are made
+    return DistanceRows(n, measure, ptr, col, values, deg, np.flatnonzero(deg == 0))
+
+
+def _write_distances(measure: str, common: np.ndarray, du: np.ndarray, dv: np.ndarray) -> None:
+    """Writes ``1/s`` over the counts ``common`` of entries between nodes of degrees ``du``, ``dv``.
+
+    ``du`` and ``dv`` are overwritten. In floats the counts, the degrees and
+    their sums and size products are integers under 2**53, so exact.
+    """
+    if measure == "structure":
+        du += 1.0
+        dv += 1.0
+        du *= dv
+        s = np.divide(common, np.sqrt(du, out=du), out=du)
+    elif measure == "cosine":
+        np.sqrt(du, out=du)
+        du *= np.sqrt(dv, out=dv)
+        s = np.divide(common, du, out=du)
+    else:  # jaccard: coordinates set in either row
+        du += dv
+        du -= 2.0 * common
+        np.add(du, common, out=dv)
+        s = np.divide(du, dv, out=dv)
+        np.subtract(1.0, s, out=s)
+    np.divide(1.0, s, out=common)

@@ -1,14 +1,17 @@
 """Shared fixtures and independent reference implementations (oracles)."""
 
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, pdist, squareform
 
+import isofdp
 from isofdp import DbscanSpec, Graph, GnSpec, LfrSpec, Partition, generate_gn, generate_lfr
 from isofdp.density_peaks import DensityProfile, _as_points, assign, select_dc
 from isofdp.metrics import accuracy, nmi
@@ -66,6 +69,36 @@ def reference_distances(g, measure: str) -> np.ndarray:
     np.divide(1.0, sim, out=d, where=sim > 0)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def reference_count_entries(g, measure: str):
+    """Reference for the entries of ``isofdp.similarity.distance_rows``.
+
+    The whole int64 product ``c = a @ a`` (``a + I`` for structure), then
+    each entry's ``1/s`` (``2 c`` for euclidean and hamming) over all of it
+    at once, in the product's order. Returns ``row_ptr``, ``columns`` and
+    ``values``.
+    """
+    n = g.node_count
+    a = g.adjacency
+    deg = g.degrees
+    if measure == "structure":
+        a = a + identity(n, dtype=a.dtype, format="csr")
+    c = a @ a
+    rows = np.repeat(np.arange(n), np.diff(c.indptr))
+    col, common = c.indices, c.data
+    if measure in ("euclidean", "hamming"):
+        return c.indptr, col, 2.0 * common
+    if measure == "structure":
+        sizes = deg + 1.0
+        s = common / np.sqrt(sizes[rows] * sizes[col])
+    elif measure == "cosine":
+        norms = np.sqrt(deg)
+        s = common / (norms[rows] * norms[col])
+    else:  # jaccard
+        differ = deg[rows] + deg[col] - 2 * common
+        s = 1.0 - differ / (differ + common)
+    return c.indptr, col, 1.0 / s
 
 
 def full_rows(source) -> np.ndarray:
@@ -429,3 +462,11 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def child_env() -> dict:
+    """This process's environment, with the imported ``isofdp`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = str(Path(isofdp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -9,12 +9,10 @@ decision is taken on ``cdist``.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import isofdp
+from conftest import child_env
 
 CHILD = """
 import hashlib
@@ -40,10 +38,8 @@ print(json.dumps({
 
 
 def detect_with_threads(threads: int) -> dict:
-    env = dict(os.environ)
+    env = child_env()
     env["OPENBLAS_NUM_THREADS"] = str(threads)
-    src = str(Path(isofdp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", CHILD],
         env=env,

@@ -1,9 +1,13 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from isofdp import accuracy, nmi
+
+from conftest import child_env
 
 # worked 4-node example: truth (1,1,2,2) against prediction (1,1,1,2)
 TRUTH4 = [1, 1, 2, 2]
@@ -94,3 +98,17 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([0], [0, 1])
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # accuracy imports it on its first call; a fresh interpreter shows
+        # whether importing the package alone loads it
+        child = "import sys, isofdp; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

@@ -15,7 +15,14 @@ from isofdp.isomap import _BLOCK_ROWS
 from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
-from conftest import REFERENCE_GRAPHS, dense_similarity, full_rows, reference_distances, traced_peak
+from conftest import (
+    REFERENCE_GRAPHS,
+    dense_similarity,
+    full_rows,
+    reference_count_entries,
+    reference_distances,
+    traced_peak,
+)
 
 TRIANGLE = load_edge_list("0 1\n1 2\n2 0")
 PATH3 = load_edge_list("a b\nb c")
@@ -165,19 +172,44 @@ def count_entries(g, measure):
     return distance_rows(g, measure).values.size
 
 
+class TestCountEntries:
+    """Each entry's distance, written a chunk of rows at a time over the float count,
+    is the whole int64 product's, byte for byte."""
+
+    @staticmethod
+    def assert_entries_match(g, measure):
+        source = distance_rows(g, measure)
+        row_ptr, columns, values = reference_count_entries(g, measure)
+        assert source.row_ptr.tobytes() == row_ptr.tobytes()
+        assert source.columns.tobytes() == columns.tobytes()
+        assert source.values.dtype == np.float64
+        assert source.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+    def test_reference_graphs(self, name, measure):
+        # with jaccard's isolated nodes and the diagonal entries
+        self.assert_entries_match(REFERENCE_GRAPHS[name], measure)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_lfr_graph(self, lfr_graph, measure):
+        # n=2000: several chunks of rows, the last one short
+        self.assert_entries_match(lfr_graph, measure)
+
+
 class TestDistancePeakMemory:
-    """No n x n array: the sparse count, a few arrays over its entries, one block."""
+    """No n x n array: the sparse count, one chunk's arrays over its entries, one block."""
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_peak_is_linear_in_the_count(self, lfr_graph, measure):
         n = lfr_graph.node_count
         peak = traced_peak(prepared_distances, lfr_graph, measure)
-        # 12 bytes an entry for the count, 8 for its index converted, three
-        # float arrays over the entries, one block of rows
-        assert peak <= 40 * count_entries(lfr_graph, measure) + 8 * _BLOCK_ROWS * n
+        # 12 bytes an entry for the count, the float adjacency, one chunk's
+        # arrays over its entries
+        assert peak <= 16 * count_entries(lfr_graph, measure) + 8 * _BLOCK_ROWS * n
 
     def test_whole_pipeline_peak_is_the_distance_stage(self, lfr_graph):
         # every later stage holds less than the count: landmark rows, blocks
         n = lfr_graph.node_count
         peak = traced_peak(detect_communities, lfr_graph, knn=10, dim=16)
-        assert peak <= 40 * count_entries(lfr_graph, "structure") + 8 * _BLOCK_ROWS * n
+        assert peak <= 16 * count_entries(lfr_graph, "structure") + 8 * _BLOCK_ROWS * n
