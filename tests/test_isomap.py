@@ -297,14 +297,13 @@ class TestBuildNeighborGraph:
 
 # per measure: the LFR graphs (n=1000, seed 0) by mixing whose k-NN graphs the
 # digest covers after the GN graphs z_out 1..8 (seed 0), and the digest's first
-# 16 hex digits. Euclidean and hamming read dense rows, the slowest, so they
-# take one LFR graph
+# 16 hex digits
 KNN_DIGESTS = {
     "structure": ((0.2, 0.4, 0.6, 0.8), "f3201c050970282f"),
-    "euclidean": ((0.3,), "c8597db45aa18383"),
+    "euclidean": ((0.2, 0.3, 0.4, 0.6, 0.8), "2680a094dcadba62"),
     "jaccard": ((0.2, 0.4, 0.6, 0.8), "b10e41fd88e98cc9"),
     "cosine": ((0.2, 0.4, 0.6, 0.8), "2bea1920b8d361a5"),
-    "hamming": ((0.3,), "0f745a0f565aa55e"),
+    "hamming": ((0.2, 0.3, 0.4, 0.6, 0.8), "b7b02042ff5bcb61"),
 }
 
 
