@@ -23,8 +23,8 @@ __all__ = [
 ]
 
 # rows each k-NN and repair read takes at a time: every temporary of the k-NN
-# graph is one block's, each array at most 8 n bytes a row (a dense block),
-# and at n=3000 256-row dense blocks raised the max RSS by 6%
+# graph is one block's, each array at most 8 n bytes a row (a block is never
+# wider than n), and 256-row blocks, n wide then, raised n=3000's max RSS 6%
 _BLOCK_ROWS = 64
 
 # geodesic rows per embedding: graphs up to this size keep all-pairs geodesics
@@ -73,12 +73,12 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
     ``d`` is the source of row blocks :func:`isofdp.similarity.distance_rows`
     returns, whose rows are exactly symmetric; it is read ``_BLOCK_ROWS``
-    rows at a time through :meth:`~isofdp.similarity.DistanceRows.entries`,
-    so no n x n copy or mask is made. Each row i keeps its first
-    ``neighborhood_size`` partners j at a finite distance in (distance, j)
-    order, so ties go to the smaller node index, and a row with fewer finite
-    distances keeps them all; edge (i, j) is kept when row i or row j keeps
-    the other. If the
+    rows at a time through :meth:`~isofdp.similarity.DistanceRows.entries`
+    and, in the repair, ``nearest_outside``, so no n x n copy or mask is
+    made. Each row i keeps its first ``neighborhood_size`` partners j at a
+    finite distance in (distance, j) order, so ties go to the smaller node
+    index, and a row with fewer finite distances keeps them all; edge (i, j)
+    is kept when row i or row j keeps the other. If the
     k-NN graph is disconnected, its components are joined by their minimum
     spanning forest over the finite pairs ``u < v``, with weight ``d[u, v]``
     and ties broken by (w, u, v), which is unique under that order: the
@@ -92,12 +92,12 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
     k = int(neighborhood_size)
     if not 1 <= k <= n - 1:
         raise ValueError(f"neighborhood size must be in 1..{n - 1}, got {k}")
-    blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+    nodes = np.arange(n)
+    blocks = [nodes[lo : lo + _BLOCK_ROWS] for lo in range(0, n, _BLOCK_ROWS)]
 
     keys, weights = [], []
     for rows in blocks:
         vals, cols = d.entries(rows, k)
-        cols = np.broadcast_to(cols, vals.shape)
         # the partners at or below each row's k-th distance, in (row, distance,
         # column) order; capping an infinite k-th leaves a row with fewer than
         # k finite distances only those
@@ -110,7 +110,7 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
         bi, slot = r[keep], s[keep]
         bj = cols[bi, slot]
         weights.append(vals[bi, slot])  # finite, so as the distances hold them
-        bi += rows.start
+        bi = rows[bi]
         keys.append(np.minimum(bi, bj) * n + np.maximum(bi, bj))
     # a pair that both its rows selected comes twice, with one weight
     keys, first = np.unique(np.concatenate(keys), return_index=True)
@@ -129,18 +129,11 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
         # finite pair to another, by (w, u, v) over u < v, and those join. As
         # the rows are symmetric, that pair is the least (w, min, max) over
         # the component's rows of each row's least (w, column) outside it
-        nodes = np.arange(n)
         row_w, row_v = np.empty(n), np.empty(n, dtype=np.int64)
         scan = blocks
         while components > 1:
             for rows in scan:
-                idx = nodes[rows]
-                vals, cols = d.entries(rows, 1)
-                vals[comp.take(cols) == comp[idx, None]] = np.inf
-                w = vals.min(axis=1, keepdims=True)
-                row_w[idx] = w[:, 0]
-                cols = np.broadcast_to(cols, vals.shape)
-                row_v[idx] = np.min(cols, axis=1, where=vals == w, initial=n)
+                row_w[rows], row_v[rows] = d.nearest_outside(rows, comp)
             u, v = np.minimum(nodes, row_v), np.maximum(nodes, row_v)
             order = np.lexsort((v, u, row_w, comp))
             best = order[np.unique(comp[order], return_index=True)[1]]

@@ -33,17 +33,18 @@ class DistanceRows:
     """The n x n distances ``d = 1/s`` of one measure, read a block of rows at a time.
 
     Built by :func:`distance_rows`. ``columns`` and ``values`` hold one
-    column index and one number per entry of the shared-neighbor count, in
-    the count's CSR order, with ``row_ptr`` its row pointer: ``1/s`` for
-    structure, cosine and jaccard, ``2 c`` for euclidean and hamming. Within
-    a row the entries are in the order the sparse product left them, not in
-    column order, and the diagonal is one of them wherever ``c[v, v] > 0``.
+    column index and one distance per entry of the shared-neighbor count, in
+    the count's CSR order, with ``row_ptr`` its row pointer. Within a row the
+    entries are in the order the sparse product left them, not in column
+    order, and the diagonal is one of them wherever ``c[v, v] > 0``.
     ``values`` is the float64 product's own data, each count overwritten by
     its distance, and ``columns`` its indices, int32 below 2**31 entries:
-    12 bytes an entry.
-    ``degrees`` are the float node degrees and ``isolated`` the nodes
-    without one. The array is exactly symmetric, which the repair of
-    :func:`isofdp.isomap.build_neighbor_graph` relies on.
+    12 bytes an entry. Off the count, structure, cosine and jaccard
+    distances are inf, but for jaccard's 1.0 between two isolated nodes;
+    euclidean and hamming ones grow strictly with ``deg[u] + deg[v]``.
+    ``degrees`` are the float node degrees and ``order`` the nodes in
+    (degree, index) order. The array is exactly symmetric, which the repair
+    of :func:`isofdp.isomap.build_neighbor_graph` relies on.
     """
 
     node_count: int
@@ -52,86 +53,82 @@ class DistanceRows:
     columns: np.ndarray
     values: np.ndarray
     degrees: np.ndarray
-    isolated: np.ndarray
+    order: np.ndarray
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo..hi-1``: the bytes the dense n x n array holds there."""
-        return self._dense(np.arange(lo, hi), slice(self.row_ptr[lo], self.row_ptr[hi]))
+    def entries(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distances of the rows ``rows`` that hold each one's ``width`` nearest, and their columns.
 
-    def entries(self, rows, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distances of ``rows`` to the other nodes, with the column of each.
-
-        ``rows`` is a slice or an array of row indices. Returns ``values``,
-        ``(len(rows), w)`` with the diagonal read as inf, and ``columns``,
-        which broadcasts against it, in one of two layouts:
-
-        - padded: each row's finite distances in the count's order, then
-          inf (column 0) up to ``w``, the longest row's count or ``width``
-          if larger; ``columns`` has the shape of ``values``. A row's finite
-          distances are its count entries; under jaccard an isolated node's
-          are its 1.0 to each isolated node.
-        - dense: the rows of the n x n array, ``w = n``, and ``columns`` is
-          ``0..n-1``, one row for all.
-
-        The padded layout is read when its values and columns take less room
-        than the dense rows; euclidean and hamming, finite for every pair,
-        are always dense.
+        Both are ``(len(rows), w)``, ``width <= w <= n``: each row's count
+        entries, the diagonal read as inf, then inf (column 0); under jaccard
+        an isolated node's 1.0 to each isolated node. Under euclidean and
+        hamming, finite for every pair, the first ``longest + width + 1``
+        nodes in (degree, index) order come first, ``longest`` the block's
+        most count entries in a row, with the row's count distance where it
+        has one; its other entries follow. Off the count a distance grows
+        strictly with the other node's degree, so no node left out precedes
+        ``width`` of these in (distance, column) order.
         """
-        n = self.node_count
-        ptr = self.row_ptr
-        idx = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
-        counts = ptr[idx + 1] - ptr[idx]
-        if isinstance(rows, slice):
-            src = slice(ptr[rows.start], ptr[rows.stop])
-        else:  # each row's entries, concatenated
-            src = np.repeat(ptr[idx] - (np.cumsum(counts) - counts), counts)
-            src += np.arange(src.size)
-        lone = np.flatnonzero(self.degrees[idx] == 0) if self.measure == "jaccard" else idx[:0]
+        head = self.order[:0]
         if self.measure in ("euclidean", "hamming"):
-            longest = n
-        else:
-            longest = max(counts.max(initial=0), self.isolated.size if lone.size else 0)
-        longest = max(int(longest), width)
-        if longest * (self.values.itemsize + self.columns.itemsize) >= n * self.values.itemsize:
-            vals = self._dense(idx, src)
-            vals[np.arange(idx.size), idx] = np.inf
-            return vals, np.arange(n)
-        filled = np.arange(longest, dtype=counts.dtype) < counts[:, None]
-        vals = np.full((idx.size, longest), np.inf)
-        cols = np.zeros((idx.size, longest), dtype=self.columns.dtype)
-        vals[filled] = self.values[src]
-        cols[filled] = self.columns[src]
-        if lone.size:  # no count entries: the row is empty up to here
-            vals[lone, : self.isolated.size] = 1.0
-            cols[lone, : self.isolated.size] = self.isolated
-        vals[cols == idx.astype(cols.dtype)[:, None]] = np.inf
-        return vals, cols
+            longest = (self.row_ptr[rows + 1] - self.row_ptr[rows]).max(initial=0)
+            head = self.order[: int(longest) + width + 1]
+        return self._padded(rows, width, head)
 
-    def _dense(self, idx: np.ndarray, src) -> np.ndarray:
-        """The dense rows ``idx``, whose count entries are ``src``."""
-        n = self.node_count
-        d = np.empty((idx.size, n))
-        flat = d.reshape(-1)  # a view, as d is contiguous
-        at = np.repeat(np.arange(idx.size) * n, self.row_ptr[idx + 1] - self.row_ptr[idx])
-        at += self.columns[src]
+    def nearest_outside(self, rows: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's least (distance, column) outside its ``group``: inf and n where there is none.
+
+        Reads the rows' count entries and, under euclidean and hamming, the
+        first node in (degree, index) order outside the row's group, which
+        no other node off the count is nearer than: the first node, or the
+        first outside that one's group.
+        """
+        head = self.order[:0]
         if self.measure in ("euclidean", "hamming"):
-            np.add(self.degrees[idx, None], self.degrees, out=d)
-            flat[at] -= self.values[src]
-            if self.measure == "euclidean":
-                np.sqrt(d, out=d)
-            else:
-                d /= n
-            d += 1.0
-            # s = 1 / (1 + x), then d = 1 / s: 1 + x itself can differ in the last bit
-            np.divide(1.0, d, out=d)
-            np.divide(1.0, d, out=d)
-        else:
-            d.fill(np.inf)
-            flat[at] = self.values[src]
-            if self.measure == "jaccard" and self.isolated.size:
-                d[np.ix_(np.flatnonzero(self.degrees[idx] == 0), self.isolated)] = 1.0
-        d[np.arange(idx.size), idx] = 0.0
-        return d
+            head = self.order[[0, np.argmax(group[self.order] != group[self.order[0]])]]
+        vals, cols = self._padded(rows, 1, head)
+        vals[group.take(cols) == group[rows, None]] = np.inf
+        w = vals.min(axis=1, keepdims=True)
+        return w[:, 0], np.min(cols, axis=1, where=vals == w, initial=self.node_count)
+
+    def _padded(self, rows, width, head):
+        """The distances of ``rows`` to ``head``, then their other count entries, padded with inf.
+
+        ``head`` is in (degree, index) order; a count entry to one of its
+        nodes is written at that node.
+        """
+        n, h = self.node_count, head.size
+        counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
+        src = np.repeat(self.row_ptr[rows] - (np.cumsum(counts) - counts), counts)
+        src += np.arange(src.size)
+        if h:
+            cols = self.columns[src]
+            key, head_key = self.degrees[cols] * n + cols, self.degrees[head] * n + head
+            at = np.minimum(np.searchsorted(head_key, key), h - 1)
+            inside = head_key[at] == key
+            r = np.repeat(np.arange(rows.size), counts)[inside]
+            to_head, src, at = src[inside], src[~inside], at[inside]
+            counts = counts - np.bincount(r, minlength=rows.size)
+        w = max(width, h + int(counts.max(initial=0)))
+        lone = np.flatnonzero(self.degrees[rows] == 0) if self.measure == "jaccard" else rows[:0]
+        if lone.size:
+            isolated = self.order[: np.count_nonzero(self.degrees == 0)]
+            w = max(w, isolated.size)
+        vals = np.full((rows.size, w), np.inf)
+        columns = np.zeros((rows.size, w), dtype=self.columns.dtype)
+        if h:
+            near = vals[:, :h]
+            np.add(self.degrees[rows, None], self.degrees[head], out=near)
+            np.divide(1.0, _differing_similarity(self.measure, near, n), out=near)
+            columns[:, :h] = head
+            vals[r, at] = self.values[to_head]  # its column is the head's
+        filled = np.arange(w - h, dtype=counts.dtype) < counts[:, None]
+        vals[:, h:][filled] = self.values[src]
+        columns[:, h:][filled] = self.columns[src]
+        if lone.size:  # no count entries: the row is empty up to here
+            vals[lone, : isolated.size] = 1.0
+            columns[lone, : isolated.size] = isolated
+        vals[columns == rows.astype(columns.dtype)[:, None]] = np.inf
+        return vals, columns
 
 
 def distance_rows(g: Graph, measure: str = "structure") -> DistanceRows:
@@ -141,12 +138,11 @@ def distance_rows(g: Graph, measure: str = "structure") -> DistanceRows:
     ``s`` is a closed form of the degrees and the exact shared-neighbor
     counts ``c = a @ a`` of the sparse adjacency (``a + I``, closed
     neighborhoods, for ``structure``); 0/1 rows u, v differ in ``deg[u] +
-    deg[v] - 2 c`` coordinates. Structure, cosine and jaccard are zero off the
-    count's entries, so ``1/s`` is computed once per entry and written only
-    there; two isolated nodes have jaccard similarity 1. Distance-like
-    measures (euclidean, hamming: the fraction that differs) map to
-    similarities via ``s = 1 / (1 + x)``, finite for every pair, and are
-    computed from the degrees and the count in each block of rows.
+    deg[v] - 2 c`` coordinates. Distance-like measures (euclidean, hamming:
+    the fraction that differs) map to similarities via ``s = 1 / (1 + x)``,
+    finite for every pair; the distance is ``1/s`` of that, as ``1 + x``
+    itself can differ in the last bit. ``1/s`` is computed once per count
+    entry and written there; blocks compute what they read off the count.
 
     Only the count and the degrees are held, so memory is linear in the
     count's entries; no n x n array is built. The product is taken in
@@ -168,23 +164,21 @@ def distance_rows(g: Graph, measure: str = "structure") -> DistanceRows:
     # not positions
     c = a @ a
     ptr, col, values = c.indptr, c.indices, c.data
-    if measure in ("euclidean", "hamming"):
-        values *= 2.0
-    else:
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            span = slice(ptr[lo], ptr[hi])
-            du = np.repeat(deg[lo:hi], np.diff(ptr[lo : hi + 1]))
-            _write_distances(measure, values[span], du, deg.take(col[span]))
-            del du  # freed before the next chunk's are made
-    return DistanceRows(n, measure, ptr, col, values, deg, np.flatnonzero(deg == 0))
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        span = slice(ptr[lo], ptr[hi])
+        du = np.repeat(deg[lo:hi], np.diff(ptr[lo : hi + 1]))
+        _write_distances(measure, values[span], du, deg.take(col[span]), n)
+        del du  # freed before the next chunk's are made
+    return DistanceRows(n, measure, ptr, col, values, deg, np.argsort(deg, kind="stable"))
 
 
-def _write_distances(measure: str, common: np.ndarray, du: np.ndarray, dv: np.ndarray) -> None:
+def _write_distances(measure: str, common, du, dv, n: int) -> None:
     """Writes ``1/s`` over the counts ``common`` of entries between nodes of degrees ``du``, ``dv``.
 
-    ``du`` and ``dv`` are overwritten. In floats the counts, the degrees and
-    their sums and size products are integers under 2**53, so exact.
+    ``du`` and ``dv`` are overwritten, and ``n`` is the node count. In floats
+    the counts, the degrees and their sums and size products are integers
+    under 2**53, so exact.
     """
     if measure == "structure":
         du += 1.0
@@ -195,10 +189,23 @@ def _write_distances(measure: str, common: np.ndarray, du: np.ndarray, dv: np.nd
         np.sqrt(du, out=du)
         du *= np.sqrt(dv, out=dv)
         s = np.divide(common, du, out=du)
-    else:  # jaccard: coordinates set in either row
+    else:  # coordinates set in one row only
         du += dv
         du -= 2.0 * common
-        np.add(du, common, out=dv)
-        s = np.divide(du, dv, out=dv)
-        np.subtract(1.0, s, out=s)
+        if measure == "jaccard":  # of those set in either
+            np.add(du, common, out=dv)
+            s = np.divide(du, dv, out=dv)
+            np.subtract(1.0, s, out=s)
+        else:
+            s = _differing_similarity(measure, du, n)
     np.divide(1.0, s, out=common)
+
+
+def _differing_similarity(measure: str, x: np.ndarray, n: int) -> np.ndarray:
+    """Writes over ``x`` the euclidean or hamming ``s`` of 0/1 rows that differ in x of n places."""
+    if measure == "euclidean":
+        np.sqrt(x, out=x)
+    else:
+        x /= n
+    x += 1.0
+    return np.divide(1.0, x, out=x)

@@ -75,9 +75,8 @@ def reference_count_entries(g, measure: str):
     """Reference for the entries of ``isofdp.similarity.distance_rows``.
 
     The whole int64 product ``c = a @ a`` (``a + I`` for structure), then
-    each entry's ``1/s`` (``2 c`` for euclidean and hamming) over all of it
-    at once, in the product's order. Returns ``row_ptr``, ``columns`` and
-    ``values``.
+    each entry's ``1/s`` over all of it at once, in the product's order.
+    Returns ``row_ptr``, ``columns`` and ``values``.
     """
     n = g.node_count
     a = g.adjacency
@@ -88,8 +87,10 @@ def reference_count_entries(g, measure: str):
     rows = np.repeat(np.arange(n), np.diff(c.indptr))
     col, common = c.indices, c.data
     if measure in ("euclidean", "hamming"):
-        return c.indptr, col, 2.0 * common
-    if measure == "structure":
+        differ = deg[rows] + deg[col] - 2 * common
+        x = np.sqrt(differ) if measure == "euclidean" else differ / n
+        s = 1.0 / (1.0 + x)
+    elif measure == "structure":
         sizes = deg + 1.0
         s = common / np.sqrt(sizes[rows] * sizes[col])
     elif measure == "cosine":
@@ -101,9 +102,20 @@ def reference_count_entries(g, measure: str):
     return c.indptr, col, 1.0 / s
 
 
+def dense_rows(source, rows) -> np.ndarray:
+    """The rows ``rows`` of a distance source's dense n x n array, from its entries."""
+    n = source.node_count
+    vals, cols = source.entries(rows, n - 1)
+    d = np.full((rows.size, n), np.inf)
+    r, at = np.nonzero(vals < np.inf)
+    d[r, cols[r, at]] = vals[r, at]
+    d[np.arange(rows.size), rows] = 0.0
+    return d
+
+
 def full_rows(source) -> np.ndarray:
     """Every row of a distance source at once: the dense n x n array."""
-    return source.rows(0, source.node_count)
+    return dense_rows(source, np.arange(source.node_count))
 
 
 def distance_source(values) -> DistanceRows:
@@ -131,8 +143,7 @@ def distance_source(values) -> DistanceRows:
     row_ptr = np.r_[0, np.cumsum([c.size for c in columns])]
     cols = np.concatenate(columns).astype(np.int32)
     values = d[np.repeat(np.arange(n), np.diff(row_ptr)), cols]
-    none = np.empty(0, dtype=np.int64)
-    return DistanceRows(n, "structure", row_ptr, cols, values, np.zeros(n), none)
+    return DistanceRows(n, "structure", row_ptr, cols, values, np.zeros(n), np.arange(n))
 
 
 REFERENCE_GRAPHS = {

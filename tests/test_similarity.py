@@ -13,10 +13,11 @@ from isofdp import (
 )
 from isofdp.isomap import _BLOCK_ROWS
 from isofdp.pipeline import prepared_distances
-from isofdp.similarity import MEASURES
+from isofdp.similarity import MEASURES, _differing_similarity
 
 from conftest import (
     REFERENCE_GRAPHS,
+    dense_rows,
     dense_similarity,
     full_rows,
     reference_count_entries,
@@ -90,7 +91,7 @@ class TestDistanceRows:
         n = g.node_count
         for lo in range(0, n, 7):
             hi = min(lo + 7, n)
-            assert source.rows(lo, hi).tobytes() == want[lo:hi].tobytes()
+            assert dense_rows(source, np.arange(lo, hi)).tobytes() == want[lo:hi].tobytes()
 
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
@@ -102,20 +103,35 @@ class TestDistanceRows:
         n = g.node_count
         rng = np.random.default_rng(0)
         for lo in range(0, n, 7):
-            for rows in (slice(lo, min(lo + 7, n)), rng.permutation(np.arange(lo, min(lo + 7, n)))):
+            for rows in (np.arange(lo, min(lo + 7, n)), rng.permutation(np.arange(lo, min(lo + 7, n)))):
                 vals, cols = source.entries(rows, 3)
-                cols = np.broadcast_to(cols, vals.shape)
-                # padded only where values and int32 columns take less room
-                assert vals.shape[1] == n or 3 <= vals.shape[1] < 2 * n / 3
+                assert vals.shape == cols.shape and 3 <= vals.shape[1] <= n
                 r, at = np.nonzero(vals < np.inf)
                 got = np.full((vals.shape[0], n), np.inf)
                 got[r, cols[r, at]] = vals[r, at]
-                assert got.tobytes() == want[rows].tobytes()
-                assert r.size == np.count_nonzero(want[rows] < np.inf)  # each one once
+                assert np.count_nonzero(got < np.inf) == r.size  # each one once
+                if measure in ("euclidean", "hamming"):
+                    # every pair is finite: some of each row's, its 3 nearest among them
+                    assert got[r, cols[r, at]].tobytes() == want[rows][r, cols[r, at]].tobytes()
+                    for i, row in enumerate(want[rows]):
+                        nearest = np.lexsort((np.arange(n), row))[:3]
+                        assert np.all(got[i, nearest] < np.inf)
+                else:
+                    assert got.tobytes() == want[rows].tobytes()
+
+    @pytest.mark.parametrize("measure", ["euclidean", "hamming"])
+    def test_off_count_distance_rises_with_the_degree_sum(self, measure):
+        # entries reads a row's nearest off the count from the first nodes in
+        # (degree, index) order: that needs the distance, a function of
+        # deg[u] + deg[v] there, to rise strictly with it, at every size the
+        # tests, the benchmark and CI run
+        for n in [*range(1, 3001), 6000, 12000, 20000]:
+            d = 1.0 / _differing_similarity(measure, np.arange(2.0 * n - 1), n)
+            assert np.all(np.diff(d) > 0), n
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_empty_input(self, measure):
-        assert distance_rows(Graph.from_edges(0, []), measure).rows(0, 0).shape == (0, 0)
+        assert full_rows(distance_rows(Graph.from_edges(0, []), measure)).shape == (0, 0)
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_strictly_antitone_on_finite_values(self, measure):
