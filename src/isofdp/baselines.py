@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, squareform
 
 from .density_peaks import _check_cutoff_request, _finite_points
-from .metrics import _nmi_accuracy
+from .metrics import _accuracy, _counts, _nmi
 from .partition import Partition, normalize_labels
 
 __all__ = ["KmeansSpec", "DbscanSpec", "kmeans", "dbscan", "dbscan_labels", "dbscan_parameter_search"]
@@ -181,9 +181,11 @@ def dbscan_parameter_search(
 
     Every cell is ``dbscan`` at ``DbscanSpec(select_dc(e, pct), min_pts)``, from
     one distance matrix, one sort of the pair distances for all eps and one
-    component search per eps; each distinct partition is scored once. Returns
-    (partition, spec, nmi, acc) of the best cell by (NMI, accuracy); ties keep
-    the earliest grid entry, percentiles outermost.
+    component search per eps. Returns (partition, spec, nmi, acc) of the best
+    cell by (NMI, accuracy); ties keep the earliest grid entry, percentiles
+    outermost. Each distinct partition's NMI is scored once; accuracy, a
+    bipartite matching, only breaks NMI ties, so it is computed for partitions
+    that tie the best NMI so far and for the one returned.
     """
     points = _finite_points(e)
     if not (len(percentiles) and len(min_pts_values)):
@@ -198,14 +200,26 @@ def dbscan_parameter_search(
     pairs = squareform(dist, force="tovector", checks=False)
     eps_values = _nearest_rank_cutoffs(pairs, percentiles)
     del pairs  # half the matrix again; the cells need only dist
-    best, scores = None, {}
+    nmis, accs = {}, {}
+
+    def acc(key, part):
+        if key not in accs:
+            accs[key] = _accuracy(_counts(truth, part.labels))
+        return accs[key]
+
+    best = None  # (key, partition, spec)
     for eps in eps_values:
         specs = [DbscanSpec(eps, min_pts) for min_pts in min_pts_values]
         for spec, raw in zip(specs, _dbscan_raw(dist, eps, min_pts_values)):
             part = _as_partition(raw)
             key = part.labels.tobytes()
-            if key not in scores:
-                scores[key] = _nmi_accuracy(truth, part.labels)
-            if best is None or scores[key] > best[0]:
-                best = (scores[key], part, spec)
-    return best[1], best[2], *best[0]
+            if key not in nmis:
+                nmis[key] = _nmi(_counts(truth, part.labels))
+            if best is None or nmis[key] > nmis[best[0]] or (
+                nmis[key] == nmis[best[0]]
+                and key != best[0]
+                and acc(key, part) > acc(best[0], best[1])
+            ):
+                best = (key, part, spec)
+    key, part, spec = best
+    return part, spec, nmis[key], acc(key, part)

@@ -181,6 +181,18 @@ def _tight_blobs():
     return np.vstack(blobs), np.array(labels)
 
 
+def _one_community_clumps():
+    # four clumps of one true community: every cell of more than one cluster
+    # scores NMI exactly 0, so the best NMI ties across distinct partitions
+    # and accuracy, the largest cluster's share, decides
+    rng = np.random.default_rng(5)
+    sizes = (3, 5, 8, 12)
+    points = np.vstack(
+        [rng.normal(0, 0.1 * (i + 1), size=(s, 2)) + [30 * i, 0] for i, s in enumerate(sizes)]
+    )
+    return points, np.zeros(len(points), dtype=int)
+
+
 def _integer_clumps():
     # integer points in overlapping clumps: several cells share the best
     # (NMI, accuracy)
@@ -278,19 +290,47 @@ class TestDbscanGridMatchesReference:
             _assert_same_search(points, truth)
 
     def test_each_distinct_partition_scored_once(self, monkeypatch, gn_embeddings):
-        calls = []
-        score = baselines._nmi_accuracy
-        monkeypatch.setattr(baselines, "_nmi_accuracy", lambda t, p: calls.append(1) or score(t, p))
-        for points, truth in gn_embeddings[:6]:
-            distinct = {
-                dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels.tobytes()
-                for pct in range(1, 11)
-                for min_pts in (2, 3, 4, 5, 6)
-            }
-            calls.clear()
+        # NMI once per distinct partition; accuracy only to break NMI ties: at
+        # most once per partition met at the best NMI so far while another
+        # shares it, and once for the partition returned
+        nmi_calls, acc_calls = [], []
+        score_nmi, score_acc = baselines._nmi, baselines._accuracy
+        monkeypatch.setattr(baselines, "_nmi", lambda c: nmi_calls.append(1) or score_nmi(c))
+        monkeypatch.setattr(baselines, "_accuracy", lambda c: acc_calls.append(1) or score_acc(c))
+        for points, truth in [*gn_embeddings[:6], _one_community_clumps()]:
+            first_seen = {}
+            for pct in range(1, 11):
+                for min_pts in (2, 3, 4, 5, 6):
+                    labels = dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels
+                    first_seen.setdefault(labels.tobytes(), nmi(truth, labels))
+            tied, level, best = set(), [], -1.0
+            for key, score in first_seen.items():
+                if score > best:
+                    level, best = [key], score
+                elif score == best:
+                    level.append(key)
+                    tied.update(level)
+            nmi_calls.clear()
+            acc_calls.clear()
             dbscan_parameter_search(points, truth)
-            assert len(distinct) < 50
-            assert len(calls) == len(distinct)
+            assert len(first_seen) < 50
+            assert len(nmi_calls) == len(first_seen)
+            assert 1 <= len(acc_calls) <= len(tied) + 1
+
+    def test_nmi_tie_broken_by_accuracy(self):
+        points, truth = _one_community_clumps()
+        cells = []
+        for pct in range(1, 11):
+            for min_pts in (2, 3, 4, 5, 6):
+                labels = dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels
+                cells.append((nmi(truth, labels), accuracy(truth, labels), labels.tobytes()))
+        best_nmi = max(cell[0] for cell in cells)
+        at_best = [cell for cell in cells if cell[0] == best_nmi]
+        assert len({key for _, _, key in at_best}) > 1
+        assert len({acc for _, acc, _ in at_best}) > 1
+        *_, got_acc = dbscan_parameter_search(points, truth)
+        assert got_acc == max(acc for _, acc, _ in at_best) > at_best[0][1]
+        _assert_same_search(points, truth)
 
     def test_long_core_chain(self):
         # one core component spanning 198 points, with a border point at each end

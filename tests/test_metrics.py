@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from isofdp import accuracy, nmi
 
@@ -32,6 +33,20 @@ def brute_force_accuracy(truth, pred):
                 best, sum(1 for t, p in zip(truth, pred) if table.get(p, None) == t)
             )
     return best / truth.size
+
+
+def lsa_accuracy(truth, pred):
+    """Best-mapping accuracy from ``linear_sum_assignment`` on the count table."""
+    t = np.unique(truth, return_inverse=True)[1]
+    p = np.unique(pred, return_inverse=True)[1]
+    counts = np.zeros((t.max() + 1, p.max() + 1), dtype=np.int64)
+    np.add.at(counts, (t, p), 1)
+    return counts[linear_sum_assignment(counts, maximize=True)].sum() / t.size
+
+
+def labels_with(rng, n, k):
+    """``n`` labels in random order that use each of ``0..k-1`` at least once."""
+    return rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)]))
 
 
 class TestNmi:
@@ -91,6 +106,51 @@ class TestAccuracy:
             b = rng.integers(0, 6, size=n)
             assert accuracy(a, b) == pytest.approx(brute_force_accuracy(a, b), abs=1e-12)
 
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_equals_linear_sum_assignment(self, r):
+        # exactly, not approximately: the matched count is an integer
+        rng = np.random.default_rng(r)
+        for c in range(1, 13):
+            for _ in range(4):
+                n = int(rng.integers(max(r, c), 80))
+                a, b = labels_with(rng, n, r), labels_with(rng, n, c)
+                assert accuracy(a, b) == lsa_accuracy(a, b)
+                assert accuracy(b, a) == lsa_accuracy(b, a)
+
+    def test_one_community_sides_equal_linear_sum_assignment(self):
+        rng = np.random.default_rng(12)
+        for k in range(1, 13):
+            n = int(rng.integers(k, 60))
+            ones, other = np.zeros(n, dtype=int), labels_with(rng, n, k)
+            assert accuracy(ones, other) == lsa_accuracy(ones, other)
+            assert accuracy(other, ones) == lsa_accuracy(other, ones)
+            assert accuracy(ones, ones) == 1.0
+
+    def test_all_singleton_prediction_equals_linear_sum_assignment(self):
+        rng = np.random.default_rng(13)
+        singletons = rng.permutation(200)
+        for k in (1, 2, 4, 17, 200):
+            truth = labels_with(rng, 200, k)
+            assert accuracy(truth, singletons) == lsa_accuracy(truth, singletons) == k / 200
+            assert accuracy(singletons, truth) == lsa_accuracy(singletons, truth)
+
+    def test_tied_optima_equal_linear_sum_assignment(self):
+        # uniform tables, where every full matching is optimal, and tables
+        # whose rows repeat, where several are
+        rng = np.random.default_rng(14)
+        for r in range(1, 8):
+            for c in range(1, 8):
+                m = int(rng.integers(1, 4))
+                idx = rng.permutation(r * c * m)
+                uniform_t, uniform_p = idx % r, (idx // r) % c
+                assert accuracy(uniform_t, uniform_p) == lsa_accuracy(uniform_t, uniform_p)
+                assert accuracy(uniform_p, uniform_t) == lsa_accuracy(uniform_p, uniform_t)
+                rows = labels_with(rng, 3 * c, c)
+                t = np.repeat(np.arange(r), rows.size)
+                p = np.tile(rows, r)
+                assert accuracy(t, p) == lsa_accuracy(t, p)
+                assert accuracy(p, t) == lsa_accuracy(p, t)
+
     def test_differing_community_counts(self):
         assert accuracy([0, 0, 1, 1], [0, 1, 2, 3]) <= 1.0
         assert accuracy([0, 1, 2, 3], [0, 0, 1, 1]) <= 1.0
@@ -100,9 +160,23 @@ class TestAccuracy:
             accuracy([0], [0, 1])
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # accuracy imports it on its first call; a fresh interpreter shows
-        # whether importing the package alone loads it
-        child = "import sys, isofdp; print('scipy.optimize' in sys.modules)"
+        # a fresh interpreter imports the package, then runs what the
+        # benchmark's warm-up runs: one GN graph through detection, both
+        # scores and both baselines
+        child = """
+import sys
+from isofdp import (GnSpec, KmeansSpec, accuracy, dbscan_parameter_search,
+                    detect_communities, generate_gn, kmeans, nmi)
+print('scipy.optimize' in sys.modules)
+labeled = generate_gn(GnSpec(z_out=1, seed=0))
+res = detect_communities(labeled.graph, knn=24, dim=3)
+for labels in (res.sweep.best.partition.labels,
+               kmeans(res.embedding, KmeansSpec(k=4, seed=0)).labels):
+    assert 0 < nmi(labeled.truth, labels) <= 1
+    assert 0 < accuracy(labeled.truth, labels) <= 1
+dbscan_parameter_search(res.embedding, labeled.truth)
+print('scipy.optimize' in sys.modules)
+"""
         done = subprocess.run(
             [sys.executable, "-c", child],
             env=child_env(),
@@ -111,4 +185,4 @@ class TestAccuracy:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False"]
