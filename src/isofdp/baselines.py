@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist, squareform
 
-from .density_peaks import _check_cutoff_request, _finite_points
+from .density_peaks import _check_cutoff_request, _finite_points, _nearest_rank_cutoffs
 from .metrics import _accuracy, _counts, _nmi
 from .partition import Partition, normalize_labels
 
@@ -98,23 +97,6 @@ def kmeans(e, spec: KmeansSpec) -> Partition:
     return Partition(normalize_labels(best_labels), spec.k)
 
 
-def _nearest_rank_cutoffs(dists: np.ndarray, percentiles) -> list:
-    """Nearest-rank percentiles of the pair distances ``dists``, from one partition.
-
-    Distances at most ``1e-9`` times the largest one are rounding noise of
-    coincident points; a percentile that lands there takes the smallest
-    distance above that floor instead, as in :func:`select_dc`. ``dists`` is
-    partitioned in place.
-    """
-    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
-    if first_real == dists.size:
-        raise ValueError("all points coincide; cannot pick a cutoff")
-    # 1-based nearest rank, moved up past the floor
-    kths = [max(math.ceil(p / 100.0 * dists.size) - 1, first_real) for p in percentiles]
-    dists.partition(kths)  # order statistics need no full sort
-    return [float(dists[kth]) for kth in kths]
-
-
 def _dbscan_raw(dist: np.ndarray, eps: float, min_pts_values) -> np.ndarray:
     """Raw DBSCAN ids, -1 for noise, at one ``eps``: one row per ``min_pts``.
 
@@ -198,7 +180,7 @@ def dbscan_parameter_search(
     dist = cdist(points, points)
     # the upper triangle in pdist's order: the same bytes as pdist
     pairs = squareform(dist, force="tovector", checks=False)
-    eps_values = _nearest_rank_cutoffs(pairs, percentiles)
+    eps_values = _nearest_rank_cutoffs(points, pairs, percentiles)
     del pairs  # half the matrix again; the cells need only dist
     nmis, accs = {}, {}
 

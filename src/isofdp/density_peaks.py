@@ -80,6 +80,36 @@ def _check_cutoff_request(n: int, percentiles) -> None:
             raise ValueError(f"percentile must be in (0, 100], got {percentile}")
 
 
+def _noise_floor(points: np.ndarray) -> tuple[float, float]:
+    """The bounding box's diagonal, and the noise floor: ``1e-9`` times it.
+
+    Distances at most the floor are rounding noise of coincident points. The
+    diagonal is at least the largest distance and at most sqrt(dim) times it,
+    and takes no pass over the pairs.
+
+    Raises:
+        ValueError: all points coincide.
+    """
+    extent = points.max(axis=0) - points.min(axis=0)
+    diagonal = float(np.sqrt(np.square(extent).sum()))
+    if diagonal == 0.0:
+        raise ValueError("all points coincide; cannot pick a cutoff")
+    return diagonal, 1e-9 * diagonal
+
+
+def _nearest_rank_cutoffs(points: np.ndarray, dists: np.ndarray, percentiles) -> list:
+    """:func:`select_dc` at each percentile, from one partition of all pair distances ``dists``.
+
+    A percentile that lands at or under the noise floor takes the smallest
+    distance above it instead. ``dists`` is partitioned in place.
+    """
+    first_real = np.count_nonzero(dists <= _noise_floor(points)[1])
+    # 1-based nearest rank, moved up past the floor
+    kths = [max(math.ceil(p / 100.0 * dists.size) - 1, first_real) for p in percentiles]
+    dists.partition(kths)  # order statistics need no full sort
+    return [float(dists[kth]) for kth in kths]
+
+
 _EPS = np.finfo(float).epsneg
 
 # the strided grid of pairs that places select_dc's window takes every 8th
@@ -93,9 +123,9 @@ def select_dc(e, percentile: float = 2.0) -> float:
     Rodriguez & Laio (Science 2014) choose ``d_c`` so that a point has a small
     percentage of the others as neighbours on average; here it is the
     nearest-rank percentile of the n(n-1)/2 pair distances. Distances at most
-    ``1e-9`` times the largest one are rounding noise of coincident points.
-    When the percentile lands there, the cutoff is the smallest distance
-    above that floor instead.
+    ``1e-9`` times the bounding box's diagonal are rounding noise of
+    coincident points. When the percentile lands there, the cutoff is the
+    smallest distance above that floor instead.
 
     No list of all distances is built. A strided sample of pairs places a
     window of squared distances around the wanted rank. One pass over the
@@ -105,9 +135,8 @@ def select_dc(e, percentile: float = 2.0) -> float:
     screen value H, and only the pairs within the screen's error bound of H
     are computed by ``cdist``, which decides: the result is the value a full
     sort of ``pdist`` would give. If the window missed the rank, the pass
-    runs again with a wider one. The floor is settled from bounds on the
-    largest distance, and from that distance itself only when a pair falls
-    between the bounds' floors.
+    runs again with a wider one. The same pass counts the pairs at or under
+    the floor, by their ``cdist`` values.
 
     Raises:
         ValueError: a coordinate is NaN or infinite, squared distances
@@ -118,14 +147,9 @@ def select_dc(e, percentile: float = 2.0) -> float:
     _check_cutoff_request(n, [percentile])
     size = n * (n - 1) // 2
     rank = math.ceil(percentile / 100.0 * size) - 1
-    # the largest distance is at most the bounding box's diagonal, padded for
-    # its rounding, and at least the farthest pair of a double sweep
-    extent = points.max(axis=0) - points.min(axis=0)
-    high = float(np.sqrt(np.square(extent).sum())) * (1.0 + 8.0 * (dim + 2) * _EPS)
-    if high == 0.0:
-        raise ValueError("all points coincide; cannot pick a cutoff")
-    far = int(cdist(points[:1], points).argmax())
-    low = float(cdist(points[far : far + 1], points).max())
+    diagonal, floor = _noise_floor(points)
+    # every distance is at most the diagonal, padded for its rounding
+    high = diagonal * (1.0 + 8.0 * (dim + 2) * _EPS)
     with np.errstate(over="ignore", invalid="ignore"):
         c = points - points.mean(axis=0)
         sq = np.einsum("ij,ij->i", c, c)
@@ -136,16 +160,11 @@ def select_dc(e, percentile: float = 2.0) -> float:
         rhs = np.hstack((c, sq[:, None]))
         buf = np.empty(min(_BLOCK_ROWS, n) * n)
         sample, spread = _pair_sample(points)
-        floor_cut = (1e-9 * high) ** 2 + tol
         lo_cut, hi_cut = _window(sample, rank, size, spread, tol)
         while True:
-            below, kept, keys, near = _window_pass(
-                points, lhs, rhs, sq, lo_cut, hi_cut, floor_cut, buf
+            below, kept, keys, first_real = _window_pass(
+                points, lhs, rhs, sq, lo_cut, hi_cut, floor, floor * floor + tol, buf
             )
-            first_real = np.count_nonzero(near <= 1e-9 * low)
-            if first_real < np.count_nonzero(near <= 1e-9 * high) > rank:
-                diameter = _diameter(points, lhs, rhs, sq, tol, low, buf)
-                first_real = np.count_nonzero(near <= 1e-9 * diameter)
             r = max(rank, first_real)
             at = r - below
             if 0 <= at < kept.size:
@@ -204,19 +223,19 @@ def _window(sample, r, size, spread, tol):
     return lo_cut, hi_cut
 
 
-def _window_pass(points, lhs, rhs, sq, lo_cut, hi_cut, floor_cut, buf):
+def _window_pass(points, lhs, rhs, sq, lo_cut, hi_cut, floor, floor_cut, buf):
     """One screened pass over the pairs i < j, sorted by their screen value g.
 
     Returns the number of pairs with ``g < lo_cut``; the g and the key ``i * n
     + j`` of each pair inside the window (NaN counts as inside); and the
-    ``cdist`` value of every pair with ``g <= floor_cut``, which holds every
-    pair at or under the floor.
+    number of pairs whose ``cdist`` value is at most ``floor``, all of which
+    have ``g <= floor_cut``.
     """
     n = points.shape[0]
     # g <= cut where the block's value, g less |c_i|^2, is under cut - |c_i|^2
     select = max(hi_cut, floor_cut) - sq
-    below = 0
-    kept, keys, near = [], [], []
+    below = coincident = 0
+    kept, keys = [], []
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         h = _screen(lhs[lo:hi], rhs[lo:], buf)
@@ -231,28 +250,9 @@ def _window_pass(points, lhs, rhs, sq, lo_cut, hi_cut, floor_cut, buf):
         keys.append((bi[inside] + lo) * n + bj[inside] + lo)
         small = ~(g > floor_cut)
         if small.any():
-            near.append(_exact_distances(points[lo:hi], points[lo:], bi[small], bj[small]))
-    return below, np.concatenate(kept), np.concatenate(keys), np.concatenate(near or [[]])
-
-
-def _diameter(points, lhs, rhs, sq, tol, low, buf) -> float:
-    """The largest ``cdist`` value over all pairs, given ``low`` at most that.
-
-    Only the pairs whose screen value is not surely under ``low^2`` are
-    computed.
-    """
-    n = points.shape[0]
-    check = (low * low - tol) - sq
-    top = low
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        h = _screen(lhs[lo:hi], rhs[lo:], buf)
-        bi, bj = np.divmod(np.flatnonzero(~(h < check[lo:hi, None])), n - lo)
-        upper = bj > bi
-        if upper.any():
-            d = _exact_distances(points[lo:hi], points[lo:], bi[upper], bj[upper])
-            top = max(top, float(d.max()))
-    return top
+            near = _exact_distances(points[lo:hi], points[lo:], bi[small], bj[small])
+            coincident += np.count_nonzero(near <= floor)
+    return below, np.concatenate(kept), np.concatenate(keys), coincident
 
 
 def _pair_distances(points, keys) -> np.ndarray:

@@ -47,8 +47,13 @@ def _nmi(counts: np.ndarray) -> float:
 
 def _accuracy(counts: np.ndarray) -> float:
     # one more on every count makes every pair an edge, so a full matching of
-    # the smaller side exists, and adds min(r, c) to each: the best is unmoved
-    matched = min_weight_full_bipartite_matching(csr_matrix(counts + 1), maximize=True)
+    # the smaller side exists, and adds min(r, c) to each: the best is unmoved.
+    # Every entry is stored, so the CSR is built from its arrays, not by a scan
+    r, c = counts.shape
+    weights = csr_matrix(
+        ((counts + 1).ravel(), np.tile(np.arange(c), r), np.arange(0, r * c + 1, c)), shape=(r, c)
+    )
+    matched = min_weight_full_bipartite_matching(weights, maximize=True)
     return float(counts[matched].sum() / counts.sum())
 
 

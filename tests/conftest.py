@@ -267,9 +267,9 @@ def reference_select_dc(e, percentile: float = 2.0) -> float:
     """The cutoff from a partition of every ``pdist`` value.
 
     The nearest-rank percentile of all pair distances; distances at most
-    ``1e-9`` times the largest are rounding noise, and a rank that lands
-    there moves up to the first distance above them. Reference for
-    ``isofdp.select_dc``, with its errors.
+    ``1e-9`` times the bounding box's diagonal are rounding noise, and a rank
+    that lands there moves up to the first distance above them. Reference
+    for ``isofdp.select_dc``, with its errors.
     """
     points = _as_points(e)
     if not np.isfinite(points).all():
@@ -279,7 +279,7 @@ def reference_select_dc(e, percentile: float = 2.0) -> float:
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     dists = pdist(points)
-    first_real = np.count_nonzero(dists <= 1e-9 * dists.max())
+    first_real = np.count_nonzero(dists <= 1e-9 * np.sqrt(np.square(np.ptp(points, axis=0)).sum()))
     if first_real == dists.size:
         raise ValueError("all points coincide; cannot pick a cutoff")
     kth = max(math.ceil(percentile / 100.0 * dists.size) - 1, first_real)

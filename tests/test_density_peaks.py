@@ -16,7 +16,9 @@ from isofdp import (
     geodesic_distances,
     select_dc,
 )
+from isofdp.baselines import dbscan_parameter_search
 from isofdp.metrics import nmi
+from isofdp.partition import normalize_labels
 from isofdp.pipeline import prepared_distances
 
 from conftest import (
@@ -97,6 +99,13 @@ def assert_dc_matches_reference(points, pct):
     assert type(got) is float
     assert got.hex() == want.hex()
     return got
+
+
+def lfr_embedding(mu):
+    """The n=1000, seed 0 LFR graph at ``mu``, embedded as the pipeline does."""
+    g = generate_lfr(LfrSpec(n=1000, mu=mu, seed=0)).graph
+    ng = build_neighbor_graph(prepared_distances(g), 10)
+    return classical_mds(geodesic_distances(ng), 16).coordinates
 
 
 def count_calls(monkeypatch, name):
@@ -188,13 +197,13 @@ class TestScreenedCutoff:
         for pct in PERCENTILES:
             assert_dc_matches_reference(points, pct)
 
-    def test_embedding_with_coincident_points(self):
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.8])
+    def test_embedding_with_coincident_points(self, mu):
         # an LFR embedding as the pipeline makes it: nodes with the same
-        # geodesic rows land on the same coordinates
-        g = generate_lfr(LfrSpec(n=1000, mu=0.1, seed=0)).graph
-        ng = build_neighbor_graph(prepared_distances(g), 10)
-        points = classical_mds(geodesic_distances(ng), 16).coordinates
-        assert np.count_nonzero(pdist(points) == 0) > 0
+        # geodesic rows land on the same coordinates, which at seed 0 happens
+        # for mu 0.1 and 0.3 only
+        points = lfr_embedding(mu)
+        assert (np.count_nonzero(pdist(points) == 0) > 0) == (mu < 0.5)
         for pct in (0.001, 2.0, 10.0):
             assert_dc_matches_reference(points, pct)
 
@@ -240,20 +249,18 @@ class TestScreenedCutoff:
             assert_dc_matches_reference(points, 2.0)
         assert len(passes) == 2
 
-    @pytest.mark.parametrize("gap, settled_by_bounds", [(1.3e-9, True), (1.5e-9, False)])
-    def test_floor_between_the_diameter_bounds(self, gap, settled_by_bounds, monkeypatch):
+    @pytest.mark.parametrize("gap, floored", [(2.4e-9, True), (2.5e-9, False)])
+    def test_floor_scales_with_the_bounding_box(self, gap, floored):
         # six unit vectors: the largest distance is sqrt(2), the bounding box
-        # diagonal sqrt(6). A seventh point at ``gap`` from the first is under
-        # the floor 1e-9 * sqrt(2), or between it and 1e-9 * sqrt(6), where
-        # only the exact largest distance tells
+        # diagonal sqrt(6), so the floor is 1e-9 * sqrt(6), about 2.45e-9. A
+        # seventh point at ``gap`` from the first is under it or over it,
+        # and over 1e-9 times the largest distance either way
         points = np.vstack((np.eye(6), np.eye(6)[0] + gap * np.eye(6)[1]))
-        diameters = count_calls(monkeypatch, "_diameter")
         for pct in (1.0, 5.0, 10.0):
             assert_dc_matches_reference(points, pct)
-        assert (len(diameters) == 0) == settled_by_bounds
         # the gap is the smallest distance: skipped under the floor, kept above
         dists = np.sort(pdist(points))
-        assert select_dc(points, 1.0) == dists[1 if settled_by_bounds else 0]
+        assert select_dc(points, 1.0) == dists[1 if floored else 0]
 
     def test_squares_overflow(self):
         # centered squares beyond the screen's range: every pair is exact
@@ -431,6 +438,34 @@ class TestInvariances:
         restored = np.empty_like(shuffled)
         restored[perm] = shuffled
         assert nmi(labels, restored) == 1.0
+
+    @staticmethod
+    def assert_order_free(points, truth, seed):
+        """d_c, rho and the DBSCAN grid's pick follow the points through a permutation.
+
+        delta and nearest_higher are not compared: rho ties break by index,
+        so another order may pick another nearest denser point.
+        """
+        perm = np.random.default_rng(seed).permutation(len(points))
+        for pct in (0.1, 1.0, 2.0, 10.0, 50.0):
+            assert select_dc(points[perm], pct).hex() == select_dc(points, pct).hex()
+        d_c = select_dc(points, 2.0)
+        assert np.array_equal(compute_profile(points[perm], d_c).rho, compute_profile(points, d_c).rho[perm])
+        part, spec, score, _ = dbscan_parameter_search(points, truth)
+        moved, moved_spec, moved_score, _ = dbscan_parameter_search(points[perm], truth[perm])
+        assert moved_spec == spec
+        assert np.array_equal(moved.labels, normalize_labels(part.labels[perm]))
+        # the contingency table's rows and columns come in another order, so
+        # its sums may round otherwise
+        assert moved_score == pytest.approx(score, rel=1e-12)
+
+    def test_point_order_on_tie_heavy_grids(self):
+        for seed, points in enumerate(tie_heavy_grids()):
+            self.assert_order_free(points, np.arange(len(points)) % 3, seed)
+
+    def test_point_order_on_an_embedding_with_coincident_points(self):
+        truth = generate_lfr(LfrSpec(n=1000, mu=0.1, seed=0)).truth
+        self.assert_order_free(lfr_embedding(0.1), truth, 0)
 
     def test_profile_gamma_consistent(self):
         rng = np.random.default_rng(4)
