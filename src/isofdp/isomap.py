@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,9 +300,7 @@ def residual_variances(gd, max_dim: int) -> list:
     eigvals = np.linalg.eigvalsh(_centered_gram(block))[::-1]
     tol = 1e-10 * max(eigvals[0], 0.0)
     positive = eigvals[eigvals > tol]
-    total = positive.sum()
-    out = []
-    for p in range(1, max_dim + 1):
-        kept = positive[:p].sum() if total > 0 else 0.0
-        out.append((p, float(1.0 - kept / total) if total > 0 else 0.0))
-    return out
+    total = math.fsum(positive)
+    return [
+        (p, 1.0 - math.fsum(positive[:p]) / total if total > 0 else 0.0) for p in range(1, max_dim + 1)
+    ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
@@ -31,6 +33,7 @@ def _counts(t: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _nmi(counts: np.ndarray) -> float:
+    """NMI of a count table, its sums correctly rounded: no row or column order moves it."""
     counts = counts.astype(float)
     n = counts.sum()
     row = counts.sum(axis=1)
@@ -38,9 +41,9 @@ def _nmi(counts: np.ndarray) -> float:
     if counts.shape[0] == 1 or counts.shape[1] == 1:
         return 1.0 if counts.shape == (1, 1) else 0.0
     nz = counts > 0
-    mutual = (counts[nz] * np.log(counts[nz] * n / np.outer(row, col)[nz])).sum()
-    h_row = (row * np.log(row / n)).sum()
-    h_col = (col * np.log(col / n)).sum()
+    mutual = math.fsum(counts[nz] * np.log(counts[nz] * n / np.outer(row, col)[nz]))
+    h_row = math.fsum(row * np.log(row / n))
+    h_col = math.fsum(col * np.log(col / n))
     value = mutual / np.sqrt(h_row * h_col)
     return float(min(max(value, 0.0), 1.0))
 

@@ -9,6 +9,7 @@ not pay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,15 +79,13 @@ def partition_density(g: Graph, part: Partition, penalized: bool = True) -> floa
     Unpenalized: ``(2/N) * sum_c n_c (m_c - (n_c-1)) / ((n_c-2)(n_c-1))``.
     The penalized variant multiplies by ``1/sqrt(k)``. Communities with at
     most 2 nodes contribute 0. Negative contributions from internally
-    disconnected communities are kept, not clamped.
+    disconnected communities are kept, not clamped. The sum is correctly
+    rounded (``math.fsum``): no numbering of the communities moves it.
     """
     big = part.sizes > 2
     n_c = part.sizes[big]
     m_c = part.internal_edge_counts(g)[big]
-    terms = _density_term(n_c, m_c)
-    # summed in community order: ``.sum()`` adds pairwise, in another order
-    total = np.cumsum(terms)[-1] if terms.size else 0.0
-    d = 2.0 * total / g.node_count
+    d = 2.0 * math.fsum(_density_term(n_c, m_c)) / g.node_count
     if penalized:
         d /= np.sqrt(part.k)
     return float(d)
@@ -133,18 +132,18 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
     community is the part of its slice that still carries the label of the
     community it leaves. Only that community and the new one change, and their
     node and internal edge counts follow from the moved nodes' adjacency rows.
-    Each density sums its communities' terms in community order, as
-    :func:`partition_density` does, to the same bytes. The best partition is
-    labeled once, by ``assign``.
+    The exact sum of the community terms is kept as one int in units of
+    2**-1074, of which every double is a whole multiple, so a step updates it
+    in O(1) and its one correctly rounded division gives
+    :func:`partition_density`'s ``math.fsum`` to the same bytes. The best
+    partition is labeled once, by ``assign``.
     """
     n = g.node_count
     if not 2 <= k_max <= n:
         raise ValueError(f"k_max must be in 2..{n}, got {k_max}")
     up, centers = profile.nearest_higher, profile.ranking[:k_max].tolist()
-    # children grouped by parent; the root, whose parent is -1, sorts first
-    kids = np.argsort(up, kind="stable")[1:]
-    kid_ptr = np.concatenate(([0], np.cumsum(np.bincount(up[kids], minlength=n))))
-    forest = csr_matrix((np.ones(n - 1), kids, kid_ptr), shape=(n, n))
+    kids = np.flatnonzero(up >= 0)
+    forest = csr_matrix((np.ones(n - 1), (up[kids], kids)), shape=(n, n))
     order = depth_first_order(forest, centers[0], return_predecessors=False)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
@@ -155,18 +154,18 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
     while not np.array_equal(nxt, last):
         last, nxt = nxt, nxt[nxt]
     end = (last + 1).tolist()
-    # adjacency rows in preorder, holding preorder positions
-    adj = g.adjacency
-    degree = np.diff(adj.indptr)[order]
-    indptr = np.concatenate(([0], np.cumsum(degree)))
-    gather = np.arange(indptr[-1]) + np.repeat(adj.indptr[order] - indptr[:-1], degree)
-    indices, indptr = pos[adj.indices[gather]], indptr.tolist()
+    # adjacency rows and columns in preorder
+    adj = g.adjacency[order][:, order]
+    indices, indptr, degree = adj.indices, adj.indptr.tolist(), np.diff(adj.indptr)
 
     label = np.zeros(n, dtype=np.int64)  # by preorder position
     size, inner = [n] + [0] * (k_max - 1), [g.edge_count] + [0] * (k_max - 1)
-    terms = np.zeros(k_max)  # 0 for communities of at most 2 nodes
-    terms[0] = _density_term(n, g.edge_count) if n > 2 else 0.0
-    densities, best = [], (-np.inf, 0)
+
+    def exact(c):  # community c's term in units of 2**-1074; 0 up to 2 nodes
+        num, den = _density_term(size[c], inner[c]).as_integer_ratio() if size[c] > 2 else (0, 1)
+        return num << (1075 - den.bit_length())
+
+    total, densities, best = exact(0), [], (-np.inf, 0)
     for k in range(1, k_max):
         s = pos[centers[k]]
         e = end[s]
@@ -178,14 +177,13 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
         # the rest of the community they leave
         nbr = label[indices[indptr[s] : indptr[e]][np.repeat(moved, degree[s:e])]]
         both, left = np.count_nonzero(nbr == k), np.count_nonzero(nbr == was)
+        total -= exact(was)
         size[k] = np.count_nonzero(moved)
         size[was] -= size[k]
         inner[k] = both // 2
         inner[was] -= left + both // 2
-        for c in (was, k):
-            terms[c] = _density_term(size[c], inner[c]) if size[c] > 2 else 0.0
-        # summed in community order; the zeros leave the sum unchanged
-        d = 2.0 * np.cumsum(terms[: k + 1])[-1] / n
+        total += exact(was) + exact(k)
+        d = 2.0 * (total / (1 << 1074)) / n
         d /= np.sqrt(k + 1)
         densities.append((k + 1, float(d)))
         if d > best[0]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from isofdp import accuracy, nmi
+from isofdp import LfrSpec, accuracy, generate_lfr, nmi
 
 from conftest import child_env
 
@@ -71,6 +71,21 @@ class TestNmi:
             assert nmi(a, b) == pytest.approx(nmi(b, a), abs=1e-12)
             shuffled = (a + 7) % 11  # arbitrary relabeling
             assert nmi(shuffled, b) == pytest.approx(nmi(a, b), abs=1e-12)
+
+    def test_exactly_symmetric_and_order_free(self):
+        # the sums are correctly rounded, so transposing the count table or
+        # permuting its rows and columns leaves every bit
+        truth = generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0)).truth
+        k = int(truth.max()) + 1
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            noisy = truth.copy()
+            flip = rng.random(truth.size) < 0.3
+            noisy[flip] = rng.integers(0, k, size=int(flip.sum()))
+            perm = rng.permutation(truth.size)
+            score = nmi(truth, noisy)
+            assert nmi(noisy, truth) == score
+            assert nmi(truth[perm], noisy[perm]) == score
 
     def test_range(self):
         rng = np.random.default_rng(8)

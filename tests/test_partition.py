@@ -160,6 +160,17 @@ class TestPartitionDensity:
                 weighted, abs=1e-12
             )
 
+    def test_community_numbering_does_not_move_the_density(self):
+        # a correctly rounded sum: the terms' order cannot change its bytes
+        case = generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0))
+        truth = normalize_labels(case.truth)
+        k = int(truth.max()) + 1
+        density = partition_density(case.graph, Partition(truth, k))
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            relabeled = Partition(rng.permutation(k)[truth], k)
+            assert partition_density(case.graph, relabeled) == density
+
 
 class TestSelectK:
     def test_two_cliques_peak_at_two(self):
