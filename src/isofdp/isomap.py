@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-from scipy.sparse.linalg import eigsh
 
 from .similarity import DistanceRows
 
@@ -203,37 +203,42 @@ def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndar
     return np.vstack(rows)
 
 
-def _centered_gram(d: np.ndarray) -> np.ndarray:
-    """The double-centered squared-distance matrix ``-1/2 * X (D o D) X``.
-
-    ``X = I - (1/n) 11^T``; the centering is done by mean subtraction in place
-    on one n x n buffer, which is symmetric only up to rounding. Its rank is at
-    most n - 1, since the all-ones vector is in its null space.
-    """
-    b = np.square(d)
-    b -= b.mean(axis=0)
-    b -= b.mean(axis=1)[:, None]
-    b *= -0.5
-    return b
-
-
 def _landmark_block(d: np.ndarray) -> np.ndarray:
     """The distances among the sources of the rows ``d``, the one input MDS reads.
 
-    Row i of an n x n array is from node i. A row of ``l < n`` exact shortest
-    paths is 0 at its source, so the source's column is the first zero of the
-    row, or that of a node at distance 0 from it, whose column holds the same
-    distances; which nodes the rows come from, and in which order, is not
-    read. Either way each row is 0 at its source's column, which makes the
-    diagonal zero, and the block is made exactly symmetric here, as the
-    shortest paths from u to v and from v to u can differ in the last bit.
+    A row of exact shortest paths is 0 at its source, so the source's column
+    is the first zero of the row, or that of a node at distance 0 from it,
+    whose column holds the same distances; which nodes the rows come from,
+    and in which order, is not read. Each row is then 0 at its source's
+    column, which makes the diagonal zero, and the block is made exactly
+    symmetric here, as the shortest paths from u to v and from v to u can
+    differ in the last bit.
     """
     l, n = d.shape
-    cols = np.arange(n) if l == n else d.argmin(axis=1)
+    cols = d.argmin(axis=1)
     if l > n or d[np.arange(l), cols].any():
         raise ValueError("need n x n distances or l < n geodesic rows, each 0 at its source")
     block = d[:, cols]
     return np.minimum(block, block.T)
+
+
+def _top_eigenpairs(block: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``count`` eigenpairs of the centered Gram matrix of a distance block.
+
+    ``-1/2 X (D o D) X``, ``X = I - (1/l) 11^T``, is centered in place on one
+    l x l buffer and decomposed by one dense ``eigh`` of its lower triangle.
+    Only pairs whose eigenvalue exceeds a tiny share of the largest are
+    returned, largest first: none if no eigenvalue is positive.
+    """
+    b = np.square(block)
+    b -= b.mean(axis=0)
+    b -= b.mean(axis=1)[:, None]
+    b *= -0.5
+    l = b.shape[0]
+    vals, vecs = eigh(b, subset_by_index=[max(l - count, 0), l - 1])
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > 1e-10 * max(vals[0], 0.0)
+    return vals[keep], vecs[:, keep]
 
 
 def classical_mds(gd, dim: int) -> Embedding:
@@ -242,16 +247,14 @@ def classical_mds(gd, dim: int) -> Embedding:
     Either is read through the exactly symmetric block of distances among
     its rows' sources, with a zero diagonal.
 
-    Keeps the top ``dim`` eigenpairs with eigenvalue above a relative positive
-    threshold; when fewer are available the embedding carries fewer columns
-    (flagged via ``truncated``), except that a fully degenerate input yields a
-    single all-zero column. Each column's largest-magnitude entry is made
-    nonnegative so the output is sign-deterministic.
-
-    Only the top ``min(dim, l - 1)`` eigenpairs are computed, by Lanczos
-    iteration (ARPACK) to machine precision. Its start vector and the vectors
-    it draws after an invariant subspace (a rank-deficient input) come from a
-    fixed seed, so repeated calls return the same bytes.
+    Keeps the top ``dim`` eigenpairs of that ``l x l`` block, from one dense
+    ``eigh``, with eigenvalue above a relative positive threshold; when fewer
+    are available the embedding carries fewer columns (flagged via
+    ``truncated``), except that a fully degenerate input yields a single
+    all-zero column. Each column's largest-magnitude entry is made
+    nonnegative so the output is sign-deterministic. The block is at most
+    ``LANDMARKS`` wide, except on an all-pairs array of a larger graph,
+    where the solve is O(n^3).
 
     Given ``l < n`` rows of exact geodesics from distinct landmarks, as
     :func:`geodesic_distances` returns them, this is landmark MDS (de Silva &
@@ -265,27 +268,13 @@ def classical_mds(gd, dim: int) -> Embedding:
     d = np.asarray(gd, dtype=float)
     n = d.shape[1]
     block = _landmark_block(d)
-    l = block.shape[0]
-    b = _centered_gram(block)
-    if not b.any():
-        # all points coincide; ARPACK rejects the zero start residual
+    vals, vecs = _top_eigenpairs(block, dim)
+    if not vals.size:
         return Embedding(np.zeros((n, 1)), np.zeros(1), dim)
-    rng = np.random.default_rng(0)
-    eigvals, eigvecs = eigsh(
-        b, k=min(dim, l - 1), which="LA", tol=0, v0=rng.standard_normal(l), rng=rng
-    )
-    order = np.argsort(eigvals)[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    tol = 1e-10 * max(eigvals[0], 0.0)
-    keep = int(np.sum(eigvals > tol))
-    if keep == 0:
-        return Embedding(np.zeros((n, 1)), np.zeros(1), dim)
-    vals = eigvals[:keep]
-    vecs = eigvecs[:, :keep]
-    flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(keep)] < 0
+    flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(vals.size)] < 0
     vecs[:, flip] = -vecs[:, flip]
     coords = vecs * np.sqrt(vals)
-    if l < n:
+    if len(block) < n:
         mean_sq = np.square(block).mean(axis=1)
         coords = -0.5 * (np.square(d) - mean_sq[:, None]).T @ (coords / vals)
     return Embedding(coords, vals, dim)
@@ -294,12 +283,12 @@ def classical_mds(gd, dim: int) -> Embedding:
 def residual_variances(gd, max_dim: int) -> list:
     """(dim, residual) pairs: share of the positive spectrum left out at each dim.
 
-    On ``l x n`` landmark rows this is the spectrum of the ``l x l`` block.
+    The spectrum is the one :func:`classical_mds` keeps from, every
+    eigenvalue above its threshold; on ``l x n`` landmark rows it is that of
+    the ``l x l`` block.
     """
     block = _landmark_block(np.asarray(gd, dtype=float))
-    eigvals = np.linalg.eigvalsh(_centered_gram(block))[::-1]
-    tol = 1e-10 * max(eigvals[0], 0.0)
-    positive = eigvals[eigvals > tol]
+    positive, _ = _top_eigenpairs(block, len(block))
     total = math.fsum(positive)
     return [
         (p, 1.0 - math.fsum(positive[:p]) / total if total > 0 else 0.0) for p in range(1, max_dim + 1)

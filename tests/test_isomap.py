@@ -710,8 +710,9 @@ class TestPartialEigensolver:
 
     @pytest.mark.parametrize("shape", ["points", "path"])
     def test_repeated_calls_are_byte_identical(self, shape):
-        # the path metric has rank 1, so the solver must restart from fresh
-        # vectors once its Krylov space is exhausted; those are seeded too
+        # the path metric has rank 1, so all but one of the 16 requested
+        # eigenvalues are rounding noise around 0, and the threshold must
+        # drop the same ones on every call
         if shape == "points":
             d = squareform(pdist(np.random.default_rng(12).normal(size=(80, 6))))
         else:
@@ -719,6 +720,21 @@ class TestPartialEigensolver:
         first, second = classical_mds(d, 16), classical_mds(d, 16)
         assert first.coordinates.tobytes() == second.coordinates.tobytes()
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+
+    def test_no_decomposed_block_is_wider_than_the_landmarks(self, monkeypatch):
+        # the premise of a dense solve: at most LANDMARKS wide, it costs what
+        # a partial one did, on the all-pairs path (GN) and the landmark one
+        isomap = sys.modules["isofdp.isomap"]
+        eigh, shapes = isomap.eigh, []
+
+        def recording_eigh(b, **kwargs):
+            shapes.append(b.shape)
+            return eigh(b, **kwargs)
+
+        monkeypatch.setattr(isomap, "eigh", recording_eigh)
+        detect_communities(generate_gn(GnSpec(z_out=4, seed=0)).graph, knn=24, dim=3)
+        detect_communities(generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0)).graph, knn=10, dim=16)
+        assert shapes == [(128, 128), (LANDMARKS, LANDMARKS)]
 
     def test_residual_variances_match_full_spectrum(self):
         rng = np.random.default_rng(13)
