@@ -65,20 +65,20 @@ def _lloyd(points, k, rng):
     for _ in range(_MAX_ITERS):
         d2 = cdist(points, centers, "sqeuclidean")
         new_labels = d2.argmin(axis=1)
-        for j in range(k):
-            if (new_labels == j).any():
-                continue
-            # empty cluster: reseed at the point farthest from its assignment
-            cost = d2[np.arange(n), new_labels]
-            far = int(cost.argmax())
-            centers[j] = points[far]
-            new_labels[far] = j
+        sizes = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            # empty cluster: reseed at the point farthest from its assignment,
+            # taken from a cluster of two or more so that none empties in turn
+            far = int(np.where(sizes[new_labels] > 1, d2[np.arange(n), new_labels], -1.0).argmax())
+            sizes[new_labels[far]] -= 1
+            sizes[j], new_labels[far], centers[j] = 1, j, points[far]
             d2[:, j] = ((points - centers[j]) ** 2).sum(axis=1)
         sse_trace.append(float(d2[np.arange(n), new_labels].sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        centers = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+        # per-cluster sums of each coordinate, in point order
+        centers = np.stack([np.bincount(labels, x, k) for x in points.T], axis=1) / sizes[:, None]
     return labels, np.asarray(sse_trace)
 
 

@@ -151,14 +151,10 @@ def select_dc(e, percentile: float = 2.0) -> float:
     # every distance is at most the diagonal, padded for its rounding
     high = diagonal * (1.0 + 8.0 * (dim + 2) * _EPS)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = points - points.mean(axis=0)
-        sq = np.einsum("ij,ij->i", c, c)
+        sq, lhs, rhs, buf = _operands(points)
         # a pair's screen value g is within tol / 2 of its squared cdist
         # value, and so is each cut below, up to the diameter's square
-        tol = 2.0 * float(_screen_slack(sq, dim, high).max())
-        lhs = np.hstack((-2.0 * c, np.ones((n, 1))))
-        rhs = np.hstack((c, sq[:, None]))
-        buf = np.empty(min(_BLOCK_ROWS, n) * n)
+        tol = 2.0 * _screen_bound(sq, dim, high)
         sample, spread = _pair_sample(points)
         lo_cut, hi_cut = _window(sample, rank, size, spread, tol)
         while True:
@@ -232,17 +228,9 @@ def _window_pass(points, lhs, rhs, sq, lo_cut, hi_cut, floor, floor_cut, buf):
     have ``g <= floor_cut``.
     """
     n = points.shape[0]
-    # g <= cut where the block's value, g less |c_i|^2, is under cut - |c_i|^2
-    select = max(hi_cut, floor_cut) - sq
     below = coincident = 0
     kept, keys = [], []
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        h = _screen(lhs[lo:hi], rhs[lo:], buf)
-        bi, bj = np.divmod(np.flatnonzero(~(h > select[lo:hi, None])), n - lo)
-        upper = bj > bi
-        bi, bj = bi[upper], bj[upper]
-        g = h[bi, bj] + sq[bi + lo]
+    for lo, bi, bj, g in _upper_pairs(lhs, rhs, sq, max(hi_cut, floor_cut), buf):
         under = g < lo_cut
         below += np.count_nonzero(under)
         inside = ~under & ~(g > hi_cut)
@@ -250,9 +238,26 @@ def _window_pass(points, lhs, rhs, sq, lo_cut, hi_cut, floor, floor_cut, buf):
         keys.append((bi[inside] + lo) * n + bj[inside] + lo)
         small = ~(g > floor_cut)
         if small.any():
-            near = _exact_distances(points[lo:hi], points[lo:], bi[small], bj[small])
+            near = _exact_distances(points[lo : lo + _BLOCK_ROWS], points[lo:], bi[small], bj[small])
             coincident += np.count_nonzero(near <= floor)
     return below, np.concatenate(kept), np.concatenate(keys), coincident
+
+
+def _upper_pairs(lhs, rhs, sq, cut, buf):
+    """The pairs i < j whose screen value g is not over ``cut``, NaN included.
+
+    Yields, per ``_BLOCK_ROWS``-row block, (lo, rows from lo, columns from lo, g).
+    """
+    n = sq.shape[0]
+    # g <= cut where the block's value, g less s_i, is under cut - s_i
+    select = cut - sq
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        h = _screen(lhs[lo:hi], rhs[lo:], buf)
+        bi, bj = np.divmod(np.flatnonzero(~(h > select[lo:hi, None])), n - lo)
+        upper = bj > bi
+        bi, bj = bi[upper], bj[upper]
+        yield lo, bi, bj, h[bi, bj] + sq[bi + lo]
 
 
 def _pair_distances(points, keys) -> np.ndarray:
@@ -280,42 +285,52 @@ def _exact_distances(rows, cols, bi, bj) -> np.ndarray:
     return cdist(rows, cols[used])[bi, np.searchsorted(used, bj)]
 
 
-def _screen_slack(sq: np.ndarray, dim: int, d_c: float) -> np.ndarray:
-    """Per row i, a bound t_i on how far any screen value of row i may be off.
+def _operands(points):
+    """The screen's norms, GEMM operands and block buffer, on centered coordinates c.
+
+    With ``s_i = |c_i|^2``, ``[-2 c_i, 1] . [c_j, s_j]`` is the screen value less s_i.
+    """
+    n = points.shape[0]
+    c = points - points.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    lhs = np.hstack((-2.0 * c, np.ones((n, 1))))
+    rhs = np.hstack((c, sq[:, None]))
+    return sq, lhs, rhs, np.empty(min(_BLOCK_ROWS, n) * n)
+
+
+def _screen_bound(sq: np.ndarray, dim: int, d: float) -> float:
+    """``t = kappa (u (2 max s + d^2) + eta)``: how far any screen value may be off.
 
     The screen value of a pair is ``s_i + s_j - 2 c_i . c_j`` on the centered
     coordinates c, with ``s_i = |c_i|^2``, and the decision value is the
     square of its ``cdist`` entry; both approximate ``|p_i - p_j|^2``. With
     ``u = 2**-53`` and ``gamma_m = m u / (1 - m u)`` (Higham, Accuracy and
     Stability of Numerical Algorithms, section 3.1), whatever order a sum
-    is taken in:
+    is taken in, and for cuts up to ``d^2``:
 
     - centering rounds each coordinate of c_i by at most ``u |c_i|``, which
       moves the squared distance by at most ``(4u + 2u^2)(s_i + s_j)``; the
       common shift's own rounding cancels in the difference;
     - the norms carry ``gamma_dim``; the GEMM's dot product of
       ``[-2 c_i, 1]`` and ``[c_j, s_j]`` carries ``gamma_{dim+1}`` on at most
-      ``s_i + 2 s_j``; the thresholds ``d_c^2 -+ t - s_i`` round three times:
-      at most ``(3 dim + 3) u (s_i + s_j) + 3 u (d_c^2 + t)``;
+      ``s_i + 2 s_j``; adding s_i back, a cut ``d^2 -+ t`` and the cut less
+      s_i round once each: ``(3 dim + 5) u (s_i + s_j) + 3 u (d^2 + t)``;
     - ``cdist`` rounds each difference, square and the sum (``gamma_{dim+2}``),
       then the root: its square is within ``(dim + 4) u |p_i - p_j|^2``, and
       ``|p_i - p_j|^2 <= 2 (s_i + s_j)``.
 
-    The sum is under ``(5 dim + 15) u (s_i + max s) + 3 u (d_c^2 + t)``, and
-    kappa = ``8 (dim + 4)`` is 1.6 times its coefficients or more, which
-    covers the ``(1 - m u)^-1`` factors and the rounding of t itself.
+    As ``s_i <= max s``, the sum is under ``(10 dim + 34) u max s + 3 u (d^2
+    + t)``, and kappa = ``8 (dim + 4)`` is 1.6 times its coefficients or
+    more, which covers the ``(1 - m u)^-1`` factors and the rounding of t.
     Products that underflow are each off by at most half the smallest
-    subnormal, which the ``kappa * eta`` term covers.
-
-    Beyond ``max s = 2**1020`` the GEMM itself could overflow; an infinite t
-    then sends every pair to the exact path, as an overflowed ``d_c^2`` does.
+    subnormal eta, which the ``kappa eta`` term covers. Beyond ``max s =
+    2**1020`` the GEMM itself could overflow; an infinite t then sends every
+    pair to the exact path, as an overflowed ``d^2`` does.
     """
-    top = sq.max(initial=0.0)
+    top = float(sq.max(initial=0.0))
     if not top <= 2.0**1020:
-        return np.full(sq.shape, np.inf)
-    kappa = 8.0 * (dim + 4)
-    eps = np.finfo(float)
-    return kappa * (eps.epsneg * (sq + top + d_c * d_c) + eps.smallest_subnormal)
+        return math.inf
+    return 8.0 * (dim + 4) * (_EPS * (2.0 * top + d * d) + np.finfo(float).smallest_subnormal)
 
 
 def compute_profile(e, d_c: float) -> DensityProfile:
@@ -327,13 +342,13 @@ def compute_profile(e, d_c: float) -> DensityProfile:
     rank, distance ties to the smaller index.
 
     No n x n array is built. Two passes run over ``_BLOCK_ROWS``-row blocks,
-    each screened by one GEMM on centered coordinates, whose error is bounded
-    per row (see :func:`_screen_slack`). The screen only sorts pairs out: a
-    pair is counted in rho, or dropped, when its screen value is clear of
-    ``d_c^2`` by the bound, and every other pair and every candidate for the
-    nearest denser point is decided on its own ``cdist`` value. So the result
-    is byte-identical to the one full ``cdist`` matrix would give, whatever
-    order the GEMM sums in.
+    each screened by one GEMM on centered coordinates, whose error has one
+    bound for the embedding (see :func:`_screen_bound`). The screen only
+    sorts pairs out: a pair is counted in rho, or dropped, when its screen
+    value is clear of ``d_c^2`` by the bound, and every other pair and every
+    candidate for the nearest denser point is decided on its own ``cdist``
+    value. So the result is byte-identical to the one full ``cdist`` matrix
+    would give, whatever order the GEMM sums in.
 
     Raises:
         ValueError: ``d_c`` is not positive (NaN included), a coordinate is
@@ -343,20 +358,13 @@ def compute_profile(e, d_c: float) -> DensityProfile:
         raise ValueError("cutoff distance must be positive")
     points = _finite_points(e)
     n, dim = points.shape
-    # a screen value or threshold that overflows is inf or NaN, and either
-    # sends its pairs to the exact path
+    # a screen value or cut that overflows is inf or NaN and sends its pairs to cdist
     with np.errstate(over="ignore", invalid="ignore"):
-        c = points - points.mean(axis=0)
-        sq = np.einsum("ij,ij->i", c, c)
-        slack = _screen_slack(sq, dim, d_c)
-        # [-2 c_i, 1] . [c_j, |c_j|^2] is the screen value less |c_i|^2, so
-        # one GEMM gives a block of them
-        lhs = np.hstack((-2.0 * c, np.ones((n, 1))))
-        rhs = np.hstack((c, sq[:, None]))
-        buf = np.empty(min(_BLOCK_ROWS, n) * n)
-        rho = _local_density(points, lhs, rhs, sq, slack, d_c, buf)
+        sq, lhs, rhs, buf = _operands(points)
+        t = _screen_bound(sq, dim, d_c)
+        rho = _local_density(points, lhs, rhs, sq, t, d_c, buf)
         order = np.lexsort((np.arange(n), -rho))
-        delta, nearest = _separation(points[order], lhs[order], rhs[order], slack[order], order, buf)
+        delta, nearest = _separation(points[order], lhs[order], rhs[order], t, order, buf)
     gamma = rho * delta
     ranking = np.lexsort((np.arange(n), -gamma))
     return DensityProfile(rho, delta, gamma, nearest, ranking, float(d_c))
@@ -368,47 +376,39 @@ def _screen(lhs, rhs, buf) -> np.ndarray:
     return np.matmul(lhs, rhs.T, out=buf[: shape[0] * shape[1]].reshape(shape))
 
 
-def _local_density(points, lhs, rhs, sq, slack, d_c, buf) -> np.ndarray:
+def _local_density(points, lhs, rhs, sq, t, d_c, buf) -> np.ndarray:
     """rho from the upper triangle: each pair counted once, at both ends.
 
     A pair counts unchecked when its screen value is under ``d_c^2 - t``, is
-    dropped unchecked when it is over ``d_c^2 + t`` (kept as ``not >``, so a
-    NaN screen value is checked), and is otherwise decided by ``cdist < d_c``:
-    strict, so points exactly at the cutoff do not count. The point itself
-    always counts, so rho >= 1; a point with no close neighbor still carries
-    weight and its center score stays positive.
+    dropped unchecked when it is over ``d_c^2 + t``, t the screen's bound (a
+    NaN screen value is checked), and is otherwise decided by ``cdist <
+    d_c``: strict, so points exactly at the cutoff do not count. The point
+    itself always counts, so rho >= 1; a point with no close neighbor still
+    carries weight and its center score stays positive.
     """
     n = points.shape[0]
-    # the thresholds, with |c_i|^2 moved to their side
-    count_below = (d_c * d_c - slack) - sq
-    drop_above = (d_c * d_c + slack) - sq
     rho = np.ones(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        h = _screen(lhs[lo:hi], rhs[lo:], buf)
-        bi, bj = np.divmod(np.flatnonzero(~(h > drop_above[lo:hi, None])), n - lo)
-        upper = bj > bi
-        bi, bj = bi[upper], bj[upper]
-        counted = h[bi, bj] < count_below[bi + lo]
+    for lo, bi, bj, g in _upper_pairs(lhs, rhs, sq, d_c * d_c + t, buf):
+        counted = g < d_c * d_c - t
         check = np.flatnonzero(~counted)
         if check.size:
-            d = _exact_distances(points[lo:hi], points[lo:], bi[check], bj[check])
+            d = _exact_distances(points[lo : lo + _BLOCK_ROWS], points[lo:], bi[check], bj[check])
             counted[check] = d < d_c
         rho += np.bincount(np.concatenate((bi[counted], bj[counted])) + lo, minlength=n)
     return rho
 
 
-def _separation(points, lhs, rhs, slack, order, buf):
+def _separation(points, lhs, rhs, t, order, buf):
     """delta and the nearest denser point, from rows in density-rank order.
 
-    ``points``, ``lhs``, ``rhs`` and ``slack`` are in rank order, so a row's
-    denser points are exactly the rows before it. Its candidates are those
-    whose screen value is at most the row's screen minimum plus ``2 t``: any
-    other is farther than the candidate at that minimum, by the bound on
-    both. The candidates' ``cdist`` values decide, distance ties to the
-    smaller index. The density maximum has no denser point; its delta is the
-    largest value of its ``cdist`` row, so it tops every ranking, and its
-    pointer is -1.
+    ``points``, ``lhs`` and ``rhs`` are in rank order, so a row's denser
+    points are exactly the rows before it. Its candidates are those whose
+    screen value is at most the row's screen minimum plus ``2 t``, t the
+    screen's bound: any other is farther than the candidate at that minimum,
+    by the bound on both. The candidates' ``cdist`` values decide, distance
+    ties to the smaller index. The density maximum has no denser point; its
+    delta is the largest value of its ``cdist`` row, so it tops every
+    ranking, and its pointer is -1.
     """
     n = points.shape[0]
     delta = np.empty(n)
@@ -419,7 +419,7 @@ def _separation(points, lhs, rhs, slack, order, buf):
         hi = min(lo + _BLOCK_ROWS, n)
         h = _screen(lhs[lo:hi], rhs[:hi], buf)
         np.copyto(h[:, lo:], np.inf, where=later[: hi - lo, : hi - lo])
-        bound = h.min(axis=1) + 2.0 * slack[lo:hi]
+        bound = h.min(axis=1) + 2.0 * t
         bi, bj = np.divmod(np.flatnonzero(~(h > bound[:, None])), hi)
         denser = bj < bi + lo
         bi, bj = bi[denser], bj[denser]

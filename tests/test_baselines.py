@@ -67,6 +67,15 @@ class TestKmeans:
         b = kmeans(points, KmeansSpec(k=3, seed=11))
         assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fewer_distinct_points_than_k(self, seed):
+        # an empty cluster takes a point from a cluster that keeps one, so no
+        # cluster the reseeding has already checked is emptied
+        points = np.array([[10.0], [100.0], [100.0], [100.0]])
+        part = kmeans(points, KmeansSpec(k=3, seed=seed))
+        assert sorted(set(part.labels.tolist())) == [0, 1, 2]
+        assert part.labels[1] != part.labels[0]
+
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), KmeansSpec(k=4))

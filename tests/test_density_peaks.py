@@ -248,6 +248,12 @@ class TestScreenedCutoff:
             points = centers[rng.integers(0, n // 40, n)] + rng.normal(size=(n, 16))
             assert_dc_matches_reference(points, 2.0)
         assert len(passes) == 2
+        # and the pipeline's own embeddings, across the mixing range
+        for mu in (0.1, 0.3, 0.5, 0.8):
+            points = lfr_embedding(mu)
+            for pct in (0.5, 2.0, 5.0):
+                assert_dc_matches_reference(points, pct)
+        assert len(passes) == 2 + 4 * 3
 
     @pytest.mark.parametrize("gap, floored", [(2.4e-9, True), (2.5e-9, False)])
     def test_floor_scales_with_the_bounding_box(self, gap, floored):
@@ -270,6 +276,27 @@ class TestScreenedCutoff:
         points[38:, 0] = [1.2e154, 1.2e154 + 1e150]
         for pct in PERCENTILES:
             assert_dc_matches_reference(points, pct)
+
+
+class TestScreenBound:
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "shift, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-150), (0.0, 1e150), (-3e5, 1e3)]
+    )
+    def test_covers_every_screen_value(self, dim, shift, scale):
+        # the sets of test_shifted_and_scaled and an unshifted one: every
+        # pair's screen value is within the one bound of its squared cdist
+        # value, the bound taken at d = 0
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(300, dim)) * scale + shift
+        sq, lhs, rhs, buf = density_peaks._operands(points)
+        t = density_peaks._screen_bound(sq, dim, 0.0)
+        exact = cdist(points, points)
+        pairs = 0
+        for lo, bi, bj, g in density_peaks._upper_pairs(lhs, rhs, sq, np.inf, buf):
+            assert np.all(np.abs(g - exact[bi + lo, bj + lo] ** 2) <= t)
+            pairs += bi.size
+        assert pairs == 300 * 299 // 2
 
 
 class TestLocalDensity:
