@@ -398,12 +398,13 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # before ValueError, which LinAlgError subclasses
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (GenerationError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -112,8 +112,8 @@ def _nearest_rank_cutoffs(points: np.ndarray, dists: np.ndarray, percentiles) ->
 
 _EPS = np.finfo(float).epsneg
 
-# the strided grid of pairs that places select_dc's window takes every 8th
-# point as rows and as columns, and at most this many of each
+# the pairs that place select_dc's window are those among every 8th point,
+# and among at most this many points
 _SAMPLE = 512
 
 
@@ -127,9 +127,10 @@ def select_dc(e, percentile: float = 2.0) -> float:
     coincident points. When the percentile lands there, the cutoff is the
     smallest distance above that floor instead.
 
-    No list of all distances is built. A strided sample of pairs places a
-    window of squared distances around the wanted rank. One pass over the
-    upper triangle in ``_BLOCK_ROWS``-row blocks, screened by the GEMM of
+    No list of all distances is built. The screen values of the pairs among
+    a strided sample of points place a window of squared distances around
+    the wanted rank. One pass over the upper triangle in
+    ``_BLOCK_ROWS``-row blocks, screened by the GEMM of
     :func:`compute_profile`, counts the pairs surely below the window and
     keeps the screen values inside it. Their partition gives the rank's
     screen value H, and only the pairs within the screen's error bound of H
@@ -155,7 +156,7 @@ def select_dc(e, percentile: float = 2.0) -> float:
         # a pair's screen value g is within tol / 2 of its squared cdist
         # value, and so is each cut below, up to the diameter's square
         tol = 2.0 * _screen_bound(sq, dim, high)
-        sample, spread = _pair_sample(points)
+        sample, spread = _pair_sample(lhs, rhs, sq, buf)
         lo_cut, hi_cut = _window(sample, rank, size, spread, tol)
         while True:
             below, kept, keys, first_real = _window_pass(
@@ -186,20 +187,18 @@ def select_dc(e, percentile: float = 2.0) -> float:
     return float(np.partition(exact, r - ahead)[r - ahead])
 
 
-def _pair_sample(points: np.ndarray):
-    """Squared distances of a strided grid of pairs, and the window's relative half-width.
+def _pair_sample(lhs, rhs, sq, buf):
+    """Screen values of the pairs among every ``step``-th point, and the window's half-width.
 
-    Rows take every ``step``-th point from 0 and columns from ``step // 2``,
-    so no point is paired with itself. The fraction of a row's pairs under a
-    cut varies from row to row by about its own mean, so the sample's
-    fraction is off by about that over the root of the row count; the
-    half-width is six times that.
+    The fraction of a point's pairs under a cut varies from point to point
+    by about its own mean, so the sample's fraction is off by about that
+    over the root of the sampled point count; the relative half-width is
+    six times that.
     """
-    n = points.shape[0]
-    step = max(8, -(-n // _SAMPLE))
-    rows = points[::step]
-    d = cdist(rows, points[step // 2 :: step], "sqeuclidean")
-    return d.ravel(), 6.0 / math.sqrt(rows.shape[0])
+    step = max(8, -(-sq.shape[0] // _SAMPLE))
+    lhs, rhs, sq = lhs[::step], rhs[::step], sq[::step]
+    sample = [g for _, _, _, g in _upper_pairs(lhs, rhs, sq, np.inf, buf)]
+    return np.concatenate(sample), 6.0 / math.sqrt(sq.shape[0])
 
 
 def _window(sample, r, size, spread, tol):

@@ -28,8 +28,8 @@ __all__ = [
 # wider than n), and 256-row blocks, n wide then, raised n=3000's max RSS 6%
 _BLOCK_ROWS = 64
 
-# geodesic rows per embedding: graphs up to this size keep all-pairs geodesics
-# and exact MDS; at n=3000, 256 landmarks cost more NMI than 128
+# geodesic rows per embedding: every node is a landmark when there are at
+# most this many of them; at n=3000, 256 landmarks cost more NMI than 128
 LANDMARKS = 128
 
 
@@ -49,11 +49,11 @@ class NeighborGraph:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Low-dimensional coordinates from classical MDS.
+    """Low-dimensional coordinates from landmark MDS.
 
-    ``coordinates`` is n x p with columns scaled by sqrt(eigenvalue) and
-    ordered by non-increasing eigenvalue. ``truncated`` flags the case where
-    fewer positive eigenvalues than requested dimensions were available.
+    ``coordinates`` is n x p, one column per kept eigenvalue of the landmark
+    block, ordered by non-increasing eigenvalue. ``truncated`` flags the case
+    where fewer positive eigenvalues than requested dimensions were available.
     """
 
     coordinates: np.ndarray
@@ -172,16 +172,16 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
 
 def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndarray:
-    """Exact shortest paths over the neighbor graph, from every node or from landmarks.
+    """Exact shortest paths over the neighbor graph from landmarks, one row each.
 
-    With ``landmarks >= n`` the result is the n x n all-pairs array, each row
-    as Dijkstra returns it, so symmetric only up to rounding:
-    :func:`classical_mds` makes the block it reads exactly symmetric.
-    Otherwise it is the ``l x n`` block of exact rows from ``l <=
-    landmarks`` nodes picked by max-min distance: node 0 first, then each time
-    the node farthest from the landmarks so far (the first maximum, so ties go
-    to the smaller index). The selection stops early once every node is at
-    distance 0 from a landmark. All entries are finite.
+    Every node is a landmark when there are at most ``landmarks`` of them,
+    and the n x n rows come from one Dijkstra call. Otherwise ``l <=
+    landmarks`` are picked by max-min distance: node 0 first, then each time
+    the node farthest from the landmarks so far (the first maximum, so ties
+    go to the smaller index), until every node is at distance 0 from one.
+    Rows are as Dijkstra returns them, symmetric among the landmarks only up
+    to rounding: :func:`classical_mds` makes the block it reads exactly
+    symmetric. All entries are finite.
     """
     if landmarks < 2:
         raise ValueError(f"landmarks must be >= 2, got {landmarks}")
@@ -191,15 +191,13 @@ def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndar
     # from the arrays, as a sparse sum would drop the zero-weight edges
     u, v = ng.edges.T
     both = csr_matrix((np.r_[ng.weights, ng.weights], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
-    rows = [_csgraph_dijkstra(both, indices=0)]
+    rows = [_csgraph_dijkstra(both, indices=np.arange(n) if landmarks >= n else [0])]
     if rows[0].max() == np.inf:
         raise ValueError("neighbor graph is disconnected")
-    if landmarks >= n:
-        return _csgraph_dijkstra(both)
-    mind = rows[0].copy()  # distance from each node to its nearest landmark
+    mind = rows[0].min(axis=0)  # distance to the nearest landmark; all 0 if every node is one
     while len(rows) < landmarks and mind.max() > 0:
-        rows.append(_csgraph_dijkstra(both, indices=int(mind.argmax())))
-        np.minimum(mind, rows[-1], out=mind)
+        rows.append(_csgraph_dijkstra(both, indices=[int(mind.argmax())]))
+        np.minimum(mind, rows[-1][0], out=mind)
     return np.vstack(rows)
 
 
@@ -217,7 +215,7 @@ def _landmark_block(d: np.ndarray) -> np.ndarray:
     l, n = d.shape
     cols = d.argmin(axis=1)
     if l > n or d[np.arange(l), cols].any():
-        raise ValueError("need n x n distances or l < n geodesic rows, each 0 at its source")
+        raise ValueError("need l <= n geodesic rows, each 0 at its source")
     block = d[:, cols]
     return np.minimum(block, block.T)
 
@@ -242,26 +240,24 @@ def _top_eigenpairs(block: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarr
 
 
 def classical_mds(gd, dim: int) -> Embedding:
-    """Project distances to ``dim`` coordinates: an n x n matrix, or l x n landmark rows.
+    """Landmark MDS to ``dim`` coordinates from l x n distance rows, l <= n.
 
-    Either is read through the exactly symmetric block of distances among
-    its rows' sources, with a zero diagonal.
+    The rows are read through the exactly symmetric block of distances among
+    their sources, with a zero diagonal; :func:`geodesic_distances` gives
+    every node's rows when there are at most ``LANDMARKS`` nodes.
 
     Keeps the top ``dim`` eigenpairs of that ``l x l`` block, from one dense
     ``eigh``, with eigenvalue above a relative positive threshold; when fewer
     are available the embedding carries fewer columns (flagged via
     ``truncated``), except that a fully degenerate input yields a single
     all-zero column. Each column's largest-magnitude entry is made
-    nonnegative so the output is sign-deterministic. The block is at most
-    ``LANDMARKS`` wide, except on an all-pairs array of a larger graph,
-    where the solve is O(n^3).
+    nonnegative so the output is sign-deterministic. The solve is O(l^3).
 
-    Given ``l < n`` rows of exact geodesics from distinct landmarks, as
-    :func:`geodesic_distances` returns them, this is landmark MDS (de Silva &
-    Tenenbaum, NIPS 2003): the eigenpairs are those of the ``l x l`` landmark
-    block, and every node, landmarks included, is placed by distance-based
-    triangulation, ``x = -1/2 L# (delta_x - mean delta)``, where ``delta_x``
-    holds its squared distances to the landmarks.
+    This is landmark MDS (de Silva & Tenenbaum, NIPS 2003): every node,
+    landmarks included, is placed by distance-based triangulation, ``x =
+    -1/2 L# (delta_x - mean delta)``, where ``delta_x`` holds its squared
+    distances to the landmarks. A landmark lands on its classical MDS
+    coordinates, up to rounding.
     """
     if dim < 1:
         raise ValueError("embedding dimension must be >= 1")
@@ -274,9 +270,8 @@ def classical_mds(gd, dim: int) -> Embedding:
     flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(vals.size)] < 0
     vecs[:, flip] = -vecs[:, flip]
     coords = vecs * np.sqrt(vals)
-    if len(block) < n:
-        mean_sq = np.square(block).mean(axis=1)
-        coords = -0.5 * (np.square(d) - mean_sq[:, None]).T @ (coords / vals)
+    mean_sq = np.square(block).mean(axis=1)
+    coords = -0.5 * (np.square(d) - mean_sq[:, None]).T @ (coords / vals)
     return Embedding(coords, vals, dim)
 
 

@@ -78,9 +78,9 @@ def detect_communities(
 
     ``knn`` is clamped to n-1 so small graphs work with the default
     neighborhood size. ``k_max`` defaults to :func:`default_k_max` and is
-    clamped to n. Graphs with more than ``isomap.LANDMARKS`` nodes are embedded
-    from at most that many geodesic rows (landmark MDS, see :func:`classical_mds`),
-    smaller ones from all pairs.
+    clamped to n. The embedding is landmark MDS (see :func:`classical_mds`)
+    from at most ``isomap.LANDMARKS`` geodesic rows: every node is a landmark
+    when there are at most that many of them.
     """
     n = g.node_count
     k_max = default_k_max(n) if k_max is None else min(int(k_max), n)

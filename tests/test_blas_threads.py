@@ -3,8 +3,8 @@
 Two fresh interpreters, one per thread count, since OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when numpy is imported. Their embeddings may
 differ in the last bits (a threaded product or eigensolver sums in another
-order); the partitions and k* must not, neither on the LFR graph's landmark path
-nor on the GN graphs' all-pairs one. Nor may the density profile or the cutoff
+order); the partitions and k* must not, neither on the LFR graph's 128 landmarks
+nor on the GN graphs, where every node is one. Nor may the density profile or the cutoff
 ``select_dc`` picks: their GEMM screens may round differently, but every
 decision is taken on ``cdist``.
 """
@@ -27,7 +27,7 @@ from isofdp import (
 
 labeled = generate_lfr(LfrSpec(n=1000, mu=0.4, seed=1))
 res = detect_communities(labeled.graph, knn=10, dim=16, k_max=64)
-# n=128: exact all-pairs MDS, one eigh of the whole block
+# n=128: every node a landmark, one eigh of the whole block
 gn = [
     detect_communities(generate_gn(GnSpec(z_out=z_out, seed=0)).graph, knn=24, dim=3)
     for z_out in range(1, 9)

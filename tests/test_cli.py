@@ -3,13 +3,24 @@ import functools
 import inspect
 import json
 import os
+import re
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from isofdp import Graph, GnSpec, LfrSpec, detect_communities, generate_gn, select_dc, to_gml
+from isofdp import (
+    Graph,
+    GnSpec,
+    GraphParseError,
+    LfrSpec,
+    detect_communities,
+    generate_gn,
+    load_gml,
+    select_dc,
+    to_gml,
+)
 from isofdp.cli import build_parser, main, _parse_values
 from isofdp.isomap import geodesic_distances
 from isofdp.reports import embedding_header, embedding_rows, load_labels, save_labels
@@ -207,6 +218,36 @@ class TestDetect:
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["detect", "--input", tmp_path / "nope.edges"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph [ node [ id 0 ] label", "dangling key 'label'"),
+            ('graph [ node [ label "a" ] ]', "node record without an id"),
+            ("graph [ node [ id 0 ] node [ id 0 ] ]", "duplicate node id 0"),
+            ('graph [ node [ id 0 label "a" ] node [ id 1 label "a" ] ]', "duplicate node token 'a'"),
+            ("graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 ] ]", "edge record without"),
+        ],
+    )
+    def test_malformed_gml_exits_1(self, tmp_path, capsys, text, message):
+        with pytest.raises(GraphParseError, match=re.escape(message)):
+            load_gml(text)
+        path = tmp_path / "bad.gml"
+        path.write_text(text)
+        assert run(["detect", "--input", path, "--out-dir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_numerical_failure_exits_3(self, gn_instance, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure, not an
+        # infeasible configuration
+        def fail(*args):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "classical_mds", fail)
+        edges_path, _ = gn_instance
+        assert run(["detect", "--input", edges_path, "--out-dir", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err.startswith("error: numerical failure")
+
     def test_deeply_nested_gml_block_loads(self, tmp_path):
         depth = 10_000
         text = to_gml(generate_gn(GnSpec(z_out=2, seed=0)).graph)
@@ -286,7 +327,7 @@ class TestDegenerateShapes:
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_detect_from_five_landmarks_exits_0_or_2(self, tmp_path, monkeypatch, shape, measure):
-        # every shape has 5 to 11 nodes, so the default count embeds it from all pairs
+        # every shape has 5 to 11 nodes, so by default every node is a landmark
         five = functools.partial(geodesic_distances, landmarks=5)
         monkeypatch.setattr(sys.modules["isofdp.pipeline"], "geodesic_distances", five)
         self.detect(tmp_path, shape, measure)

@@ -457,7 +457,7 @@ class TestLandmarkGeodesics:
         labeled = generate_gn(GnSpec(z_out=5, seed=2))
         ng = build_neighbor_graph(prepared_distances(labeled.graph), 24)
         n = ng.node_count
-        assert n <= LANDMARKS  # so the default stays exact here too
+        assert n <= LANDMARKS  # so the default makes every node a landmark too
         w = csr_matrix((ng.weights, tuple(ng.edges.T)), shape=(n, n))
         raw = dijkstra(w, directed=False).tobytes()
         expected = all_pairs_reference(ng).tobytes()
@@ -723,7 +723,7 @@ class TestPartialEigensolver:
 
     def test_no_decomposed_block_is_wider_than_the_landmarks(self, monkeypatch):
         # the premise of a dense solve: at most LANDMARKS wide, it costs what
-        # a partial one did, on the all-pairs path (GN) and the landmark one
+        # a partial one did, with every node a landmark (GN) and with 128
         isomap = sys.modules["isofdp.isomap"]
         eigh, shapes = isomap.eigh, []
 
