@@ -58,16 +58,17 @@ def _finite_points(e) -> np.ndarray:
     """``_as_points``, rejecting NaN and infinite coordinates.
 
     So that every squared distance is finite, it also rejects points whose
-    bounding box has a squared diagonal beyond the float range.
+    bounding box has a squared diagonal beyond the float range. Both are
+    numerical failures of whatever gave the points: ``ArithmeticError``.
     """
     points = _as_points(e)
     if not np.isfinite(points).all():
-        raise ValueError("coordinates must be finite")
+        raise ArithmeticError("coordinates must be finite")
     if points.size:
         with np.errstate(over="ignore"):
             spread = np.square(points.max(axis=0) - points.min(axis=0)).sum()
         if not np.isfinite(spread):
-            raise ValueError("coordinates spread too wide: squared distances overflow")
+            raise ArithmeticError("coordinates spread too wide: squared distances overflow")
     return points
 
 
@@ -140,8 +141,9 @@ def select_dc(e, percentile: float = 2.0) -> float:
     the floor, by their ``cdist`` values.
 
     Raises:
-        ValueError: a coordinate is NaN or infinite, squared distances
-            overflow, or all points coincide, so no distance is above the floor.
+        ArithmeticError: a coordinate is NaN or infinite, or squared
+            distances overflow.
+        ValueError: all points coincide, so no distance is above the floor.
     """
     points = _finite_points(e)
     n, dim = points.shape
@@ -350,8 +352,9 @@ def compute_profile(e, d_c: float) -> DensityProfile:
     would give, whatever order the GEMM sums in.
 
     Raises:
-        ValueError: ``d_c`` is not positive (NaN included), a coordinate is
-            NaN or infinite, or squared distances overflow.
+        ValueError: ``d_c`` is not positive (NaN included).
+        ArithmeticError: a coordinate is NaN or infinite, or squared
+            distances overflow.
     """
     if not d_c > 0:
         raise ValueError("cutoff distance must be positive")

@@ -74,16 +74,15 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
     ``d`` is the source of row blocks :func:`isofdp.similarity.distance_rows`
     returns, whose rows are exactly symmetric; it is read ``_BLOCK_ROWS``
-    rows at a time through :meth:`~isofdp.similarity.DistanceRows.entries`
-    and, in the repair, ``nearest_outside``, so no n x n copy or mask is
-    made. Each row i keeps its first ``neighborhood_size`` partners j at a
-    finite distance in (distance, j) order, so ties go to the smaller node
-    index, and a row with fewer finite distances keeps them all; edge (i, j)
-    is kept when row i or row j keeps the other. If the
-    k-NN graph is disconnected, its components are joined by their minimum
-    spanning forest over the finite pairs ``u < v``, with weight ``d[u, v]``
-    and ties broken by (w, u, v), which is unique under that order: the
-    edges Kruskal would add. Groups that still share no finite distance,
+    rows at a time through :meth:`~isofdp.similarity.DistanceRows.entries`,
+    so no n x n copy or mask is made. Each row i keeps its first
+    ``neighborhood_size`` partners j at a finite distance in (distance, j)
+    order, so ties go to the smaller node index, and a row with fewer finite
+    distances keeps them all; edge (i, j) is kept when row i or row j keeps
+    the other. If the k-NN graph is disconnected, its components are joined
+    by their minimum spanning forest over the finite pairs ``u < v``, with
+    weight ``d[u, v]`` and ties broken by (w, u, v), which is unique under
+    that order: the edges Kruskal would add. Groups that still share no finite distance,
     such as the components of a disconnected graph, are joined by a star of
     bridges from node 0 to each group's smallest node. Each bridge weighs
     twice the largest finite distance, which keeps the groups maximally
@@ -134,7 +133,12 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
         scan = blocks
         while components > 1:
             for rows in scan:
-                row_w[rows], row_v[rows] = d.nearest_outside(rows, comp)
+                # inf and n for a row with no finite pair outside
+                vals, cols = d.entries(rows, 1)
+                vals[comp.take(cols) == comp[rows, None]] = np.inf
+                least = vals.min(axis=1, keepdims=True)
+                row_w[rows] = least[:, 0]
+                row_v[rows] = np.min(cols, axis=1, where=vals == least, initial=n)
             u, v = np.minimum(nodes, row_v), np.maximum(nodes, row_v)
             order = np.lexsort((v, u, row_w, comp))
             best = order[np.unique(comp[order], return_index=True)[1]]

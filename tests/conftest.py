@@ -43,10 +43,6 @@ def dense_similarity(g, measure: str) -> np.ndarray:
         closed = a + np.eye(n)
         sizes = g.degrees + 1
         values = (closed @ closed.T) / np.sqrt(np.outer(sizes, sizes))
-    elif measure == "euclidean":
-        values = 1.0 / (1.0 + squareform(pdist(a, "euclidean")))
-    elif measure == "hamming":
-        values = 1.0 / (1.0 + squareform(pdist(a, "hamming")))
     elif measure == "jaccard":
         values = 1.0 - squareform(pdist(a.astype(bool), "jaccard"))
         np.fill_diagonal(values, 1.0)
@@ -86,11 +82,7 @@ def reference_count_entries(g, measure: str):
     c = a @ a
     rows = np.repeat(np.arange(n), np.diff(c.indptr))
     col, common = c.indices, c.data
-    if measure in ("euclidean", "hamming"):
-        differ = deg[rows] + deg[col] - 2 * common
-        x = np.sqrt(differ) if measure == "euclidean" else differ / n
-        s = 1.0 / (1.0 + x)
-    elif measure == "structure":
+    if measure == "structure":
         sizes = deg + 1.0
         s = common / np.sqrt(sizes[rows] * sizes[col])
     elif measure == "cosine":
@@ -143,7 +135,7 @@ def distance_source(values) -> DistanceRows:
     row_ptr = np.r_[0, np.cumsum([c.size for c in columns])]
     cols = np.concatenate(columns).astype(np.int32)
     values = d[np.repeat(np.arange(n), np.diff(row_ptr)), cols]
-    return DistanceRows(n, "structure", row_ptr, cols, values, np.zeros(n), np.arange(n))
+    return DistanceRows(n, "structure", row_ptr, cols, values, np.zeros(n))
 
 
 REFERENCE_GRAPHS = {
@@ -273,7 +265,7 @@ def reference_select_dc(e, percentile: float = 2.0) -> float:
     """
     points = _as_points(e)
     if not np.isfinite(points).all():
-        raise ValueError("coordinates must be finite")
+        raise ArithmeticError("coordinates must be finite")
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points to pick a cutoff")
     if not 0.0 < percentile <= 100.0:
@@ -457,6 +449,17 @@ def lesmis_graph():
     index = {t: i for i, t in enumerate(tokens)}
     pairs = [(index[u], index[v]) for u, v in g.edges()]
     return Graph.from_edges(len(tokens), pairs, tokens=tokens)
+
+
+@pytest.fixture(scope="session")
+def karate_club():
+    """Zachary's karate club and its two factions, the ``club`` of each member."""
+    nx = pytest.importorskip("networkx")
+    g = nx.karate_club_graph()
+    nodes = sorted(g.nodes())
+    clubs = sorted({g.nodes[v]["club"] for v in nodes})
+    truth = np.array([clubs.index(g.nodes[v]["club"]) for v in nodes])
+    return Graph.from_edges(len(nodes), list(g.edges())), truth
 
 
 @pytest.fixture(scope="module")

@@ -158,6 +158,13 @@ class TestCriterion5RealNetworks:
         ok = abs(res.k_star - 8) <= 1
         _criterion(5, ok, f"lesmis k*={res.k_star} within 8±1 at default parameters")
 
+    def test_karate_club(self, karate_club):
+        g, truth = karate_club
+        res = detect_communities(g)  # package defaults
+        score = nmi(truth, res.partition.labels)
+        ok = res.k_star == 2 and score >= 0.837
+        _criterion(5, ok, f"karate k*={res.k_star} (2 factions), nmi={score:.4f} >= 0.837")
+
     @pytest.mark.parametrize(
         "name,target,exact",
         [("football.gml", 12, True), ("dolphins.gml", 5, False), ("jazz.gml", 3, False)],

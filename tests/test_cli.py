@@ -22,7 +22,7 @@ from isofdp import (
     to_gml,
 )
 from isofdp.cli import build_parser, main, _parse_values
-from isofdp.isomap import geodesic_distances
+from isofdp.isomap import classical_mds, geodesic_distances
 from isofdp.reports import embedding_header, embedding_rows, load_labels, save_labels
 from isofdp.similarity import MEASURES
 
@@ -247,6 +247,27 @@ class TestDetect:
         edges_path, _ = gn_instance
         assert run(["detect", "--input", edges_path, "--out-dir", tmp_path / "o"]) == 3
         assert capsys.readouterr().err.startswith("error: numerical failure")
+
+    def test_non_finite_coordinates_exit_3(self, gn_instance, tmp_path, monkeypatch, capsys):
+        # a NaN from the embedding is a numerical failure, not an infeasible input
+        def nan_mds(*args):
+            embedding = classical_mds(*args)
+            embedding.coordinates[0, 0] = np.nan
+            return embedding
+
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "classical_mds", nan_mds)
+        edges_path, _ = gn_instance
+        assert run(["detect", "--input", edges_path, "--out-dir", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err.startswith("error: numerical failure")
+
+    @pytest.mark.parametrize("measure", ["euclidean", "hamming"])
+    def test_unknown_measure_exits_2_naming_the_supported(self, gn_instance, tmp_path, capsys, measure):
+        edges_path, _ = gn_instance
+        with pytest.raises(SystemExit) as exc:
+            run(["detect", "--input", edges_path, "--measure", measure, "--out-dir", tmp_path / "o"])
+        assert exc.value.code == 2
+        # argparse quotes the choices on some Python versions
+        assert "structure, jaccard, cosine" in capsys.readouterr().err.replace("'", "")
 
     def test_deeply_nested_gml_block_loads(self, tmp_path):
         depth = 10_000
