@@ -147,6 +147,32 @@ REFERENCE_GRAPHS = {
         11, [(i, j) for c in (0, 5) for i in range(c, c + 5) for j in range(i + 1, c + 5)]
     ),
     "edgeless": Graph.from_edges(5, []),
+    # every pair shares a neighbor, so every distance is finite under every
+    # measure: the rows hold all n - 1 partners and the k-NN graph needs no bridge
+    "wheel": Graph.from_edges(
+        8, [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)]
+    ),
+    "friendship": Graph.from_edges(7, [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4), (5, 6)]),
+    "fan": Graph.from_edges(8, [(0, i) for i in range(1, 8)] + [(i, i + 1) for i in range(1, 7)]),
+    "k6": Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+    "octahedron": Graph.from_edges(
+        6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j != i + 3]
+    ),
+    # diameter 2 and no triangle: finite for every pair under structure, inf
+    # between neighbors under jaccard and cosine
+    "petersen": Graph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    ),
+}
+
+
+# the reference graphs whose count holds every pair, by measure (jaccard's
+# edgeless graph is finite too, but off the count)
+ALL_FINITE = {
+    "structure": ("fan", "friendship", "k33", "k6", "octahedron", "petersen", "star", "wheel"),
+    "jaccard": ("fan", "friendship", "k6", "octahedron", "wheel"),
+    "cosine": ("fan", "friendship", "k6", "octahedron", "wheel"),
 }
 
 

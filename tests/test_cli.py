@@ -26,7 +26,7 @@ from isofdp.isomap import classical_mds, geodesic_distances
 from isofdp.reports import embedding_header, embedding_rows, load_labels, save_labels
 from isofdp.similarity import MEASURES
 
-from conftest import disjoint_cliques_graph
+from conftest import REFERENCE_GRAPHS, disjoint_cliques_graph
 
 
 def run(argv):
@@ -329,6 +329,10 @@ SHAPES = {
     "k33": Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
     "two_k5_isolated": Graph.from_edges(11, disjoint_cliques_graph([5, 5])[0].edges),
     "edgeless5": Graph.from_edges(5, []),
+    # every distance finite under every measure, and under structure alone
+    "wheel8": REFERENCE_GRAPHS["wheel"],
+    "friendship7": REFERENCE_GRAPHS["friendship"],
+    "petersen": REFERENCE_GRAPHS["petersen"],
 }
 
 

@@ -30,6 +30,7 @@ from isofdp.pipeline import prepared_distances
 from isofdp.similarity import MEASURES
 
 from conftest import (
+    ALL_FINITE,
     REFERENCE_GRAPHS,
     disjoint_cliques_graph,
     distance_source,
@@ -55,6 +56,17 @@ SPLIT_GRAPHS = {
     "three_k5": disjoint_cliques_graph([5, 5, 5])[0],
     "k4_k6_k8_isolated3": with_isolated(disjoint_cliques_graph([4, 6, 8])[0], 3),
     "gn_isolated4": with_isolated(generate_gn(GnSpec(z_out=4, seed=0)).graph, 4),
+    # a wheel and a friendship graph, all finite inside and inf between, and 2
+    # isolated nodes: only bridges join the groups
+    "wheel_friendship_isolated2": with_isolated(
+        Graph.from_edges(
+            15,
+            np.vstack(
+                [REFERENCE_GRAPHS["wheel"].edge_array, REFERENCE_GRAPHS["friendship"].edge_array + 8]
+            ),
+        ),
+        2,
+    ),
 }
 
 
@@ -213,6 +225,23 @@ class TestBuildNeighborGraph:
             got = build_neighbor_graph(source, k)
             assert got.edges.tobytes() == want.edges.tobytes()
             assert got.weights.tobytes() == want.weights.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "name, measure", [(name, m) for m, names in ALL_FINITE.items() for name in names]
+    )
+    def test_all_finite_rows_are_joined_without_a_bridge(self, name, measure, k):
+        # every partner is a count entry, and each edge weighs its pair's distance
+        g = REFERENCE_GRAPHS[name]
+        n, source = g.node_count, distance_rows(g, measure)
+        d = reference_distances(g, measure)
+        assert np.isfinite(d).all()
+        vals, _ = source.entries(np.arange(n), 1)
+        assert vals.shape == (n, n) and np.count_nonzero(vals < np.inf) == n * (n - 1)
+        ng = build_neighbor_graph(source, k)
+        assert edge_set(ng) == reference_neighbor_graph(d, k)
+        u, v = ng.edges.T
+        assert ng.weights.tobytes() == d[u, v].tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("shape", ["split", "all_finite"])
