@@ -13,11 +13,7 @@ from .graph import (
     to_edge_list,
     to_gml,
 )
-from .similarity import (
-    MEASURES,
-    DistanceRows,
-    distance_rows,
-)
+from .similarity import DistanceRows, distance_rows
 from .isomap import (
     Embedding,
     NeighborGraph,

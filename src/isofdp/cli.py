@@ -33,7 +33,6 @@ from .reports import (
     save_labels,
     write_csv,
 )
-from .similarity import MEASURES
 
 # Parameters used for each benchmark suite unless overridden on the command
 # line. The embedding dimension tracks the community count: 4 well-separated
@@ -139,7 +138,6 @@ def cmd_detect(args) -> int:
     g, fmt = _load_graph(args.input, args.format)
     result = detect_communities(
         g,
-        measure=args.measure,
         knn=args.knn,
         dim=args.dim,
         dc_percentile=args.dc_percentile,
@@ -157,7 +155,6 @@ def cmd_detect(args) -> int:
         "command": "detect",
         "input": args.input,
         "format": fmt,
-        "measure": args.measure,
         "knn": args.knn,
         "dim": args.dim,
         "dc_percentile": args.dc_percentile,
@@ -299,7 +296,7 @@ def cmd_embed(args) -> int:
     if args.dim_sweep is not None and args.dim_sweep < 1:
         raise ValueError(f"--dim-sweep must be >= 1, got {args.dim_sweep}")
     g, _ = _load_graph(args.input, args.format)
-    dmat = prepared_distances(g, args.measure)
+    dmat = prepared_distances(g)
     ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))
     gd = geodesic_distances(ng)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -320,8 +317,6 @@ def _add_graph_input(p):
     p.add_argument("--input", required=True, help="path to the network file")
     p.add_argument("--format", choices=["edges", "gml"], default=None,
                    help="input format (default: by file extension)")
-    p.add_argument("--measure", choices=list(MEASURES),
-                   default=_default(detect_communities, "measure"))
     p.add_argument("--knn", type=int, default=_default(detect_communities, "knn"),
                    help="neighborhood size for the k-NN graph")
     p.add_argument("--dim", type=int, default=_default(detect_communities, "dim"),
@@ -402,7 +397,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (GenerationError, ValueError, FileNotFoundError) as exc:
+    except (GenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -115,10 +115,7 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
     # a pair that both its rows selected comes twice, with one weight
     keys, first = np.unique(np.concatenate(keys), return_index=True)
     if not keys.size:
-        raise ValueError(
-            "no finite distances at all: no two nodes share a neighbor, "
-            f"so every {d.measure} similarity is 0"
-        )
+        raise ValueError("no finite distances at all: no two nodes share a neighbor")
     weights = np.concatenate(weights)[first]
 
     adj = csr_matrix((np.ones(keys.size), np.divmod(keys, n)), shape=(n, n))
@@ -159,12 +156,9 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
         if components > 1:
             # each group's smallest node r, the key of (0, r); node 0's sorts first
             reps = np.sort(np.unique(comp, return_index=True)[1])[1:]
-            # the largest finite distance off the diagonal, from one more pass
-            top = -np.inf
-            for rows in blocks:
-                vals, _ = d.entries(rows, 1)
-                top = max(top, vals.max(where=vals < np.inf, initial=-np.inf))
-            bridge = 2.0 * float(top)
+            # every stored distance is finite and the diagonal's 1.0 the
+            # least, so the largest stored one is the largest finite distance
+            bridge = 2.0 * float(d.values.max())
             keys, weights = np.r_[keys, reps], np.r_[weights, np.full(reps.size, bridge)]
         order = np.argsort(keys)
         keys, weights = keys[order], weights[order]

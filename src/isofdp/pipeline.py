@@ -21,17 +21,17 @@ __all__ = [
 ]
 
 
-def prepared_distances(g: Graph, measure: str = "structure") -> DistanceRows:
+def prepared_distances(g: Graph) -> DistanceRows:
     """Similarity-derived distances as a source of row blocks; inf where two nodes share nothing.
 
     Rejects graphs under 4 nodes, where centering and the density statistics
-    are degenerate, and edgeless ones, where no measure tells nodes apart.
+    are degenerate, and edgeless ones, where the similarity tells no nodes apart.
     """
     if g.node_count < 4:
         raise ValueError("graph too small: need at least 4 nodes")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
-    return distance_rows(g, measure)
+    return distance_rows(g)
 
 
 def default_k_max(n: int) -> int:
@@ -68,7 +68,6 @@ class DetectionResult:
 
 def detect_communities(
     g: Graph,
-    measure: str = "structure",
     knn: int = 10,
     dim: int = 2,
     dc_percentile: float = signature(select_dc).parameters["percentile"].default,
@@ -92,7 +91,7 @@ def detect_communities(
         timings[name] = time.perf_counter() - start
         return out
 
-    dmat = timed("pipeline.prepared_distances", prepared_distances, g, measure)
+    dmat = timed("pipeline.prepared_distances", prepared_distances, g)
     ng = timed("isomap.build_neighbor_graph", build_neighbor_graph, dmat, min(knn, n - 1))
     # the k-NN graph holds all that is used of the distances; freeing the
     # count before the geodesics lowers the peak

@@ -35,62 +35,40 @@ def dense_adjacency(g) -> np.ndarray:
     return a
 
 
-def dense_similarity(g, measure: str) -> np.ndarray:
-    """Reference: the dense kernels, one per measure, on 0/1 adjacency rows."""
-    a = dense_adjacency(g)
-    n = g.node_count
-    if measure == "structure":
-        closed = a + np.eye(n)
-        sizes = g.degrees + 1
-        values = (closed @ closed.T) / np.sqrt(np.outer(sizes, sizes))
-    elif measure == "jaccard":
-        values = 1.0 - squareform(pdist(a.astype(bool), "jaccard"))
-        np.fill_diagonal(values, 1.0)
-    else:  # cosine
-        norms = np.sqrt((a * a).sum(axis=1))
-        denom = np.outer(norms, norms)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(denom > 0, (a @ a.T) / np.where(denom > 0, denom, 1.0), 0.0)
-        np.fill_diagonal(values, 1.0)
+def dense_similarity(g) -> np.ndarray:
+    """Reference: the dense structure similarity kernel on 0/1 closed-neighborhood rows."""
+    closed = dense_adjacency(g) + np.eye(g.node_count)
+    sizes = g.degrees + 1
+    values = (closed @ closed.T) / np.sqrt(np.outer(sizes, sizes))
     return (values + values.T) / 2.0
 
 
-def reference_distances(g, measure: str) -> np.ndarray:
+def reference_distances(g) -> np.ndarray:
     """The masked reciprocal of the dense oracle: inf where s == 0, zero diagonal.
 
     Reference for the blocks of ``isofdp.similarity.distance_rows``.
     """
-    sim = dense_similarity(g, measure)
+    sim = dense_similarity(g)
     d = np.full(sim.shape, np.inf)
     np.divide(1.0, sim, out=d, where=sim > 0)
     np.fill_diagonal(d, 0.0)
     return d
 
 
-def reference_count_entries(g, measure: str):
+def reference_count_entries(g):
     """Reference for the entries of ``isofdp.similarity.distance_rows``.
 
-    The whole int64 product ``c = a @ a`` (``a + I`` for structure), then
-    each entry's ``1/s`` over all of it at once, in the product's order.
-    Returns ``row_ptr``, ``columns`` and ``values``.
+    The whole int64 product ``c = a @ a`` of the closed neighborhoods
+    ``a + I``, then each entry's ``1/s`` over all of it at once, in the
+    product's order. Returns ``row_ptr``, ``columns`` and ``values``.
     """
     n = g.node_count
-    a = g.adjacency
-    deg = g.degrees
-    if measure == "structure":
-        a = a + identity(n, dtype=a.dtype, format="csr")
+    a = g.adjacency + identity(n, dtype=g.adjacency.dtype, format="csr")
     c = a @ a
     rows = np.repeat(np.arange(n), np.diff(c.indptr))
     col, common = c.indices, c.data
-    if measure == "structure":
-        sizes = deg + 1.0
-        s = common / np.sqrt(sizes[rows] * sizes[col])
-    elif measure == "cosine":
-        norms = np.sqrt(deg)
-        s = common / (norms[rows] * norms[col])
-    else:  # jaccard
-        differ = deg[rows] + deg[col] - 2 * common
-        s = 1.0 - differ / (differ + common)
+    sizes = g.degrees + 1.0
+    s = common / np.sqrt(sizes[rows] * sizes[col])
     return c.indptr, col, 1.0 / s
 
 
@@ -118,7 +96,10 @@ def distance_source(values) -> DistanceRows:
     product leaves them, each row's entries include the diagonal (1/s = 1)
     and come in an order other than column order: a seeded shuffle, reversed
     where it came out sorted. An array that is not symmetric is rejected, as
-    every ``distance_rows`` source is.
+    every ``distance_rows`` source is. As there, the bridges of
+    ``build_neighbor_graph`` read the largest entry as the largest finite
+    distance, so an array whose finite distances are all below 1.0 gets
+    bridges of 2.0.
     """
     d = np.array(values, dtype=float)
     n = d.shape[0]
@@ -135,7 +116,7 @@ def distance_source(values) -> DistanceRows:
     row_ptr = np.r_[0, np.cumsum([c.size for c in columns])]
     cols = np.concatenate(columns).astype(np.int32)
     values = d[np.repeat(np.arange(n), np.diff(row_ptr)), cols]
-    return DistanceRows(n, "structure", row_ptr, cols, values, np.zeros(n))
+    return DistanceRows(n, row_ptr, cols, values)
 
 
 REFERENCE_GRAPHS = {
@@ -147,8 +128,8 @@ REFERENCE_GRAPHS = {
         11, [(i, j) for c in (0, 5) for i in range(c, c + 5) for j in range(i + 1, c + 5)]
     ),
     "edgeless": Graph.from_edges(5, []),
-    # every pair shares a neighbor, so every distance is finite under every
-    # measure: the rows hold all n - 1 partners and the k-NN graph needs no bridge
+    # every pair shares a neighbor, so every distance is finite: the rows
+    # hold all n - 1 partners and the k-NN graph needs no bridge
     "wheel": Graph.from_edges(
         8, [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)]
     ),
@@ -158,8 +139,8 @@ REFERENCE_GRAPHS = {
     "octahedron": Graph.from_edges(
         6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j != i + 3]
     ),
-    # diameter 2 and no triangle: finite for every pair under structure, inf
-    # between neighbors under jaccard and cosine
+    # diameter 2 and no triangle: finite for every pair, as closed
+    # neighborhoods overlap between neighbors too
     "petersen": Graph.from_edges(
         10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -167,13 +148,8 @@ REFERENCE_GRAPHS = {
 }
 
 
-# the reference graphs whose count holds every pair, by measure (jaccard's
-# edgeless graph is finite too, but off the count)
-ALL_FINITE = {
-    "structure": ("fan", "friendship", "k33", "k6", "octahedron", "petersen", "star", "wheel"),
-    "jaccard": ("fan", "friendship", "k6", "octahedron", "wheel"),
-    "cosine": ("fan", "friendship", "k6", "octahedron", "wheel"),
-}
+# the reference graphs whose count holds every pair
+ALL_FINITE = ("fan", "friendship", "k33", "k6", "octahedron", "petersen", "star", "wheel")
 
 
 def edge_set(ng) -> set:

@@ -277,3 +277,51 @@ def test_criterion_10_benchmark_determinism(tmp_path):
             payloads.append((out / f"benchmark_{suite}.csv").read_bytes())
         ok = ok and payloads[0] == payloads[1]
     _criterion(10, ok, "benchmark reruns with the same master seed are byte-identical")
+
+
+def yardstick(suite, params, seeds=range(3)):
+    """isofdp's and Louvain's NMI against the planted partition, by (param, seed).
+
+    isofdp runs at the suite presets, Louvain (networkx) with ``seed`` the
+    generator seed. ``params`` are out-degrees (gn) or mixing values of
+    n=1000 graphs (lfr). The README's known limits come from
+    ``yardstick("lfr", (0.6, 0.7))``.
+    """
+    import networkx as nx
+
+    scores = {}
+    for param in params:
+        for seed in seeds:
+            if suite == "gn":
+                labeled = generate_gn(GnSpec(z_out=param, seed=seed))
+            else:
+                labeled = generate_lfr(LfrSpec(n=1000, mu=param, seed=seed))
+            g = labeled.graph
+            res = detect_communities(g, **SUITE_PRESETS[suite])
+            graph = nx.Graph()
+            graph.add_nodes_from(range(g.node_count))
+            graph.add_edges_from(g.edge_array.tolist())
+            louvain = np.empty(g.node_count, dtype=np.int64)
+            for label, members in enumerate(nx.community.louvain_communities(graph, seed=seed)):
+                louvain[sorted(members)] = label
+            scores[param, seed] = nmi(labeled.truth, res.partition.labels), nmi(labeled.truth, louvain)
+    return scores
+
+
+@pytest.mark.parametrize("suite, params", [("gn", range(1, 8)), ("lfr", (0.1, 0.2, 0.3, 0.4, 0.5))])
+def test_criterion_11_modularity_yardstick(suite, params):
+    # Louvain's partitions depend on the networkx version, so none is pinned:
+    # only the suite means are compared, not each param on its own
+    pytest.importorskip("networkx")
+    scores = yardstick(suite, params)
+    for name, column in (("isofdp", 0), ("louvain", 1)):
+        table = "  ".join(
+            f"{p:g}: " + " / ".join(f"{scores[p, s][column]:.3f}" for s in range(3)) for p in params
+        )
+        print(f"{suite} {name:>7} NMI, seeds 0 / 1 / 2 -- {table}")
+    ours, theirs = (float(np.mean([v[i] for v in scores.values()])) for i in (0, 1))
+    _criterion(
+        11,
+        ours >= theirs - 0.01,
+        f"{suite} mean NMI {ours:.4f} >= Louvain's {theirs:.4f} - 0.01 over seeds 0-2",
+    )

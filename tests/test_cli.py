@@ -24,7 +24,6 @@ from isofdp import (
 from isofdp.cli import build_parser, main, _parse_values
 from isofdp.isomap import classical_mds, geodesic_distances
 from isofdp.reports import embedding_header, embedding_rows, load_labels, save_labels
-from isofdp.similarity import MEASURES
 
 from conftest import REFERENCE_GRAPHS, disjoint_cliques_graph
 
@@ -74,8 +73,8 @@ class TestDefaults:
     @pytest.mark.parametrize(
         "argv, names",
         [
-            (["detect", "--input", "g.edges"], ["measure", "knn", "dim", "dc_percentile"]),
-            (["embed", "--input", "g.edges"], ["measure", "knn", "dim"]),
+            (["detect", "--input", "g.edges"], ["knn", "dim", "dc_percentile"]),
+            (["embed", "--input", "g.edges"], ["knn", "dim"]),
             (["benchmark", "--suite", "gn"], ["dc_percentile"]),
         ],
     )
@@ -260,14 +259,14 @@ class TestDetect:
         assert run(["detect", "--input", edges_path, "--out-dir", tmp_path / "o"]) == 3
         assert capsys.readouterr().err.startswith("error: numerical failure")
 
-    @pytest.mark.parametrize("measure", ["euclidean", "hamming"])
-    def test_unknown_measure_exits_2_naming_the_supported(self, gn_instance, tmp_path, capsys, measure):
+    @pytest.mark.parametrize("command", ["detect", "embed"])
+    def test_measure_flag_removed(self, gn_instance, tmp_path, capsys, command):
+        # structure similarity is the only measure, so there is nothing to choose
         edges_path, _ = gn_instance
         with pytest.raises(SystemExit) as exc:
-            run(["detect", "--input", edges_path, "--measure", measure, "--out-dir", tmp_path / "o"])
+            run([command, "--input", edges_path, "--measure", "structure", "--out-dir", tmp_path / "o"])
         assert exc.value.code == 2
-        # argparse quotes the choices on some Python versions
-        assert "structure, jaccard, cosine" in capsys.readouterr().err.replace("'", "")
+        assert "unrecognized arguments: --measure" in capsys.readouterr().err
 
     def test_deeply_nested_gml_block_loads(self, tmp_path):
         depth = 10_000
@@ -300,23 +299,50 @@ class TestDetect:
         assert code == 1
         assert f"line {len(lines) + 1}: token {token!r} repeats line 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("measure", ["jaccard", "cosine"])
-    def test_no_shared_neighbor_exits_2_naming_it(self, tmp_path, capsys, measure):
-        # two edges, but no two nodes share a neighbor
-        path = tmp_path / "pairs.edges"
-        path.write_text("0 1\n2 3\n")
-        code = run(["detect", "--input", path, "--measure", measure, "--out-dir", tmp_path / "o"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"no two nodes share a neighbor, so every {measure} similarity is 0" in err
-        assert "graph has no edges" not in err
-
     def test_truth_missing_nodes_exits_2(self, gn_instance, tmp_path):
         edges_path, _ = gn_instance
         truth = tmp_path / "short.truth"
         save_labels(truth, ["0", "1"], [0, 0])
         code = run(["detect", "--input", edges_path, "--truth", truth, "--out-dir", tmp_path / "o"])
         assert code == 2
+
+
+class TestFileSystemErrors:
+    """A path the file system refuses is an infeasible configuration: exit 2, one line."""
+
+    @staticmethod
+    def assert_exits_2(argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_directory_as_detect_input(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        self.assert_exits_2(["detect", "--input", tmp_path, "--out-dir", out], capsys)
+        assert not os.path.exists(out)
+
+    def test_directory_as_truth(self, gn_instance, tmp_path, capsys):
+        edges_path, _ = gn_instance
+        out = tmp_path / "o"
+        self.assert_exits_2(["detect", "--input", edges_path, "--truth", tmp_path, "--out-dir", out], capsys)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("which", ["--truth", "--pred"])
+    def test_directory_as_eval_file(self, gn_instance, tmp_path, capsys, which):
+        _, truth_path = gn_instance
+        files = {"--truth": truth_path, "--pred": truth_path, which: tmp_path}
+        self.assert_exits_2(["eval", *[a for item in files.items() for a in item]], capsys)
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command", ["detect", "embed"])
+    def test_out_dir_that_is_a_file(self, gn_instance, tmp_path, capsys, command, below):
+        # the file itself (FileExistsError), or a directory under it (NotADirectoryError)
+        edges_path, _ = gn_instance
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        self.assert_exits_2([command, "--input", edges_path, "--out-dir", out], capsys)
+        assert taken.read_text() == ""
 
 
 SHAPES = {
@@ -329,7 +355,7 @@ SHAPES = {
     "k33": Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
     "two_k5_isolated": Graph.from_edges(11, disjoint_cliques_graph([5, 5])[0].edges),
     "edgeless5": Graph.from_edges(5, []),
-    # every distance finite under every measure, and under structure alone
+    # every distance finite
     "wheel8": REFERENCE_GRAPHS["wheel"],
     "friendship7": REFERENCE_GRAPHS["friendship"],
     "petersen": REFERENCE_GRAPHS["petersen"],
@@ -337,25 +363,23 @@ SHAPES = {
 
 
 class TestDegenerateShapes:
-    def detect(self, tmp_path, shape, measure):
+    def detect(self, tmp_path, shape):
         path = tmp_path / f"{shape}.gml"
         path.write_text(to_gml(SHAPES[shape]))
-        code = run(["detect", "--input", path, "--measure", measure, "--out-dir", tmp_path / "o"])
+        code = run(["detect", "--input", path, "--out-dir", tmp_path / "o"])
         assert code in ((2,) if shape == "edgeless5" else (0, 2))
         assert (code == 0) == os.path.exists(tmp_path / "o" / "report.json")
 
-    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_detect_exits_0_or_2(self, tmp_path, shape, measure):
-        self.detect(tmp_path, shape, measure)
+    def test_detect_exits_0_or_2(self, tmp_path, shape):
+        self.detect(tmp_path, shape)
 
-    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_detect_from_five_landmarks_exits_0_or_2(self, tmp_path, monkeypatch, shape, measure):
+    def test_detect_from_five_landmarks_exits_0_or_2(self, tmp_path, monkeypatch, shape):
         # every shape has 5 to 11 nodes, so by default every node is a landmark
         five = functools.partial(geodesic_distances, landmarks=5)
         monkeypatch.setattr(sys.modules["isofdp.pipeline"], "geodesic_distances", five)
-        self.detect(tmp_path, shape, measure)
+        self.detect(tmp_path, shape)
 
 
 class TestEval:
@@ -468,15 +492,14 @@ UNEMBEDDABLE = {
 
 
 class TestEmbed:
-    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("shape", sorted(UNEMBEDDABLE))
-    def test_unembeddable_graph_exits_2(self, tmp_path, shape, measure):
+    def test_unembeddable_graph_exits_2(self, tmp_path, shape):
         # detect and embed share one check: both reject what one rejects
         path = tmp_path / f"{shape}.gml"
         path.write_text(to_gml(UNEMBEDDABLE[shape]))
         for command in ("detect", "embed"):
             out = tmp_path / command
-            code = run([command, "--input", path, "--measure", measure, "--out-dir", out])
+            code = run([command, "--input", path, "--out-dir", out])
             assert code == 2
             assert not os.path.exists(out)
 
@@ -496,7 +519,7 @@ class TestEmbed:
 
     def test_detect_writes_the_same_embedding(self, gn_instance, tmp_path):
         edges_path, _ = gn_instance
-        flags = ["--input", edges_path, "--measure", "cosine", "--knn", 12, "--dim", 4]
+        flags = ["--input", edges_path, "--knn", 12, "--dim", 4]
         for command in ("detect", "embed"):
             assert run([command, *flags, "--out-dir", tmp_path / command]) == 0
         detected = (tmp_path / "detect" / "embedding.csv").read_bytes()

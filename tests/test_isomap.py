@@ -27,7 +27,6 @@ from isofdp.isomap import (
     residual_variances,
 )
 from isofdp.pipeline import prepared_distances
-from isofdp.similarity import MEASURES
 
 from conftest import (
     ALL_FINITE,
@@ -78,7 +77,7 @@ HUB_AND_PATH = Graph.from_edges(
 )
 
 
-# the k-NN tests' graphs and a few benchmark graphs, each under every measure
+# the k-NN tests' graphs and a few benchmark graphs
 SYMMETRY_GRAPHS = {
     **REFERENCE_GRAPHS,
     **SPLIT_GRAPHS,
@@ -186,40 +185,37 @@ class TestBuildNeighborGraph:
         with pytest.raises(ValueError, match="no finite distances at all"):
             build_neighbor_graph(distance_source(d), 1)
 
-    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("name", sorted(SYMMETRY_GRAPHS))
-    def test_distance_rows_are_exactly_symmetric(self, name, measure):
+    def test_distance_rows_are_exactly_symmetric(self, name):
         # the repair takes each pair from either of its rows, by the same bytes
-        d = full_rows(distance_rows(SYMMETRY_GRAPHS[name], measure))
+        d = full_rows(distance_rows(SYMMETRY_GRAPHS[name]))
         assert d.tobytes() == d.T.tobytes()
 
     @pytest.mark.parametrize("k", [3, 10])
-    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("shape", sorted(SPLIT_GRAPHS))
-    def test_bridges_match_bridging_the_matrix_first(self, shape, measure, k):
+    def test_bridges_match_bridging_the_matrix_first(self, shape, k):
         g = SPLIT_GRAPHS[shape]
-        d = reference_distances(g, measure)
+        d = reference_distances(g)
         ref = build_neighbor_graph(distance_source(reference_bridge(d)), k)
-        for given in (distance_source(d), distance_rows(g, measure)):
+        for given in (distance_source(d), distance_rows(g)):
             ng = build_neighbor_graph(given, k)
             assert ng.edges.tobytes() == ref.edges.tobytes()
             assert ng.weights.tobytes() == ref.weights.tobytes()
 
     @pytest.mark.parametrize("block_rows", [7, 64])
-    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("name", sorted({**REFERENCE_GRAPHS, **SPLIT_GRAPHS}))
-    def test_row_source_matches_the_dense_array(self, name, measure, block_rows, monkeypatch):
+    def test_row_source_matches_the_dense_array(self, name, block_rows, monkeypatch):
         # the blocks the source writes make the graph the dense array makes,
         # top-k, Boruvka rounds and bridges alike
         monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
         g = {**REFERENCE_GRAPHS, **SPLIT_GRAPHS}[name]
-        dense = distance_source(reference_distances(g, measure))
-        source = distance_rows(g, measure)
+        dense = distance_source(reference_distances(g))
+        source = distance_rows(g)
         for k in sorted({1, 3, min(10, g.node_count - 1)}):
             try:
                 want = build_neighbor_graph(dense, k)
-            except ValueError as err:  # the same error, naming the source's measure
-                with pytest.raises(ValueError, match=str(err).replace(dense.measure, measure)):
+            except ValueError as err:  # the same error
+                with pytest.raises(ValueError, match=str(err)):
                     build_neighbor_graph(source, k)
                 continue
             got = build_neighbor_graph(source, k)
@@ -227,14 +223,12 @@ class TestBuildNeighborGraph:
             assert got.weights.tobytes() == want.weights.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize(
-        "name, measure", [(name, m) for m, names in ALL_FINITE.items() for name in names]
-    )
-    def test_all_finite_rows_are_joined_without_a_bridge(self, name, measure, k):
+    @pytest.mark.parametrize("name", ALL_FINITE)
+    def test_all_finite_rows_are_joined_without_a_bridge(self, name, k):
         # every partner is a count entry, and each edge weighs its pair's distance
         g = REFERENCE_GRAPHS[name]
-        n, source = g.node_count, distance_rows(g, measure)
-        d = reference_distances(g, measure)
+        n, source = g.node_count, distance_rows(g)
+        d = reference_distances(g)
         assert np.isfinite(d).all()
         vals, _ = source.entries(np.arange(n), 1)
         assert vals.shape == (n, n) and np.count_nonzero(vals < np.inf) == n * (n - 1)
@@ -253,7 +247,7 @@ class TestBuildNeighborGraph:
         d = np.triu(rng.integers(1, 6, size=(n, n)), 1).astype(float)
         d += d.T
         np.fill_diagonal(d, 0.0)
-        if shape != "all_finite":  # no inf, as under structure at diameter <= 2
+        if shape != "all_finite":  # no inf, as at diameter <= 2
             # inf entries leave some groups with no finite distance between them
             far = np.triu(rng.random((n, n)) < 0.8 + 0.03 * seed, 1)
             d[far | far.T] = np.inf
@@ -262,17 +256,16 @@ class TestBuildNeighborGraph:
             assert edge_set(ng) == reference_neighbor_graph(d, k)
             assert len(ng.edges) == len(edge_set(ng))
 
-    @pytest.mark.parametrize("measure", MEASURES)
-    def test_padded_and_dense_blocks_match_reference_neighbor_graph(self, measure):
+    def test_padded_and_dense_blocks_match_reference_neighbor_graph(self):
         # the leaves' count rows hold the hub and every leaf; the path's hold
         # a few nodes, tied pairwise at p - 1 and p + 1
         g = HUB_AND_PATH
-        n, source = g.node_count, distance_rows(g, measure)
+        n, source = g.node_count, distance_rows(g)
         # the blocks as the k = 10 scan reads them
         for lo in range(0, n, _BLOCK_ROWS):
             vals, cols = source.entries(np.arange(lo, min(lo + _BLOCK_ROWS, n)), 10)
             assert vals.shape == cols.shape and 10 <= vals.shape[1] <= n
-        d = reference_distances(g, measure)
+        d = reference_distances(g)
         for k in (1, 3, 10):
             ng = build_neighbor_graph(source, k)
             assert edge_set(ng) == reference_neighbor_graph(d, k)
@@ -322,32 +315,20 @@ class TestBuildNeighborGraph:
         assert (0, 1) in {(u, v) for u, v, _ in edge_set(ng)}
 
 
-# per measure: the LFR graphs (n=1000, seed 0) by mixing whose k-NN graphs the
-# digest covers after the GN graphs z_out 1..8 (seed 0), and the digest's first
-# 16 hex digits
-KNN_DIGESTS = {
-    "structure": ((0.2, 0.4, 0.6, 0.8), "f3201c050970282f"),
-    "jaccard": ((0.2, 0.4, 0.6, 0.8), "b10e41fd88e98cc9"),
-    "cosine": ((0.2, 0.4, 0.6, 0.8), "2bea1920b8d361a5"),
-}
+# the LFR graphs (n=1000, seed 0) by mixing whose k-NN graphs the digest covers
+# after the GN graphs z_out 1..8 (seed 0), and the digest's first 16 hex digits
+KNN_DIGEST = ((0.2, 0.4, 0.6, 0.8), "f3201c050970282f")
 
 
-@pytest.fixture(scope="module")
-def digest_graphs():
-    gn = [generate_gn(GnSpec(z_out=z_out, seed=0)).graph for z_out in range(1, 9)]
-    mixings = sorted({mu for mus, _ in KNN_DIGESTS.values() for mu in mus})
-    return gn, {mu: generate_lfr(LfrSpec(n=1000, mu=mu, seed=0)).graph for mu in mixings}
-
-
-@pytest.mark.parametrize("measure", sorted(KNN_DIGESTS))
-def test_neighbor_graphs_keep_their_digests(digest_graphs, measure):
+def test_neighbor_graphs_keep_their_digest():
     # every edge and weight, byte for byte, across versions: the benchmark
     # graphs tie often at the k-th distance
-    gn, lfr = digest_graphs
-    mixings, expected = KNN_DIGESTS[measure]
+    mixings, expected = KNN_DIGEST
+    gn = [generate_gn(GnSpec(z_out=z_out, seed=0)).graph for z_out in range(1, 9)]
+    lfr = [generate_lfr(LfrSpec(n=1000, mu=mu, seed=0)).graph for mu in mixings]
     h = hashlib.sha256()
-    for g in gn + [lfr[mu] for mu in mixings]:
-        d = prepared_distances(g, measure)
+    for g in gn + lfr:
+        d = prepared_distances(g)
         for k in (1, 3, 10):
             ng = build_neighbor_graph(d, k)
             h.update(ng.edges.tobytes())
@@ -356,11 +337,10 @@ def test_neighbor_graphs_keep_their_digests(digest_graphs, measure):
 
 
 class TestNeighborGraphPeakMemory:
-    @pytest.mark.parametrize("measure", MEASURES)
-    def test_peak_is_a_few_blocks(self, lfr_graph, measure):
+    def test_peak_is_a_few_blocks(self, lfr_graph):
         # every temporary is per block of rows: one int64 array over all the
         # count's entries (4.2 MB here) is over the bound by itself
-        source = distance_rows(lfr_graph, measure)
+        source = distance_rows(lfr_graph)
         peak = traced_peak(build_neighbor_graph, source, 10)
         assert peak <= 4 * 8 * _BLOCK_ROWS * lfr_graph.node_count
 

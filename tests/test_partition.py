@@ -3,7 +3,6 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from isofdp import (
-    MEASURES,
     GnSpec,
     Graph,
     LfrSpec,
@@ -214,13 +213,12 @@ class TestSelectK:
         assert max(table.values()) == 0.0
         assert result.k_star == 2
 
-    @pytest.mark.parametrize("measure", MEASURES)
-    def test_dc_above_rounding_noise(self, measure):
+    def test_dc_above_rounding_noise(self):
         # two K5 plus an isolated node: each K5 embeds as points that
         # coincide up to rounding, which low percentiles would pick as d_c
         cliques, _ = disjoint_cliques_graph([5, 5])
         g = Graph.from_edges(11, cliques.edges)
-        res = detect_communities(g, measure=measure)
+        res = detect_communities(g)
         largest = pdist(res.embedding.coordinates).max()
         assert res.profile.d_c >= 1e-9 * largest
 
