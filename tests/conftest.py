@@ -119,6 +119,43 @@ def distance_source(values) -> DistanceRows:
     return DistanceRows(n, row_ptr, cols, values)
 
 
+def erdos_renyi(n, p, seed):
+    """G(n, p): each pair joined with probability ``p``, from one seeded draw."""
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
+
+
+def random_tree(n, seed):
+    """A tree in which each node after the first joins a uniformly drawn earlier one."""
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(n, [(int(rng.integers(0, v)), v) for v in range(1, n)])
+
+
+def grid(rows, cols):
+    """The ``rows`` x ``cols`` lattice, node ``r * cols + c``."""
+    at = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.vstack([np.c_[at[:, :-1].ravel(), at[:, 1:].ravel()], np.c_[at[:-1].ravel(), at[1:].ravel()]])
+    return Graph.from_edges(rows * cols, pairs)
+
+
+def hypercube(dim):
+    """The ``dim``-cube: nodes are bit strings, joined when they differ in one bit."""
+    n = 1 << dim
+    return Graph.from_edges(n, [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)])
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# a hub joined to 110 leaves, the last of which starts a 40-node path, and 3
+# isolated nodes: at 64-row blocks, the leaves' blocks are nearly n wide and
+# the path's narrow
+HUB_AND_PATH = Graph.from_edges(
+    154, [(0, i) for i in range(1, 111)] + [(i, i + 1) for i in range(110, 150)]
+)
+
+
 REFERENCE_GRAPHS = {
     "gn": generate_gn(GnSpec(z_out=5, seed=3)).graph,
     "star": Graph.from_edges(8, [(0, i) for i in range(1, 8)]),
@@ -145,11 +182,57 @@ REFERENCE_GRAPHS = {
         10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     ),
+    # diameter 2 as well: a 4-cycle and a 5-cycle, the two sides of K2,6,
+    # five triangles on one edge, and a dense G(n, p)
+    "cycle4": cycle(4),
+    "cycle5": cycle(5),
+    "k2_6": Graph.from_edges(8, [(i, j) for i in range(2) for j in range(2, 8)]),
+    "book5": Graph.from_edges(7, [(0, 1)] + [(e, p) for p in range(2, 7) for e in (0, 1)]),
+    "er30_dense": erdos_renyi(30, 0.5, 0),
+    # regular graphs, whose distances tie by hop count alone: a long cycle,
+    # the 3-cube and 4-cube, and the 5-prism
+    "cycle9": cycle(9),
+    "cube3": hypercube(3),
+    "cube4": hypercube(4),
+    "prism5": Graph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+    ),
+    # degrees 1 to 4 side by side: lattices, trees and cliques on paths
+    "grid3x4": grid(3, 4),
+    "ladder6": grid(2, 6),
+    "binary_tree15": Graph.from_edges(15, [((v - 1) // 2, v) for v in range(1, 15)]),
+    "random_tree30": random_tree(30, 0),
+    "caterpillar": Graph.from_edges(
+        15, [(i, i + 1) for i in range(4)] + [(i, 5 + 2 * i + j) for i in range(5) for j in range(2)]
+    ),
+    "double_star": Graph.from_edges(10, [(0, 1)] + [(h, 2 + 4 * h + j) for h in range(2) for j in range(4)]),
+    "barbell": Graph.from_edges(
+        9, [(i, j) for c in (0, 5) for i in range(c, c + 4) for j in range(i + 1, c + 4)] + [(3, 4), (4, 5)]
+    ),
+    "lollipop": Graph.from_edges(
+        9, [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(i, i + 1) for i in range(4, 8)]
+    ),
+    "k4_pendants": Graph.from_edges(
+        8, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(i, i + 4) for i in range(4)]
+    ),
+    # five components of two nodes: each pair finite, every other pair inf
+    "matching": Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)]),
+    # sparse G(n, p) with isolated nodes and several components
+    "er40_sparse_s0": erdos_renyi(40, 0.06, 0),
+    "er40_sparse_s1": erdos_renyi(40, 0.06, 1),
+    # more than one 64-row block: power-law degrees up to 49, and a hub whose
+    # leaves' rows are nearly n wide beside a path's narrow ones
+    "lfr200": generate_lfr(LfrSpec(n=200, mu=0.3, seed=0)).graph,
+    "hub_and_path": HUB_AND_PATH,
 }
 
 
 # the reference graphs whose count holds every pair
-ALL_FINITE = ("fan", "friendship", "k33", "k6", "octahedron", "petersen", "star", "wheel")
+ALL_FINITE = (
+    "book5", "cycle4", "cycle5", "er30_dense", "fan", "friendship", "k2_6", "k33", "k6",
+    "octahedron", "petersen", "star", "wheel",
+)
 
 
 def edge_set(ng) -> set:

@@ -359,6 +359,16 @@ SHAPES = {
     "wheel8": REFERENCE_GRAPHS["wheel"],
     "friendship7": REFERENCE_GRAPHS["friendship"],
     "petersen": REFERENCE_GRAPHS["petersen"],
+    "k2_6": REFERENCE_GRAPHS["k2_6"],
+    # inf beyond two hops: regular, lattice, tree and clique-on-path shapes
+    "cycle9": REFERENCE_GRAPHS["cycle9"],
+    "cube3": REFERENCE_GRAPHS["cube3"],
+    "grid3x4": REFERENCE_GRAPHS["grid3x4"],
+    "binary_tree15": REFERENCE_GRAPHS["binary_tree15"],
+    "barbell": REFERENCE_GRAPHS["barbell"],
+    "lollipop": REFERENCE_GRAPHS["lollipop"],
+    # only pairs share a neighbor: every group is bridged
+    "matching": REFERENCE_GRAPHS["matching"],
 }
 
 
@@ -376,7 +386,7 @@ class TestDegenerateShapes:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_detect_from_five_landmarks_exits_0_or_2(self, tmp_path, monkeypatch, shape):
-        # every shape has 5 to 11 nodes, so by default every node is a landmark
+        # every shape has 5 to 15 nodes, so by default every node is a landmark
         five = functools.partial(geodesic_distances, landmarks=5)
         monkeypatch.setattr(sys.modules["isofdp.pipeline"], "geodesic_distances", five)
         self.detect(tmp_path, shape)

@@ -30,10 +30,12 @@ from isofdp.pipeline import prepared_distances
 
 from conftest import (
     ALL_FINITE,
+    HUB_AND_PATH,
     REFERENCE_GRAPHS,
     disjoint_cliques_graph,
     distance_source,
     edge_set,
+    erdos_renyi,
     floyd_warshall,
     full_rows,
     neighbor_graph_matrix,
@@ -66,15 +68,29 @@ SPLIT_GRAPHS = {
         ),
         2,
     ),
+    # every group two nodes, and 2 isolated: the k-NN graph is the pairs alone
+    "matching6_isolated2": Graph.from_edges(14, [(2 * i, 2 * i + 1) for i in range(6)]),
+    # Petersen and K3,3, all finite inside, and an isolated node
+    "petersen_k33_isolated": with_isolated(
+        Graph.from_edges(
+            16, np.vstack([REFERENCE_GRAPHS["petersen"].edge_array, REFERENCE_GRAPHS["k33"].edge_array + 10])
+        ),
+        1,
+    ),
+    # a star, a 9-cycle and a path: groups of one shape each, different widths
+    "star_cycle9_path": Graph.from_edges(
+        25,
+        np.vstack(
+            [
+                REFERENCE_GRAPHS["star"].edge_array,
+                REFERENCE_GRAPHS["cycle9"].edge_array + 8,
+                REFERENCE_GRAPHS["path"].edge_array + 17,
+            ]
+        ),
+    ),
+    # many components of every size, from a sparse G(n, p)
+    "er50_sparse": erdos_renyi(50, 0.03, 2),
 }
-
-
-# a hub joined to 110 leaves, the last of which starts a 40-node path, and 3
-# isolated nodes: at 64-row blocks, the leaves' blocks are nearly n wide and
-# the path's narrow
-HUB_AND_PATH = Graph.from_edges(
-    154, [(0, i) for i in range(1, 111)] + [(i, i + 1) for i in range(110, 150)]
-)
 
 
 # the k-NN tests' graphs and a few benchmark graphs
@@ -190,6 +206,16 @@ class TestBuildNeighborGraph:
         # the repair takes each pair from either of its rows, by the same bytes
         d = full_rows(distance_rows(SYMMETRY_GRAPHS[name]))
         assert d.tobytes() == d.T.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_GRAPHS))
+    def test_distance_rows_follow_a_relabelling(self, name):
+        # a pair's distance reads only its count and its two degrees, so
+        # renaming the nodes moves every distance with its pair, byte for byte
+        g = SYMMETRY_GRAPHS[name]
+        perm = np.random.default_rng(0).permutation(g.node_count)
+        renamed = Graph.from_edges(g.node_count, perm[g.edge_array])
+        d = full_rows(distance_rows(g))
+        assert full_rows(distance_rows(renamed))[np.ix_(perm, perm)].tobytes() == d.tobytes()
 
     @pytest.mark.parametrize("k", [3, 10])
     @pytest.mark.parametrize("shape", sorted(SPLIT_GRAPHS))

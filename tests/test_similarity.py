@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from isofdp.isomap import _BLOCK_ROWS
 from isofdp.pipeline import prepared_distances
 
 from conftest import (
+    ALL_FINITE,
     REFERENCE_GRAPHS,
     dense_rows,
     dense_similarity,
@@ -178,9 +180,23 @@ class TestCountEntries:
         # with the isolated nodes' and the other diagonal entries
         self.assert_entries_match(REFERENCE_GRAPHS[name])
 
+    @pytest.mark.parametrize("chunk_rows", [1, 5])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+    def test_reference_graphs_in_small_chunks(self, name, chunk_rows, monkeypatch):
+        # a chunk a row, or ragged 5-row chunks, some of them isolated rows
+        # with only their diagonal entry
+        monkeypatch.setattr(sys.modules["isofdp.similarity"], "_CHUNK_ROWS", chunk_rows)
+        self.assert_entries_match(REFERENCE_GRAPHS[name])
+
     def test_lfr_graph(self, lfr_graph):
         # n=2000: several chunks of rows, the last one short
         self.assert_entries_match(lfr_graph)
+
+
+def test_all_finite_lists_the_graphs_with_every_distance_finite():
+    # the graphs of diameter at most 2 and no other reference graph
+    finite = {name for name, g in REFERENCE_GRAPHS.items() if np.isfinite(reference_distances(g)).all()}
+    assert finite == set(ALL_FINITE)
 
 
 class TestDistancePeakMemory:
