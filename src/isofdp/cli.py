@@ -393,7 +393,10 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # before ValueError, which LinAlgError subclasses
+    # before ValueError, which UnicodeDecodeError and LinAlgError subclass
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3

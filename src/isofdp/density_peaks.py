@@ -8,6 +8,7 @@ each non-center point inherits the community of its nearest denser neighbor.
 The cutoff d_c, rho and delta are taken over row blocks of ``_BLOCK_ROWS``,
 the block size of the k-NN scan, so no n x n array is built: a GEMM screen
 sorts the pairs, and every decision falls on the pair's exact ``cdist`` value.
+The d_c and rho passes screen only a window of columns on coordinate 0.
 """
 
 from __future__ import annotations
@@ -140,6 +141,12 @@ def select_dc(e, percentile: float = 2.0) -> float:
     runs again with a wider one. The same pass counts the pairs at or under
     the floor, by their ``cdist`` values.
 
+    The sample is drawn from the points in their given order. The passes
+    then read them sorted by centered coordinate 0, sorted once: as a
+    projection never lengthens a distance, a block of rows screens only the
+    columns whose coordinate 0 is within the root of the window's top cut
+    of its last row's, widened by the slack :func:`_gap_bound` derives.
+
     Raises:
         ArithmeticError: a coordinate is NaN or infinite, or squared
             distances overflow.
@@ -160,6 +167,9 @@ def select_dc(e, percentile: float = 2.0) -> float:
         tol = 2.0 * _screen_bound(sq, dim, high)
         sample, spread = _pair_sample(lhs, rhs, sq, buf)
         lo_cut, hi_cut = _window(sample, rank, size, spread, tol)
+        # the passes read the points in coordinate-0 order, each block its window
+        by_x = np.argsort(rhs[:, 0], kind="stable")
+        points, lhs, rhs, sq = points[by_x], lhs[by_x], rhs[by_x], sq[by_x]
         while True:
             below, kept, keys, first_real = _window_pass(
                 points, lhs, rhs, sq, lo_cut, hi_cut, floor, floor * floor + tol, buf
@@ -248,17 +258,56 @@ def _upper_pairs(lhs, rhs, sq, cut, buf):
     """The pairs i < j whose screen value g is not over ``cut``, NaN included.
 
     Yields, per ``_BLOCK_ROWS``-row block, (lo, rows from lo, columns from lo, g).
+
+    The operands come sorted by centered coordinate 0, ``rhs[:, 0]``, and a
+    block of rows lo..hi-1 screens only the columns from lo whose coordinate
+    0 is at most ``x0[hi-1] + w``: :func:`_gap_bound` shows that no pair
+    beyond is yielded. An infinite or NaN cut reads every column, in any
+    order of the operands.
     """
     n = sq.shape[0]
+    x0 = rhs[:, 0]
+    w = _gap_bound(x0, sq, lhs.shape[1] - 1, cut)
     # g <= cut where the block's value, g less s_i, is under cut - s_i
     select = cut - sq
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        h = _screen(lhs[lo:hi], rhs[lo:], buf)
-        bi, bj = np.divmod(np.flatnonzero(~(h > select[lo:hi, None])), n - lo)
+        # an infinite w finds every column, whatever their order
+        end = int(np.searchsorted(x0, x0[hi - 1] + w, side="right"))
+        h = _screen(lhs[lo:hi], rhs[lo:end], buf)
+        bi, bj = np.divmod(np.flatnonzero(~(h > select[lo:hi, None])), end - lo)
         upper = bj > bi
         bi, bj = bi[upper], bj[upper]
         yield lo, bi, bj, h[bi, bj] + sq[bi + lo]
+
+
+def _gap_bound(x0, sq, dim, cut) -> float:
+    """w: how far apart on centered coordinate 0 a pair that passes ``cut`` can lie.
+
+    A pair i < j of operands sorted by ``x0`` that :func:`_upper_pairs`
+    yields at ``cut`` has ``x0[j] <= fl(x0[k] + w)`` for every ``k >= i``.
+    inf when ``cut`` is infinite or NaN, or the screen has no bound. With
+    ``u = 2**-53``, ``r`` the largest ``|x0|`` and ``t`` the bound of
+    :func:`_screen_bound` taken at ``d^2 = max(cut, 0)``:
+
+    - a pair passes when its GEMM value is at most ``cut - s_i`` as rounded;
+      by the items of :func:`_screen_bound`, that cut's rounding among them,
+      the pair's exact squared distance is then at most ``cut + t``;
+    - a projection never lengthens a distance, so its exact gap on
+      coordinate 0 is at most ``sqrt(cut + t)``, and centering rounds each
+      of ``x0[i]``, ``x0[j]`` by at most ``u r``: ``x0[j] - x0[i] <=
+      sqrt(cut + t) + 2 u r``;
+    - ``x0[k] >= x0[i]``, and the sum ``x0[k] + w`` rounds down by at most
+      ``u (r + w)``, so ``w (1 - u) >= sqrt(cut + t) + 3 u r`` suffices;
+    - ``w = (sqrt(cut + t) + 4 u r) (1 + 8 u)`` rounds five times, each a
+      factor of at least ``1 - u``, which the ``8 u`` more than makes up.
+    """
+    cut = max(cut, 0.0)
+    if not cut < math.inf:
+        return math.inf
+    t = _screen_bound(sq, dim, math.sqrt(cut))
+    r = float(np.abs(x0).max(initial=0.0))
+    return (math.sqrt(cut + t) + 4.0 * _EPS * r) * (1.0 + 8.0 * _EPS)
 
 
 def _pair_distances(points, keys) -> np.ndarray:
@@ -351,6 +400,13 @@ def compute_profile(e, d_c: float) -> DensityProfile:
     value. So the result is byte-identical to the one full ``cdist`` matrix
     would give, whatever order the GEMM sums in.
 
+    The rho pass reads the points sorted by centered coordinate 0 and maps
+    rho back: a block of rows screens only the columns whose coordinate 0
+    is within ``d_c`` of its last row's, widened by the screen's bound and
+    the slack :func:`_gap_bound` derives, as no pair farther apart on one
+    coordinate can be closer than ``d_c``. The delta pass reads every
+    denser point.
+
     Raises:
         ValueError: ``d_c`` is not positive (NaN included).
         ArithmeticError: a coordinate is NaN or infinite, or squared
@@ -364,7 +420,10 @@ def compute_profile(e, d_c: float) -> DensityProfile:
     with np.errstate(over="ignore", invalid="ignore"):
         sq, lhs, rhs, buf = _operands(points)
         t = _screen_bound(sq, dim, d_c)
-        rho = _local_density(points, lhs, rhs, sq, t, d_c, buf)
+        # rho over the points in coordinate-0 order, each block its window
+        by_x = np.argsort(rhs[:, 0], kind="stable")
+        rho = np.empty(n, dtype=np.int64)
+        rho[by_x] = _local_density(points[by_x], lhs[by_x], rhs[by_x], sq[by_x], t, d_c, buf)
         order = np.lexsort((np.arange(n), -rho))
         delta, nearest = _separation(points[order], lhs[order], rhs[order], t, order, buf)
     gamma = rho * delta

@@ -74,12 +74,11 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
     ``d`` is the source of row blocks :func:`isofdp.similarity.distance_rows`
     returns, whose rows are exactly symmetric; it is read ``_BLOCK_ROWS``
-    rows at a time through :meth:`~isofdp.similarity.DistanceRows.entries`,
-    so no n x n copy or mask is made. Each row i keeps its first
-    ``neighborhood_size`` partners j at a finite distance in (distance, j)
-    order, so ties go to the smaller node index, and a row with fewer finite
-    distances keeps them all; edge (i, j) is kept when row i or row j keeps
-    the other. If the k-NN graph is disconnected, its components are joined
+    rows at a time, so no n x n copy or mask is made. Each row i keeps its
+    first ``neighborhood_size`` partners j at a finite distance in
+    (distance, j) order, so ties go to the smaller node index, and a row
+    with fewer finite distances keeps them all; edge (i, j) is kept when row
+    i or row j keeps the other. If the k-NN graph is disconnected, its components are joined
     by their minimum spanning forest over the finite pairs ``u < v``, with
     weight ``d[u, v]`` and ties broken by (w, u, v), which is unique under
     that order: the edges Kruskal would add. Groups that still share no finite distance,
@@ -87,6 +86,16 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
     bridges from node 0 to each group's smallest node. Each bridge weighs
     twice the largest finite distance, which keeps the groups maximally
     separated in the embedding while letting the projection proceed.
+
+    The k-NN scan reads each block padded, through
+    :meth:`~isofdp.similarity.DistanceRows.entries`, as it partitions
+    rows. The forest is found in Borůvka rounds, which read rows unpadded,
+    through :meth:`~isofdp.similarity.DistanceRows.ragged`: in each row the
+    entries inside the row's own component, its diagonal among them, read
+    inf, and one ``np.minimum.reduceat`` gives each row's least distance
+    out, a second the least column among the entries at it. The first
+    round reads every row; later ones only the rows whose partner has since
+    joined their component.
     """
     n = d.node_count
     k = int(neighborhood_size)
@@ -130,12 +139,15 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
         scan = blocks
         while components > 1:
             for rows in scan:
-                # inf and n for a row with no finite pair outside
-                vals, cols = d.entries(rows, 1)
-                vals[comp.take(cols) == comp[rows, None]] = np.inf
-                least = vals.min(axis=1, keepdims=True)
-                row_w[rows] = least[:, 0]
-                row_v[rows] = np.min(cols, axis=1, where=vals == least, initial=n)
+                # inf for a row with no finite pair outside; every row holds
+                # its diagonal, so none is empty
+                vals, cols, starts = d.ragged(rows)
+                counts = np.diff(starts, append=vals.size)
+                vals = np.where(comp.take(cols) == np.repeat(comp[rows], counts), np.inf, vals)
+                least = np.minimum.reduceat(vals, starts)
+                row_w[rows] = least
+                tied = vals == np.repeat(least, counts)
+                row_v[rows] = np.minimum.reduceat(np.where(tied, cols, n), starts)
             u, v = np.minimum(nodes, row_v), np.maximum(nodes, row_v)
             order = np.lexsort((v, u, row_w, comp))
             best = order[np.unique(comp[order], return_index=True)[1]]

@@ -38,6 +38,11 @@ class DistanceRows:
     bytes an entry. Off the count every distance is inf. The array is
     exactly symmetric, which the repair of
     :func:`isofdp.isomap.build_neighbor_graph` relies on.
+
+    Rows are read in one of two shapes, and no caller reads the layout
+    itself: :meth:`ragged` gives given rows' entries end to end with each
+    row's start, as views for a contiguous run of rows, and :meth:`entries`
+    pads that read to a block, each row as wide as the block's longest.
     """
 
     node_count: int
@@ -45,23 +50,43 @@ class DistanceRows:
     columns: np.ndarray
     values: np.ndarray
 
+    def ragged(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distances and columns of the rows ``rows``, end to end, and where each row starts.
+
+        The rows' count entries, in ``rows``' order, the diagonal's 1.0
+        among them, with no padding; row ``rows[r]`` holds the entries from
+        ``starts[r]`` up to the next start, or to the end for the last. Every
+        row holds at least its diagonal. Ascending contiguous rows come back
+        as read-only views of the count's arrays, any others as one gather.
+        """
+        begin = self.row_ptr[rows]
+        if rows.size and np.all(np.diff(rows) == 1):
+            span = slice(begin[0], self.row_ptr[rows[-1] + 1])
+            values, columns = self.values[span], self.columns[span]
+            values.flags.writeable = columns.flags.writeable = False
+            return values, columns, begin - begin[0]
+        counts = self.row_ptr[rows + 1] - begin
+        starts = np.cumsum(counts) - counts
+        src = np.repeat(begin - starts, counts)
+        src += np.arange(src.size)
+        return self.values[src], self.columns[src], starts
+
     def entries(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Distances of the rows ``rows`` that hold each one's ``width`` nearest, and their columns.
 
-        Both are ``(len(rows), w)``, ``width <= w <= n``: each row's count
-        entries, the diagonal read as inf, then inf (column 0).
+        Both are ``(len(rows), w)``, ``width <= w <= n``: each row's entries
+        from :meth:`ragged`, the diagonal read as inf, then inf (column 0).
         """
-        counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
-        src = np.repeat(self.row_ptr[rows] - (np.cumsum(counts) - counts), counts)
-        src += np.arange(src.size)
+        values, columns, starts = self.ragged(rows)
+        counts = np.diff(starts, append=values.size)
         w = max(width, int(counts.max(initial=0)))
         vals = np.full((rows.size, w), np.inf)
-        columns = np.zeros((rows.size, w), dtype=self.columns.dtype)
+        cols = np.zeros((rows.size, w), dtype=self.columns.dtype)
         filled = np.arange(w, dtype=counts.dtype) < counts[:, None]
-        vals[filled] = self.values[src]
-        columns[filled] = self.columns[src]
-        vals[columns == rows.astype(columns.dtype)[:, None]] = np.inf
-        return vals, columns
+        vals[filled] = values
+        cols[filled] = columns
+        vals[cols == rows.astype(cols.dtype)[:, None]] = np.inf
+        return vals, cols
 
 
 def distance_rows(g: Graph) -> DistanceRows:

@@ -307,6 +307,36 @@ class TestDetect:
         assert code == 2
 
 
+class TestNotUtf8:
+    """An input file that is not UTF-8 text is an input parse error: exit 1, one line.
+
+    ``UnicodeDecodeError`` subclasses ``ValueError``, which exits 2.
+    """
+
+    @staticmethod
+    def assert_exits_1(argv, files, which, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"\xff\xfe" + files[which].read_bytes())
+        files = {**files, which: bad}
+        assert run([*argv, *[a for item in files.items() for a in item]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["--input", "--truth"])
+    def test_detect(self, gn_instance, tmp_path, capsys, which):
+        edges_path, truth_path = gn_instance
+        files = {"--input": edges_path, "--truth": truth_path}
+        out = tmp_path / "o"
+        self.assert_exits_1(["detect", "--out-dir", out], files, which, tmp_path, capsys)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("which", ["--truth", "--pred"])
+    def test_eval(self, gn_instance, tmp_path, capsys, which):
+        _, truth_path = gn_instance
+        files = {"--truth": truth_path, "--pred": truth_path}
+        self.assert_exits_1(["eval"], files, which, tmp_path, capsys)
+
+
 class TestFileSystemErrors:
     """A path the file system refuses is an infeasible configuration: exit 2, one line."""
 

@@ -299,6 +299,107 @@ class TestScreenBound:
         assert pairs == 300 * 299 // 2
 
 
+def window_sets():
+    """Sets on which the coordinate-0 window of the d_c and rho passes is weakest, by name.
+
+    Points tied on coordinate 0, all sharing it, and pairs that differ on
+    coordinate 0 alone, spread along it.
+    """
+    rng = np.random.default_rng(22)
+    spread = rng.normal(size=(240, 4)) * [8.0, 1.0, 1.0, 1.0]
+    tied = spread.copy()
+    tied[:, 0] = np.round(tied[:, 0] / 2.0)
+    shared = spread.copy()
+    shared[:, 0] = 3.0
+    return {"tied": tied, "shared": shared, "gap_pairs": gap_pairs(rng, 120)}
+
+
+def gap_pairs(rng, count):
+    """``count`` pairs of points that differ on coordinate 0 alone, the pair k rows 2k and 2k + 1."""
+    first = rng.normal(size=(count, 3)) * [8.0, 1.0, 1.0]
+    second = first.copy()
+    second[:, 0] += rng.uniform(0.5, 1.5, count)
+    return np.stack((first, second), axis=1).reshape(2 * count, 3)
+
+
+class TestWindow:
+    """The d_c and rho passes screen only the columns in a window on coordinate 0.
+
+    Every result stays byte-identical to the full ``cdist`` and ``pdist``
+    references where the window is tightest: 1-row blocks put each row at
+    its own window's edge.
+    """
+
+    @staticmethod
+    def assert_both_match(points, percentiles=(1.0, 2.0, 5.0)):
+        for pct in percentiles:
+            d_c = assert_dc_matches_reference(points, pct)
+            assert_matches_reference(points, d_c)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    @pytest.mark.parametrize("name", ["tied", "shared", "gap_pairs"])
+    def test_window_sets(self, name, block_rows, monkeypatch):
+        monkeypatch.setattr(density_peaks, "_BLOCK_ROWS", block_rows)
+        self.assert_both_match(window_sets()[name])
+
+    @pytest.mark.parametrize("block_rows", [1, 64])
+    def test_gaps_at_the_cutoff_and_one_ulp_either_side(self, block_rows, monkeypatch):
+        # a pair whose only gap is on coordinate 0, at d_c (not counted), one
+        # ulp under it (counted) and one ulp over it (not counted)
+        monkeypatch.setattr(density_peaks, "_BLOCK_ROWS", block_rows)
+        points = window_sets()["gap_pairs"]
+        for k in range(0, 120, 13):
+            a, b = points[2 * k], points[2 * k + 1]
+            gap = float(cdist(a[None], b[None])[0, 0])
+            at = assert_matches_reference(points, gap)
+            above = assert_matches_reference(points, float(np.nextafter(gap, np.inf)))
+            assert_matches_reference(points, float(np.nextafter(gap, 0.0)))
+            assert above.rho[2 * k] >= at.rho[2 * k] + 1
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "shift, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-150), (0.0, 1e150), (-3e5, 1e3)]
+    )
+    def test_shifted_and_scaled(self, dim, shift, scale):
+        # TestScreenBound's sets, where centering and the screen round most
+        rng = np.random.default_rng(12)
+        self.assert_both_match(rng.normal(size=(300, dim)) * scale + shift)
+
+    def test_passes_screen_only_the_window(self, monkeypatch):
+        # points spread along coordinate 0, so that the window holds few pairs
+        n = 2000
+        rng = np.random.default_rng(23)
+        points = rng.normal(size=(n, 3)) * [0.05, 0.05, 0.05]
+        points[:, 0] += rng.uniform(0.0, 100.0, n)
+        d_c = select_dc(points, 2.0)
+        x0 = np.sort(points[:, 0])
+        inside = np.sum(np.searchsorted(x0, x0 + d_c, side="right") - np.arange(n) - 1)
+        triangle = n * (n - 1) // 2
+        assert inside <= 0.1 * triangle
+        screened = []  # pairs a call of _screen computes
+        screen = density_peaks._screen
+        monkeypatch.setattr(
+            density_peaks,
+            "_screen",
+            lambda lhs, rhs, buf: screened.append(lhs.shape[0] * rhs.shape[0]) or screen(lhs, rhs, buf),
+        )
+        passes = {}
+        for name in ("_local_density", "_window_pass"):
+            real = getattr(density_peaks, name)
+
+            def recorded(*args, name=name, real=real):
+                start = len(screened)
+                out = real(*args)
+                passes[name] = sum(screened[start:])
+                return out
+
+            monkeypatch.setattr(density_peaks, name, recorded)
+        assert select_dc(points, 2.0) == d_c
+        assert_matches_reference(points, d_c)
+        assert passes["_local_density"] < 0.25 * triangle
+        assert passes["_window_pass"] < 0.25 * triangle
+
+
 class TestLocalDensity:
     def test_cutoff_above_all_distances_counts_everyone(self):
         rho = compute_profile(LINE4, 100.0).rho

@@ -27,6 +27,7 @@ from isofdp.isomap import (
     residual_variances,
 )
 from isofdp.pipeline import prepared_distances
+from isofdp.similarity import DistanceRows
 
 from conftest import (
     ALL_FINITE,
@@ -327,6 +328,34 @@ class TestBuildNeighborGraph:
         bridge = 2.0 * d[np.isfinite(d)].max()
         assert np.count_nonzero(ng.weights == bridge) == 1
         assert np.count_nonzero((ng.weights > 3) & (ng.weights < bridge)) == 14
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("mu, seed", [(0.05, 0), (0.1, 1)])
+    def test_repair_rounds_on_lfr_graphs(self, mu, seed, k, monkeypatch):
+        # tight communities leave the k-NN graph in many components, joined
+        # over several rounds; each round after the first re-reads only the
+        # stale rows, here more of them than one group of rows holds
+        isomap = sys.modules["isofdp.isomap"]
+        reads = [[]]  # the sizes of the row groups read, split at each component search
+        search = isomap.connected_components
+        monkeypatch.setattr(
+            isomap, "connected_components", lambda *a, **kw: reads.append([]) or search(*a, **kw)
+        )
+        ragged = DistanceRows.ragged
+        monkeypatch.setattr(
+            DistanceRows, "ragged", lambda self, rows: reads[-1].append(rows.size) or ragged(self, rows)
+        )
+        g = generate_lfr(LfrSpec(n=1000, mu=mu, seed=seed)).graph
+        ng = build_neighbor_graph(distance_rows(g), k)
+        assert edge_set(ng) == reference_neighbor_graph(reference_distances(g), k)
+        # the k-NN scan, the k-NN search, then one search per round: the last
+        # joins all. The scan and the first round read every block
+        scan, *rounds, last = reads
+        assert last == [] and len(rounds) >= 3
+        n = g.node_count
+        assert scan == rounds[0] == [min(_BLOCK_ROWS, n - lo) for lo in range(0, n, _BLOCK_ROWS)]
+        assert max(len(groups) for groups in rounds[1:]) > 1
+        assert all(size <= _BLOCK_ROWS for groups in rounds for size in groups)
 
     def test_distance_ties_break_to_smaller_index(self):
         d = np.array(

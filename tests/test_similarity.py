@@ -114,6 +114,25 @@ class TestDistanceRows:
                 assert np.count_nonzero(got < np.inf) == r.size  # each one once
                 assert got.tobytes() == want[rows].tobytes()
 
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+    def test_ragged_rows_are_the_count_rows(self, name):
+        # a contiguous run of rows comes back as read-only views of the
+        # count, any other rows as a gather, each row's entries from its start
+        g = BLOCK_GRAPHS[name]
+        source, n = distance_rows(g), g.node_count
+        rng = np.random.default_rng(0)
+        for rows in (np.arange(n), np.arange(1, n - 1), rng.permutation(n), np.arange(n)[::2], np.arange(0)):
+            vals, cols, starts = source.ragged(rows)
+            assert vals.size == cols.size == np.sum(np.diff(source.row_ptr)[rows])
+            for r, lo, hi in zip(rows, starts, np.append(starts[1:], vals.size)):
+                span = slice(source.row_ptr[r], source.row_ptr[r + 1])
+                assert vals[lo:hi].tobytes() == source.values[span].tobytes()
+                assert cols[lo:hi].tobytes() == source.columns[span].tobytes()
+            contiguous = rows.size > 0 and bool(np.all(np.diff(rows) == 1))
+            assert np.shares_memory(vals, source.values) == contiguous
+            assert np.shares_memory(cols, source.columns) == contiguous
+            assert vals.flags.writeable == cols.flags.writeable == (not contiguous)
+
     def test_empty_input(self):
         assert full_rows(distance_rows(Graph.from_edges(0, []))).shape == (0, 0)
 
