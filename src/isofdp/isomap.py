@@ -87,15 +87,16 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
     twice the largest finite distance, which keeps the groups maximally
     separated in the embedding while letting the projection proceed.
 
-    The k-NN scan reads each block padded, through
-    :meth:`~isofdp.similarity.DistanceRows.entries`, as it partitions
-    rows. The forest is found in Borůvka rounds, which read rows unpadded,
-    through :meth:`~isofdp.similarity.DistanceRows.ragged`: in each row the
-    entries inside the row's own component, its diagonal among them, read
-    inf, and one ``np.minimum.reduceat`` gives each row's least distance
-    out, a second the least column among the entries at it. The first
-    round reads every row; later ones only the rows whose partner has since
-    joined their component.
+    Every read is one :meth:`~isofdp.similarity.DistanceRows.ragged` call.
+    The k-NN scan pads a block's values alone, with inf, at least k + 1
+    wide, and partitions them: each row's k nearest off-diagonal entries lie
+    at or below its (k+1)-th value, whatever its diagonal holds, and the
+    row's own entry is dropped from those. The forest is found in Borůvka
+    rounds: in each row the entries inside the row's own component, its
+    diagonal among them, read inf, and one ``np.minimum.reduceat`` gives
+    each row's least distance out, a second the least column among the
+    entries at it. The first round reads every row; later ones only the
+    rows whose partner has since joined their component.
     """
     n = d.node_count
     k = int(neighborhood_size)
@@ -106,20 +107,25 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
     keys, weights = [], []
     for rows in blocks:
-        vals, cols = d.entries(rows, k)
-        # the partners at or below each row's k-th distance, in (row, distance,
-        # column) order; capping an infinite k-th leaves a row with fewer than
-        # k finite distances only those
-        kth = np.partition(vals, k - 1, axis=1)[:, k - 1 : k]
+        values, columns, starts = d.ragged(rows)
+        counts = np.diff(starts, append=values.size)
+        vals = np.full((rows.size, max(k + 1, int(counts.max()))), np.inf)
+        vals[np.arange(vals.shape[1]) < counts[:, None]] = values
+        # each row's k nearest off-diagonal entries lie at or below its
+        # (k+1)-th value, whatever its diagonal holds; capping an infinite
+        # (k+1)-th keeps every entry of a row with at most k off its diagonal
+        kth = np.partition(vals, k, axis=1)[:, k : k + 1]
         r, s = np.nonzero(vals <= np.minimum(kth, np.finfo(float).max))
-        order = np.lexsort((cols[r, s], vals[r, s], r))
-        r, s = r[order], s[order]
-        # the first k of each row
+        at = starts[r] + s
+        off = columns[at] != rows[r]
+        r, at = r[off], at[off]
+        # the first k of each row in (row, distance, column) order
+        order = np.lexsort((columns[at], values[at], r))
+        r, at = r[order], at[order]
         keep = np.arange(r.size) - np.searchsorted(r, r) < k
-        bi, slot = r[keep], s[keep]
-        bj = cols[bi, slot]
-        weights.append(vals[bi, slot])  # finite, so as the distances hold them
-        bi = rows[bi]
+        bi, at = rows[r[keep]], at[keep]
+        bj = columns[at]
+        weights.append(values[at])
         keys.append(np.minimum(bi, bj) * n + np.maximum(bi, bj))
     # a pair that both its rows selected comes twice, with one weight
     keys, first = np.unique(np.concatenate(keys), return_index=True)
@@ -169,8 +175,9 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
             # each group's smallest node r, the key of (0, r); node 0's sorts first
             reps = np.sort(np.unique(comp, return_index=True)[1])[1:]
             # every stored distance is finite and the diagonal's 1.0 the
-            # least, so the largest stored one is the largest finite distance
-            bridge = 2.0 * float(d.values.max())
+            # least, so the largest stored one is the largest finite distance;
+            # every row at once is a view
+            bridge = 2.0 * float(d.ragged(nodes)[0].max())
             keys, weights = np.r_[keys, reps], np.r_[weights, np.full(reps.size, bridge)]
         order = np.argsort(keys)
         keys, weights = keys[order], weights[order]
@@ -234,16 +241,23 @@ def _top_eigenpairs(block: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarr
     """The top ``count`` eigenpairs of the centered Gram matrix of a distance block.
 
     ``-1/2 X (D o D) X``, ``X = I - (1/l) 11^T``, is centered in place on one
-    l x l buffer and decomposed by one dense ``eigh`` of its lower triangle.
-    Only pairs whose eigenvalue exceeds a tiny share of the largest are
-    returned, largest first: none if no eigenvalue is positive.
+    l x l buffer and decomposed by one dense ``eigh`` of its lower triangle
+    over the top ``count`` indices, or over all of them when that comes back
+    short. Only pairs whose eigenvalue exceeds a tiny share of the largest
+    are returned, largest first: none if no eigenvalue is positive.
     """
     b = np.square(block)
     b -= b.mean(axis=0)
     b -= b.mean(axis=1)[:, None]
     b *= -0.5
     l = b.shape[0]
-    vals, vecs = eigh(b, subset_by_index=[max(l - count, 0), l - 1])
+    lo = max(l - count, 0)
+    vals, vecs = eigh(b, subset_by_index=[lo, l - 1])
+    if vals.size < l - lo:
+        # the subset solver can return fewer pairs than asked, or none, when
+        # the top eigenvalue repeats more often than asked for
+        vals, vecs = eigh(b)
+        vals, vecs = vals[lo:], vecs[:, lo:]
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = vals > 1e-10 * max(vals[0], 0.0)
     return vals[keep], vecs[:, keep]

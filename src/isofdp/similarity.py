@@ -39,10 +39,10 @@ class DistanceRows:
     exactly symmetric, which the repair of
     :func:`isofdp.isomap.build_neighbor_graph` relies on.
 
-    Rows are read in one of two shapes, and no caller reads the layout
-    itself: :meth:`ragged` gives given rows' entries end to end with each
-    row's start, as views for a contiguous run of rows, and :meth:`entries`
-    pads that read to a block, each row as wide as the block's longest.
+    Rows are read only through :meth:`ragged`, which gives given rows'
+    entries end to end with each row's start, as views for a contiguous run
+    of rows; no other module reads the layout. A caller that needs a block
+    pads what it reads itself.
     """
 
     node_count: int
@@ -70,23 +70,6 @@ class DistanceRows:
         src = np.repeat(begin - starts, counts)
         src += np.arange(src.size)
         return self.values[src], self.columns[src], starts
-
-    def entries(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distances of the rows ``rows`` that hold each one's ``width`` nearest, and their columns.
-
-        Both are ``(len(rows), w)``, ``width <= w <= n``: each row's entries
-        from :meth:`ragged`, the diagonal read as inf, then inf (column 0).
-        """
-        values, columns, starts = self.ragged(rows)
-        counts = np.diff(starts, append=values.size)
-        w = max(width, int(counts.max(initial=0)))
-        vals = np.full((rows.size, w), np.inf)
-        cols = np.zeros((rows.size, w), dtype=self.columns.dtype)
-        filled = np.arange(w, dtype=counts.dtype) < counts[:, None]
-        vals[filled] = values
-        cols[filled] = columns
-        vals[cols == rows.astype(cols.dtype)[:, None]] = np.inf
-        return vals, cols
 
 
 def distance_rows(g: Graph) -> DistanceRows:

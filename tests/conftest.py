@@ -73,12 +73,10 @@ def reference_count_entries(g):
 
 
 def dense_rows(source, rows) -> np.ndarray:
-    """The rows ``rows`` of a distance source's dense n x n array, from its entries."""
-    n = source.node_count
-    vals, cols = source.entries(rows, n - 1)
-    d = np.full((rows.size, n), np.inf)
-    r, at = np.nonzero(vals < np.inf)
-    d[r, cols[r, at]] = vals[r, at]
+    """The rows ``rows`` of a distance source's dense n x n array, from its ragged read."""
+    vals, cols, starts = source.ragged(rows)
+    d = np.full((rows.size, source.node_count), np.inf)
+    d[np.repeat(np.arange(rows.size), np.diff(starts, append=vals.size)), cols] = vals
     d[np.arange(rows.size), rows] = 0.0
     return d
 

@@ -422,6 +422,38 @@ class TestDegenerateShapes:
         self.detect(tmp_path, shape)
 
 
+def degenerate_shape(shape, n):
+    """A star, a clique, or one edge or one triangle followed by isolated nodes, on ``n`` nodes."""
+    edges = {
+        "star": [(0, i) for i in range(1, n)],
+        "clique": [(i, j) for i in range(n) for j in range(i + 1, n)],
+        "edge": [(0, 1)],
+        "triangle": [(0, 1), (1, 2), (0, 2)],
+    }[shape]
+    return Graph.from_edges(n, edges)
+
+
+class TestDegenerateShapesAcrossDims:
+    # the landmark blocks of these shapes repeat their top eigenvalue; sizes
+    # either side of LANDMARKS (128) take every node as a landmark, or 128
+    @pytest.mark.parametrize("n", [8, 20, 29, 41, 128, 130])
+    @pytest.mark.parametrize("shape", ["clique", "edge", "star", "triangle"])
+    def test_detect_returns_or_exits_0_or_2(self, tmp_path, capsys, shape, n):
+        g = degenerate_shape(shape, n)
+        path = tmp_path / f"{shape}{n}.gml"
+        path.write_text(to_gml(g))
+        for dim in (1, 2, 3):
+            try:
+                detect_communities(g, dim=dim)
+            except (ValueError, ArithmeticError):
+                pass
+            out = tmp_path / f"dim{dim}"
+            code = run(["detect", "--input", path, "--dim", dim, "--out-dir", out])
+            assert code in (0, 2)
+            assert (code == 0) == os.path.exists(out / "report.json")
+            assert "Traceback" not in capsys.readouterr().err
+
+
 class TestEval:
     def test_perfect_agreement(self, gn_instance, capsys):
         _, truth_path = gn_instance

@@ -257,8 +257,8 @@ class TestBuildNeighborGraph:
         n, source = g.node_count, distance_rows(g)
         d = reference_distances(g)
         assert np.isfinite(d).all()
-        vals, _ = source.entries(np.arange(n), 1)
-        assert vals.shape == (n, n) and np.count_nonzero(vals < np.inf) == n * (n - 1)
+        _, cols, starts = source.ragged(np.arange(n))
+        assert np.all(np.diff(starts, append=cols.size) == n) and cols.size == n * n
         ng = build_neighbor_graph(source, k)
         assert edge_set(ng) == reference_neighbor_graph(d, k)
         u, v = ng.edges.T
@@ -288,13 +288,37 @@ class TestBuildNeighborGraph:
         # a few nodes, tied pairwise at p - 1 and p + 1
         g = HUB_AND_PATH
         n, source = g.node_count, distance_rows(g)
-        # the blocks as the k = 10 scan reads them
+        # the k = 10 scan pads the first block to its longest row, a leaf's,
+        # and the last, of path rows and isolated ones, to k + 1
+        widths = []
         for lo in range(0, n, _BLOCK_ROWS):
-            vals, cols = source.entries(np.arange(lo, min(lo + _BLOCK_ROWS, n)), 10)
-            assert vals.shape == cols.shape and 10 <= vals.shape[1] <= n
+            vals, _, starts = source.ragged(np.arange(lo, min(lo + _BLOCK_ROWS, n)))
+            widths.append(np.diff(starts, append=vals.size).max())
+        assert widths[0] > 11 > widths[-1]
         d = reference_distances(g)
         for k in (1, 3, 10):
             ng = build_neighbor_graph(source, k)
+            assert edge_set(ng) == reference_neighbor_graph(d, k)
+            assert len(ng.edges) == len(edge_set(ng))
+
+    @pytest.mark.parametrize("block_rows", [7, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distances_that_tie_or_undercut_the_diagonal(self, seed, block_rows, monkeypatch):
+        # the source's diagonal reads 1.0, as the count's does. Here the
+        # first half's rows tie or undercut it, so it can be any of a row's
+        # k + 1 nearest entries, and every pair with a node of the second
+        # half is 1.0 farther, so those rows have no entry at or below it:
+        # the scan must keep the k nearest off it either way
+        monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(seed)
+        n = 30
+        far = np.arange(n) >= n // 2
+        d = rng.integers(1, 9, size=(n, n)) * 0.5 + (far[:, None] | far)
+        d = np.triu(d, 1)
+        d += d.T
+        np.fill_diagonal(d, 0.0)
+        for k in (1, 3, n - 2):
+            ng = build_neighbor_graph(distance_source(d), k)
             assert edge_set(ng) == reference_neighbor_graph(d, k)
             assert len(ng.edges) == len(edge_set(ng))
 
@@ -762,6 +786,18 @@ class TestPartialEigensolver:
         assert emb.dim == 1
         rebuilt = squareform(pdist(emb.coordinates))
         assert np.max(np.abs(rebuilt - d)) <= 1e-9 * d.max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 21, 34, 40, 128, 130])
+    def test_repeated_top_eigenvalue_gives_every_pair_asked_for(self, n, dim):
+        # the simplex: all n - 1 positive eigenvalues are 1/2, and a subset
+        # solve returns none or only some of the top dim at these sizes
+        emb = classical_mds(1.0 - np.eye(n), dim)
+        assert emb.dim == dim and not emb.truncated
+        np.testing.assert_allclose(emb.eigenvalues, 0.5, rtol=1e-12)
+        # orthogonal columns of squared norm 1/2, whatever basis of the eigenspace
+        gram = emb.coordinates.T @ emb.coordinates
+        np.testing.assert_allclose(gram, 0.5 * np.eye(dim), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, dim", [(1, 1), (2, 3), (30, 16)])
     def test_all_zero_distances_give_one_zero_column(self, n, dim):

@@ -97,21 +97,22 @@ class TestDistanceRows:
             assert dense_rows(source, np.arange(lo, hi)).tobytes() == want[lo:hi].tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
-    def test_entries_are_the_finite_distances_off_the_diagonal(self, name):
-        # ragged 7-row blocks, read in order and gathered in a shuffled order
+    def test_ragged_entries_are_the_finite_distances_and_the_diagonal(self, name):
+        # ragged 7-row blocks, read in order and gathered in a shuffled order:
+        # each row's entries are its finite distances and its diagonal's 1.0,
+        # each column once
         g = BLOCK_GRAPHS[name]
         source, want = distance_rows(g), reference_distances(g)
-        np.fill_diagonal(want, np.inf)
+        np.fill_diagonal(want, 1.0)
         n = g.node_count
         rng = np.random.default_rng(0)
         for lo in range(0, n, 7):
             for rows in (np.arange(lo, min(lo + 7, n)), rng.permutation(np.arange(lo, min(lo + 7, n)))):
-                vals, cols = source.entries(rows, 3)
-                assert vals.shape == cols.shape and 3 <= vals.shape[1] <= n
-                r, at = np.nonzero(vals < np.inf)
-                got = np.full((vals.shape[0], n), np.inf)
-                got[r, cols[r, at]] = vals[r, at]
-                assert np.count_nonzero(got < np.inf) == r.size  # each one once
+                vals, cols, starts = source.ragged(rows)
+                r = np.repeat(np.arange(rows.size), np.diff(starts, append=vals.size))
+                got = np.full((rows.size, n), np.inf)
+                got[r, cols] = vals
+                assert np.count_nonzero(got < np.inf) == vals.size  # each one once
                 assert got.tobytes() == want[rows].tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
