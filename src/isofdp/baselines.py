@@ -165,9 +165,9 @@ def dbscan_parameter_search(
     one distance matrix, one sort of the pair distances for all eps and one
     component search per eps. Returns (partition, spec, nmi, acc) of the best
     cell by (NMI, accuracy); ties keep the earliest grid entry, percentiles
-    outermost. Each distinct partition's NMI is scored once; accuracy, a
-    bipartite matching, only breaks NMI ties, so it is computed for partitions
-    that tie the best NMI so far and for the one returned.
+    outermost. Each distinct partition, kept with its first cell, is scored
+    once by NMI. Accuracy, a bipartite matching, only breaks NMI ties, so it
+    is computed only for the partitions that share the top NMI.
     """
     points = _finite_points(e)
     if not (len(percentiles) and len(min_pts_values)):
@@ -182,26 +182,16 @@ def dbscan_parameter_search(
     pairs = squareform(dist, force="tovector", checks=False)
     eps_values = _nearest_rank_cutoffs(points, pairs, percentiles)
     del pairs  # half the matrix again; the cells need only dist
-    nmis, accs = {}, {}
-
-    def acc(key, part):
-        if key not in accs:
-            accs[key] = _accuracy(_counts(truth, part.labels))
-        return accs[key]
-
-    best = None  # (key, partition, spec)
+    first = {}  # each distinct partition's bytes: its first cell, in grid order
     for eps in eps_values:
         specs = [DbscanSpec(eps, min_pts) for min_pts in min_pts_values]
         for spec, raw in zip(specs, _dbscan_raw(dist, eps, min_pts_values)):
             part = _as_partition(raw)
-            key = part.labels.tobytes()
-            if key not in nmis:
-                nmis[key] = _nmi(_counts(truth, part.labels))
-            if best is None or nmis[key] > nmis[best[0]] or (
-                nmis[key] == nmis[best[0]]
-                and key != best[0]
-                and acc(key, part) > acc(best[0], best[1])
-            ):
-                best = (key, part, spec)
-    key, part, spec = best
-    return part, spec, nmis[key], acc(key, part)
+            first.setdefault(part.labels.tobytes(), (part, spec))
+    cells = list(first.values())
+    nmis = [_nmi(_counts(truth, part.labels)) for part, _ in cells]
+    best_nmi = max(nmis)
+    top = [cell for cell, score in zip(cells, nmis) if score == best_nmi]
+    accs = [_accuracy(_counts(truth, part.labels)) for part, _ in top]
+    part, spec = top[accs.index(max(accs))]
+    return part, spec, best_nmi, max(accs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 import typing
@@ -78,22 +79,20 @@ def _parse_values(text: str, integer: bool):
     (``1..5`` -> 1,2,3,4,5; ``0.1..0.4`` -> 0.1,0.2,0.3,0.4).
 
     Raises:
-        ValueError: a range whose upper end is below its lower end.
+        ValueError: a range that is not finite, or whose upper end is below its lower end.
     """
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        if float(hi_s) < float(lo_s):
+        lo, hi = float(lo_s), float(hi_s)
+        if not math.isfinite(hi - lo):  # a NaN or infinite end, or a span past the float range
+            raise ValueError(f"range {text!r} is not finite")
+        if hi < lo:
             raise ValueError(f"empty range {text!r}: the upper end is below the lower end")
         if integer:
             return list(range(int(lo_s), int(hi_s) + 1))
-        lo, hi = float(lo_s), float(hi_s)
-        step = 1.0 if lo == int(lo) and hi == int(hi) else 0.1
-        out = []
-        v = lo
-        while v <= hi + 1e-9:
-            out.append(round(v, 10))
-            v += step
-        return out
+        step = 1.0 if lo.is_integer() and hi.is_integer() else 0.1
+        count = math.floor((hi - lo + 1e-9) / step) + 1
+        return [round(lo + i * step, 10) for i in range(count)]
     parts = text.split(",")
     return [int(p) if integer else float(p) for p in parts]
 
@@ -239,7 +238,7 @@ def cmd_benchmark(args) -> int:
                 else:
                     part = res.partition
                     scores = nmi(truth, part.labels), accuracy(truth, part.labels)
-                rows.append([param, trial, method, repr(scores[0]), repr(scores[1]), part.k])
+                rows.append([param, trial, method, *scores, part.k])
 
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"benchmark_{suite}.csv")
@@ -247,10 +246,10 @@ def cmd_benchmark(args) -> int:
 
     # per-(param, method) averages over trials
     summary = {}
-    for param, _, method, s_nmi, s_acc, _ in rows:
-        summary.setdefault((param, method), []).append((float(s_nmi), float(s_acc)))
+    for param, _, method, *scores, _ in rows:
+        summary.setdefault((param, method), []).append(scores)
     print(f"suite={suite} trials={args.trials} knn={knn} dim={dim} -> {out_path}")
-    for (param, method), scores in sorted(summary.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (param, method), scores in sorted(summary.items()):
         arr = np.array(scores)
         print(
             f"  param={param:g} method={method}: mean_nmi={arr[:, 0].mean():.4f} "

@@ -85,6 +85,11 @@ class LfrSpec:
             raise ValueError("need min_community <= max_community <= n")
         if self.min_community < 1:
             raise ValueError("min_community must be at least 1")
+        for name in ("avg_degree", "t1", "t2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.max_degree > self.n - 1:
+            raise ValueError("max_degree cannot exceed n - 1")
         if self.avg_degree < 1:
             raise ValueError("avg_degree must be at least 1: every node has a link")
         if self.avg_degree > self.max_degree:
@@ -196,14 +201,16 @@ def _power_law_weights(exponent, low, high):
 
 
 def _min_degree_for_mean(avg_degree, exponent, max_degree):
-    """Integer lower bound whose truncated power-law mean is closest to the target."""
-    best, best_err = 1, np.inf
-    for low in range(1, max_degree + 1):
-        support, p = _power_law_weights(exponent, low, max_degree)
-        err = abs(float((support * p).sum()) - avg_degree)
-        if err < best_err:
-            best, best_err = low, err
-    return best
+    """Integer lower bound whose truncated power-law mean is closest to the target.
+
+    Every floor's mean from two suffix sums; ties go to the smallest floor, and
+    a floor whose weights all underflow has no mean (0/0) and never wins.
+    """
+    support = np.arange(1, max_degree + 1, dtype=float)
+    weights = support ** (-exponent)
+    with np.errstate(invalid="ignore"):
+        mean = np.cumsum((support * weights)[::-1])[::-1] / np.cumsum(weights[::-1])[::-1]
+    return int(np.nanargmin(np.abs(mean - avg_degree))) + 1
 
 
 def _draw_power_law(rng, exponent, low, high, size):

@@ -75,7 +75,8 @@ class DistanceRows:
 def distance_rows(g: Graph) -> DistanceRows:
     """Distances ``d = 1/s`` between all nodes, as a source of row blocks.
 
-    Zero similarity gives inf, and the diagonal is zero. Each similarity is
+    Zero similarity gives inf. The diagonal is stored, at 1.0 rather than 0:
+    a node's similarity to itself is ``s = 1``. Each similarity is
     ``s = c / sqrt((deg[u] + 1)(deg[v] + 1))``, with ``c = a @ a`` the exact
     shared-neighbor counts of the sparse closed neighborhoods ``a`` (the
     adjacency plus the identity). ``1/s`` is computed once per count entry

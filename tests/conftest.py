@@ -46,7 +46,9 @@ def dense_similarity(g) -> np.ndarray:
 def reference_distances(g) -> np.ndarray:
     """The masked reciprocal of the dense oracle: inf where s == 0, zero diagonal.
 
-    Reference for the blocks of ``isofdp.similarity.distance_rows``.
+    Reference for the blocks of ``isofdp.similarity.distance_rows``. Those
+    rows store each node's own distance as 1/s = 1.0; this dense matrix has
+    0 there, and :func:`dense_rows` zeroes the diagonal to compare.
     """
     sim = dense_similarity(g)
     d = np.full(sim.shape, np.inf)
@@ -471,6 +473,25 @@ def reference_dbscan_parameter_search(
         raise ValueError("empty parameter grid")
     (best_nmi, best_acc), part, spec = best
     return part, spec, best_nmi, best_acc
+
+
+def reference_min_degree_for_mean(avg_degree, exponent, max_degree):
+    """The degree floor in 1..max_degree whose power-law mean is nearest ``avg_degree``.
+
+    One normalized weight vector per candidate floor, scanned upward; a
+    strictly smaller error replaces the pick, so the smallest floor wins
+    ties, and a floor whose weights all underflow (no mean) never wins.
+    Reference for ``isofdp.generators._min_degree_for_mean``.
+    """
+    best, best_err = 1, np.inf
+    with np.errstate(invalid="ignore"):
+        for low in range(1, max_degree + 1):
+            support = np.arange(low, max_degree + 1, dtype=float)
+            weights = support ** (-exponent)
+            err = abs(float((support * (weights / weights.sum())).sum()) - avg_degree)
+            if err < best_err:
+                best, best_err = low, err
+    return best
 
 
 def tie_heavy_grids(count=20):

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+import subprocess
 import sys
 import warnings
 
@@ -25,7 +26,7 @@ from isofdp.cli import build_parser, main, _parse_values
 from isofdp.isomap import classical_mds, geodesic_distances
 from isofdp.reports import embedding_header, embedding_rows, load_labels, save_labels
 
-from conftest import REFERENCE_GRAPHS, disjoint_cliques_graph
+from conftest import REFERENCE_GRAPHS, child_env, disjoint_cliques_graph
 
 
 def run(argv):
@@ -56,6 +57,57 @@ class TestParseValues:
     def test_reversed_range_rejected(self, integer):
         with pytest.raises(ValueError, match="empty range"):
             _parse_values("5..1", integer=integer)
+
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("text", ["1..inf", "inf..inf", "-inf..1", "0.1..nan", "nan..1", "1..nan"])
+    def test_non_finite_end_rejected(self, text, integer):
+        with pytest.raises(ValueError, match=f"range {re.escape(repr(text))} is not finite"):
+            _parse_values(text, integer=integer)
+
+    def test_float_ranges_match_the_stepping_loop(self):
+        # each value is lo + i * step, rounded: the same floats as adding the
+        # step over and over, on ends on and off the tenth grid
+        ends = [i / 10 for i in range(81)] + [0.15, 0.333, 1.05, 2.5, 7.25]
+        for lo in ends:
+            for hi in ends:
+                if lo <= hi:
+                    text = f"{lo!r}..{hi!r}"
+                    assert _parse_values(text, integer=False) == _stepped_range(lo, hi), text
+
+    def test_step_below_the_spacing_of_the_ends(self):
+        # 1e17 + 1.0 == 1e17, so a stepping loop never passed the upper end
+        assert _capped_child("print(_parse_values('1e17..1e17', integer=False))", 10) == (
+            0, "[1e+17]\n", ""
+        )
+
+
+def _stepped_range(lo, hi):
+    """The float range as a loop that adds the step until it passes the upper end."""
+    step = 1.0 if lo.is_integer() and hi.is_integer() else 0.1
+    out, v = [], lo
+    while v <= hi + 1e-9:
+        out.append(round(v, 10))
+        v += step
+    return out
+
+
+def _capped_child(code, seconds):
+    """(exit code, stdout, stderr) of ``code`` run after importing ``_parse_values`` and ``main``.
+
+    The child runs with one BLAS thread and 1 GiB of address space, under a
+    timeout, so a loop that never ends fails the test in seconds, by a
+    ``MemoryError`` or the timeout, rather than hanging it or filling memory.
+    """
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from isofdp.cli import _parse_values, main\n" + code
+    )
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=seconds
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 DETECT = inspect.signature(detect_communities).parameters
@@ -140,6 +192,26 @@ class TestGenerate:
             code = run(["generate", "lfr", "--mu", 0.3, flag, value, "--out-dir", out])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", 100, "--max-degree", 100], "max_degree cannot exceed n - 1"),
+            (["--avg-degree", "nan"], "avg_degree must be finite"),
+            (["--t1", "inf"], "t1 must be finite"),
+            (["--t1", "nan"], "t1 must be finite"),
+            (["--t2", "nan"], "t2 must be finite"),
+        ],
+    )
+    def test_impossible_spec_exits_2(self, tmp_path, capsys, flags, message):
+        # refused by the spec, before the generator draws or warns
+        out = tmp_path / "data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["generate", "lfr", "--mu", 0.3, *flags, "--out-dir", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
 
 
@@ -554,6 +626,34 @@ class TestBenchmark:
     def test_reversed_mu_range_exits_2(self, tmp_path):
         out = tmp_path / "bench"
         assert run(["benchmark", "--suite", "lfr", "--mu", "0.5..0.1", "--out-dir", out]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flags, text",
+        [
+            (["--suite", "lfr", "--mu", "1..inf"], "1..inf"),
+            (["--suite", "lfr", "--mu", "inf..inf"], "inf..inf"),
+            (["--suite", "lfr", "--mu", "0.1..nan"], "0.1..nan"),
+            (["--suite", "gn", "--zout", "1..inf"], "1..inf"),
+            (["--suite", "gn", "--zout", 3, "--dc-sweep", "1..nan"], "1..nan"),
+        ],
+    )
+    def test_non_finite_range_end_exits_2(self, tmp_path, capsys, flags, text):
+        out = tmp_path / "bench"
+        assert run(["benchmark", *flags, "--trials", 1, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: range {text!r} is not finite\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("text", ["0.1..inf", "-1e308..1e308"])
+    def test_unending_range_exits_2(self, tmp_path, text):
+        # a stepping loop never reached the upper end: 0.1 steps toward inf,
+        # and steps of 1 that leave -1e308 where it is
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--suite", "lfr", f"--mu={text}", "--trials", "1", "--out-dir", str(out)]
+        code, stdout, stderr = _capped_child(f"sys.exit(main({argv!r}))", 10)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: range {text!r} is not finite\n"
         assert not os.path.exists(out)
 
 

@@ -1,11 +1,15 @@
 import gc
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from isofdp import GenerationError, GnSpec, LfrSpec, generate_gn, generate_lfr
+from isofdp.generators import _min_degree_for_mean
+
+from conftest import reference_min_degree_for_mean
 
 
 class TestGnGenerator:
@@ -114,6 +118,28 @@ class TestLfrGenerator:
             LfrSpec(n=100, mu=0.5, avg_degree=0.5)
         with pytest.raises(TypeError):
             LfrSpec(100, 0.5)  # keywords only
+
+    @pytest.mark.parametrize("n, max_degree", [(100, 100), (1000, 1000000), (60, 60)])
+    def test_max_degree_above_n_minus_1_rejected(self, n, max_degree):
+        # no node has more than n - 1 neighbors
+        with pytest.raises(ValueError, match=r"max_degree cannot exceed n - 1"):
+            LfrSpec(n=n, mu=0.3, max_degree=max_degree, min_community=10, max_community=n)
+        spec = LfrSpec(n=n, mu=0.3, max_degree=n - 1, min_community=10, max_community=n)
+        assert spec.max_degree == n - 1
+
+    @pytest.mark.parametrize("field", ["avg_degree", "t1", "t2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            LfrSpec(n=100, mu=0.3, **{field: value})
+
+    def test_min_degree_matches_the_scan_over_floors(self):
+        # the floor whose mean is closest, the smallest of equals: the scan's pick
+        for max_degree in (1, 2, 3, 7, 20, 45, 50, 120):
+            for t1 in (1.5, 2.0, 2.5, 3.0, 250.0):
+                for avg in np.linspace(1.0, max_degree, 37):
+                    want = reference_min_degree_for_mean(avg, t1, max_degree)
+                    assert _min_degree_for_mean(avg, t1, max_degree) == want, (avg, t1, max_degree)
 
 
 # First 16 hex digits of SHA-256 over edge_array.tobytes() then truth.tobytes(),
