@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import KmeansSpec, dbscan_parameter_search, kmeans
+from .density_peaks import _check_percentile
 from .generators import GenerationError, GnSpec, LfrSpec, generate_gn, generate_lfr
 from .graph import Graph, GraphParseError, load_edge_list, load_gml, to_edge_list
 from .isomap import build_neighbor_graph, classical_mds, geodesic_distances, residual_variances
@@ -72,11 +73,13 @@ def subseed(master: int, suite: str, param_key: int, trial: int, stream: int) ->
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _parse_values(text: str, integer: bool):
+def _parse_values(text: str, integer: bool, check=lambda value: None):
     """Range syntax ``a..b`` (inclusive), comma list, or scalar.
 
     Ranges step by 1 between integral endpoints and by 0.1 otherwise
-    (``1..5`` -> 1,2,3,4,5; ``0.1..0.4`` -> 0.1,0.2,0.3,0.4).
+    (``1..5`` -> 1,2,3,4,5; ``0.1..0.4`` -> 0.1,0.2,0.3,0.4). ``check`` raises
+    ValueError for a value outside the flag's domain: it sees both ends of a
+    range before the range is built, then every value.
 
     Raises:
         ValueError: a range that is not finite, or whose upper end is below its lower end.
@@ -89,12 +92,20 @@ def _parse_values(text: str, integer: bool):
         if hi < lo:
             raise ValueError(f"empty range {text!r}: the upper end is below the lower end")
         if integer:
-            return list(range(int(lo_s), int(hi_s) + 1))
-        step = 1.0 if lo.is_integer() and hi.is_integer() else 0.1
-        count = math.floor((hi - lo + 1e-9) / step) + 1
-        return [round(lo + i * step, 10) for i in range(count)]
-    parts = text.split(",")
-    return [int(p) if integer else float(p) for p in parts]
+            lo, hi = int(lo_s), int(hi_s)
+        check(lo)
+        check(hi)
+        if integer:
+            values = list(range(lo, hi + 1))
+        else:
+            step = 1.0 if lo.is_integer() and hi.is_integer() else 0.1
+            count = math.floor((hi - lo + 1e-9) / step) + 1
+            values = [round(lo + i * step, 10) for i in range(count)]
+    else:
+        values = [int(p) if integer else float(p) for p in text.split(",")]
+    for value in values:
+        check(value)
+    return values
 
 
 def _default(call, name: str):
@@ -202,16 +213,18 @@ def cmd_benchmark(args) -> int:
     knn = args.knn if args.knn is not None else presets["knn"]
     dim = args.dim if args.dim is not None else presets["dim"]
     if suite == "gn":
-        params = _parse_values(args.zout, integer=True)
+        params = _parse_values(args.zout, integer=True, check=GnSpec)
     else:
-        params = _parse_values(args.mu, integer=False)
+        params = _parse_values(
+            args.mu, integer=False, check=lambda mu: _lfr_spec(args, "benchmark", mu=mu)
+        )
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or not set(methods) <= set(_METHODS):
         raise ValueError(f"--methods {args.methods!r}: choose from {', '.join(_METHODS)}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.dc_sweep:
-        values = _parse_values(args.dc_sweep, integer=False)
+        values = _parse_values(args.dc_sweep, integer=False, check=_check_percentile)
         runs = [(f"isofdp[dc={pct:g}]", pct) for pct in values]
     else:
         runs = [(method, args.dc_percentile) for method in _METHODS if method in methods]
@@ -232,12 +245,11 @@ def cmd_benchmark(args) -> int:
                     km_seed = subseed(args.seed, suite, param_key, trial, _STREAM_KMEANS)
                     k_true = int(truth.max()) + 1
                     part = kmeans(res.embedding, KmeansSpec(k=k_true, seed=km_seed))
-                    scores = nmi(truth, part.labels), accuracy(truth, part.labels)
                 elif method == "dbscan_iso":
-                    part, _, *scores = dbscan_parameter_search(res.embedding, truth)
+                    part = dbscan_parameter_search(res.embedding, truth)[0]
                 else:
                     part = res.partition
-                    scores = nmi(truth, part.labels), accuracy(truth, part.labels)
+                scores = nmi(truth, part.labels), accuracy(truth, part.labels)
                 rows.append([param, trial, method, *scores, part.k])
 
     os.makedirs(args.out_dir, exist_ok=True)

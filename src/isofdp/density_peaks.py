@@ -78,8 +78,12 @@ def _check_cutoff_request(n: int, percentiles) -> None:
     if n < 2:
         raise ValueError("need at least 2 points to pick a cutoff")
     for percentile in percentiles:
-        if not 0.0 < percentile <= 100.0:
-            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+        _check_percentile(percentile)
+
+
+def _check_percentile(percentile: float) -> None:
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
 
 
 def _noise_floor(points: np.ndarray) -> tuple[float, float]:

@@ -94,6 +94,19 @@ class LfrSpec:
             raise ValueError("avg_degree must be at least 1: every node has a link")
         if self.avg_degree > self.max_degree:
             raise ValueError("avg_degree cannot exceed max_degree")
+        # the draws divide the weights by their sum; the degree floor also sums
+        # each degree times its weight
+        with np.errstate(over="ignore"):
+            degrees, weights = _power_law(self.t1, 1, self.max_degree)
+            sums = {
+                "t1": (degrees * weights).sum(),
+                "t2": _power_law(self.t2, self.min_community, self.max_community)[1].sum(),
+            }
+        for name, total in sums.items():
+            if not 0.0 < total < np.inf:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)} makes the power-law weights overflow or vanish"
+                )
 
 
 # swap repair budget of _match_stubs: rounds over all pairs, partners per bad
@@ -101,6 +114,8 @@ class LfrSpec:
 # the round can make; the draws it leaves unread start the next round's batch
 _MAX_ROUNDS = 200
 _SWAP_TRIES = 24
+# fresh draws of all community sizes before generate_lfr gives up
+_SIZE_TRIES = 100
 
 
 def _match_stubs(stubs, rng, group):
@@ -194,10 +209,10 @@ def generate_gn(spec: GnSpec) -> LabeledGraph:
     return LabeledGraph(Graph.from_edges(128, np.concatenate(parts)), truth)
 
 
-def _power_law_weights(exponent, low, high):
-    support = np.arange(low, high + 1, dtype=float)
-    weights = support ** (-exponent)
-    return support, weights / weights.sum()
+def _power_law(exponent, low, high):
+    """The integers ``low..high`` and their unnormalised weights ``k ** -exponent``."""
+    values = np.arange(low, high + 1)
+    return values, values.astype(float) ** (-exponent)
 
 
 def _min_degree_for_mean(avg_degree, exponent, max_degree):
@@ -206,22 +221,16 @@ def _min_degree_for_mean(avg_degree, exponent, max_degree):
     Every floor's mean from two suffix sums; ties go to the smallest floor, and
     a floor whose weights all underflow has no mean (0/0) and never wins.
     """
-    support = np.arange(1, max_degree + 1, dtype=float)
-    weights = support ** (-exponent)
+    support, weights = _power_law(exponent, 1, max_degree)
     with np.errstate(invalid="ignore"):
         mean = np.cumsum((support * weights)[::-1])[::-1] / np.cumsum(weights[::-1])[::-1]
     return int(np.nanargmin(np.abs(mean - avg_degree))) + 1
 
 
-def _draw_power_law(rng, exponent, low, high, size):
-    support, p = _power_law_weights(exponent, low, high)
-    return rng.choice(np.arange(low, high + 1), size=size, p=p)
-
-
-def _draw_community_sizes(rng, spec: LfrSpec, max_tries=100):
-    values = np.arange(spec.min_community, spec.max_community + 1)
-    _, p = _power_law_weights(spec.t2, spec.min_community, spec.max_community)
-    for _ in range(max_tries):
+def _draw_community_sizes(rng, spec: LfrSpec):
+    values, weights = _power_law(spec.t2, spec.min_community, spec.max_community)
+    p = weights / weights.sum()
+    for _ in range(_SIZE_TRIES):
         sizes = []
         total = 0
         while total < spec.n:
@@ -243,38 +252,37 @@ def _draw_community_sizes(rng, spec: LfrSpec, max_tries=100):
     raise GenerationError("community sizes never summed to n; spec too tight")
 
 
-def _assign_members(rng, sizes, intra_deg, max_tries=50):
+def _assign_members(rng, sizes, intra_deg):
     """Place nodes into communities large enough for their in-community degree.
 
     Nodes go in order of falling intra-degree, each to a uniform pick among
     the communities with room that are larger than its intra-degree. As the
     degree falls, communities only join that set, by falling size, or leave
-    it when full, so it is kept as one sorted list.
+    it when full, so it is kept as one sorted list. Every node placed before
+    a node went into a community larger than that node's intra-degree, so
+    whether the set runs empty does not depend on the picks: one pass decides.
     """
     order = np.argsort(-intra_deg, kind="stable").tolist()
     need = intra_deg.tolist()
     size_of = sizes.tolist()
     by_size = np.argsort(-sizes, kind="stable").tolist()
-    for _ in range(max_tries):
-        capacity = size_of.copy()
-        community = [-1] * len(need)
-        eligible = []
-        joined = 0
-        for i in order:
-            while joined < len(by_size) and size_of[by_size[joined]] > need[i]:
-                bisect.insort(eligible, by_size[joined])
-                joined += 1
-            if not eligible:
-                break
-            pick = int(rng.integers(len(eligible)))
-            c = eligible[pick]
-            community[i] = c
-            capacity[c] -= 1
-            if capacity[c] == 0:
-                del eligible[pick]
-        else:
-            return np.asarray(community, dtype=np.int64)
-    raise GenerationError("could not fit intra-degrees into the drawn community sizes")
+    capacity = size_of.copy()
+    community = [-1] * len(need)
+    eligible = []
+    joined = 0
+    for i in order:
+        while joined < len(by_size) and size_of[by_size[joined]] > need[i]:
+            bisect.insort(eligible, by_size[joined])
+            joined += 1
+        if not eligible:
+            raise GenerationError("could not fit intra-degrees into the drawn community sizes")
+        pick = int(rng.integers(len(eligible)))
+        c = eligible[pick]
+        community[i] = c
+        capacity[c] -= 1
+        if capacity[c] == 0:
+            del eligible[pick]
+    return np.asarray(community, dtype=np.int64)
 
 
 def generate_lfr(spec: LfrSpec) -> LabeledGraph:
@@ -287,7 +295,8 @@ def generate_lfr(spec: LfrSpec) -> LabeledGraph:
     """
     rng = np.random.default_rng(spec.seed)
     min_degree = _min_degree_for_mean(spec.avg_degree, spec.t1, spec.max_degree)
-    degrees = _draw_power_law(rng, spec.t1, min_degree, spec.max_degree, spec.n)
+    values, weights = _power_law(spec.t1, min_degree, spec.max_degree)
+    degrees = rng.choice(values, size=spec.n, p=weights / weights.sum())
     if degrees.sum() % 2 != 0:
         # make the stub total even without leaving the degree bounds
         i = int(rng.integers(spec.n))

@@ -80,6 +80,11 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), KmeansSpec(k=4))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_cluster_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            KmeansSpec(k=k)
+
 
 class TestDbscan:
     def test_everything_one_cluster(self):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import inspect
@@ -16,13 +17,15 @@ from isofdp import (
     GnSpec,
     GraphParseError,
     LfrSpec,
+    dbscan_parameter_search,
     detect_communities,
     generate_gn,
     load_gml,
     select_dc,
     to_gml,
 )
-from isofdp.cli import build_parser, main, _parse_values
+from isofdp import cli
+from isofdp.cli import SUITE_PRESETS, _STREAM_GENERATOR, build_parser, main, _parse_values, subseed
 from isofdp.isomap import classical_mds, geodesic_distances
 from isofdp.reports import embedding_header, embedding_rows, load_labels, save_labels
 
@@ -202,6 +205,8 @@ class TestGenerate:
             (["--t1", "inf"], "t1 must be finite"),
             (["--t1", "nan"], "t1 must be finite"),
             (["--t2", "nan"], "t2 must be finite"),
+            (["--t1", -200], "t1 = -200.0 makes the power-law weights overflow or vanish"),
+            (["--t2", -200], "t2 = -200.0 makes the power-law weights overflow or vanish"),
         ],
     )
     def test_impossible_spec_exits_2(self, tmp_path, capsys, flags, message):
@@ -213,6 +218,13 @@ class TestGenerate:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
+
+    def test_negative_t2_with_finite_weights_generates(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["generate", "lfr", "--mu", 0.3, "--t2", -5, "--out-dir", tmp_path])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("1000 nodes, 9966 edges, 21 communities -> ")
 
 
 class TestDetect:
@@ -585,6 +597,17 @@ class TestBenchmark:
         assert lines[0] == "param,trial,method,nmi,acc,k_detected"
         assert len(lines) == 1 + 2 * 2  # two trials x two methods
 
+    def test_dbscan_row_is_the_grid_search_on_the_same_embedding(self, tmp_path):
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--suite", "gn", "--zout", 4, "--trials", 1, "--methods", "dbscan_iso"]
+        assert run(argv + ["--out-dir", out]) == 0
+        with open(out / "benchmark_gn.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        labeled = generate_gn(GnSpec(z_out=4, seed=subseed(0, "gn", 4, 0, _STREAM_GENERATOR)))
+        res = detect_communities(labeled.graph, **SUITE_PRESETS["gn"])
+        part, _, score, acc = dbscan_parameter_search(res.embedding, labeled.truth)
+        assert rows == [["4", "0", "dbscan_iso", repr(score), repr(acc), str(part.k)]]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["benchmark", "--suite", "gn", "--zout", 2, "--trials", 2,
                 "--methods", "isofdp", "--seed", 9]
@@ -654,6 +677,55 @@ class TestBenchmark:
         code, stdout, stderr = _capped_child(f"sys.exit(main({argv!r}))", 10)
         assert (code, stdout) == (2, "")
         assert stderr == f"error: range {text!r} is not finite\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--suite", "gn", "--zout", "0..1000000000"], "z_out must be in 0..16, got 1000000000"),
+            (
+                ["--suite", "gn", "--zout", "6", "--dc-sweep", "1..1000000000"],
+                "percentile must be in (0, 100], got 1000000000.0",
+            ),
+            (["--suite", "lfr", "--mu", "0.5..1e9"], "mu must lie strictly between 0 and 1"),
+        ],
+    )
+    def test_range_end_outside_the_domain_exits_2(self, tmp_path, flags, message):
+        # both ends are checked before the range is built: its 10^9 values
+        # would not fit in the child's 1 GiB
+        out = tmp_path / "bench"
+        argv = ["benchmark", *flags, "--trials", "1", "--out-dir", str(out)]
+        code, stdout, stderr = _capped_child(f"sys.exit(main({argv!r}))", 10)
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--suite", "gn", "--zout", "3,17"], "z_out must be in 0..16, got 17"),
+            (["--suite", "gn", "--zout=-1..3"], "z_out must be in 0..16, got -1"),
+            (["--suite", "lfr", "--mu", "0.3,1"], "mu must lie strictly between 0 and 1"),
+            (
+                ["--suite", "lfr", "--mu", "0.3", "--lfr-max-degree", 5000],
+                "max_degree cannot exceed n - 1",
+            ),
+            (
+                ["--suite", "gn", "--zout", "3", "--dc-sweep", "2,0"],
+                "percentile must be in (0, 100], got 0.0",
+            ),
+        ],
+    )
+    def test_every_value_checked_before_the_first_graph(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def no_graph(spec):
+            raise AssertionError("a graph was generated before every value was checked")
+
+        monkeypatch.setattr(cli, "generate_gn", no_graph)
+        monkeypatch.setattr(cli, "generate_lfr", no_graph)
+        out = tmp_path / "bench"
+        assert run(["benchmark", *flags, "--trials", 1, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
 
 

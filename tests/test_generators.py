@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isofdp import GenerationError, GnSpec, LfrSpec, generate_gn, generate_lfr
-from isofdp.generators import _min_degree_for_mean
+from isofdp.generators import _assign_members, _match_stubs, _min_degree_for_mean
 
 from conftest import reference_min_degree_for_mean
 
@@ -132,6 +132,68 @@ class TestLfrGenerator:
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             LfrSpec(n=100, mu=0.3, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        # t1 = -181 overflows only in the degree floor's sum of k ** (1 - t1)
+        [("t1", -200.0), ("t1", -181.0), ("t2", -200.0), ("t2", 300.0)],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_exponent_whose_weights_overflow_or_vanish_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} = {value} makes the power-law weights"):
+            LfrSpec(mu=0.3, **{field: value})
+
+    @pytest.mark.filterwarnings("error")
+    def test_negative_t2_with_finite_weights_generates(self):
+        labeled = generate_lfr(LfrSpec(mu=0.3, t2=-5.0))
+        counts = labeled.graph.node_count, labeled.graph.edge_count, int(labeled.truth.max()) + 1
+        assert counts == (1000, 9966, 21)
+
+    def test_community_sizes_that_cannot_sum_to_n_rejected(self):
+        # two communities of 20..25 nodes hold at least 40, one at most 25
+        spec = LfrSpec(n=30, mu=0.3, avg_degree=5, max_degree=10, min_community=20, max_community=25)
+        with pytest.raises(GenerationError, match="community sizes never summed to n"):
+            generate_lfr(spec)
+
+    def test_isolated_node_rejected(self):
+        # 21 stubs of degree 1: the parity fix takes the odd stub away
+        spec = LfrSpec(n=21, mu=0.3, avg_degree=1, max_degree=1, min_community=3, max_community=7)
+        with pytest.raises(GenerationError, match="isolated node"):
+            generate_lfr(spec)
+
+    def test_odd_stub_count_rejected(self):
+        with pytest.raises(ValueError, match="stub count must be even"):
+            _match_stubs(np.arange(3), np.random.default_rng(0), [0, 1, 2])
+
+    def test_intra_degree_that_fits_nowhere_rejected(self):
+        # a node of intra-degree 3 needs a community of more than 3 nodes
+        with pytest.raises(GenerationError, match="could not fit intra-degrees"):
+            _assign_members(np.random.default_rng(0), np.array([3, 3]), np.array([1, 3, 1]))
+
+    def test_one_placement_pass_decides(self):
+        # every node goes to a community larger than its intra-degree, and
+        # nodes go by falling intra-degree: a pass fails exactly when more
+        # nodes have intra-degree >= d than communities larger than d hold, so
+        # no pick, and no second pass, changes whether the nodes fit
+        rng = np.random.default_rng(4)
+        outcomes = set()
+        for _ in range(300):
+            sizes = rng.integers(1, 8, size=int(rng.integers(1, 5)))
+            need = rng.integers(0, 8, size=int(rng.integers(1, sizes.sum() + 1)))
+            fits = all(
+                np.count_nonzero(need >= d) <= sizes[sizes > d].sum() for d in need.tolist()
+            )
+            for seed in range(3):
+                try:
+                    community = _assign_members(np.random.default_rng(seed), sizes, need)
+                except GenerationError:
+                    assert not fits
+                    continue
+                assert fits
+                assert (sizes[community] > need).all()
+                assert (np.bincount(community, minlength=sizes.size) <= sizes).all()
+            outcomes.add(fits)
+        assert outcomes == {True, False}
 
     def test_min_degree_matches_the_scan_over_floors(self):
         # the floor whose mean is closest, the smallest of equals: the scan's pick

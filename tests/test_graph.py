@@ -76,6 +76,12 @@ class TestLoadGml:
         g = load_gml(text)
         assert g.edge_count == 1
 
+    def test_stray_closing_bracket_ends_the_input(self):
+        g = load_gml("graph [ node [ id 1 ] node [ id 2 ] ] ] edge [ source 1 target 2 ]")
+        assert (g.node_count, g.edge_count) == (2, 0)
+        with pytest.raises(GraphParseError, match="graph"):
+            load_gml("] graph [ node [ id 1 ] ]")
+
     def test_deeply_nested_block_is_ignored(self):
         depth = 10_000
         nested = "meta [ " * depth + "x 1 " + "] " * depth
@@ -86,6 +92,11 @@ class TestLoadGml:
 
 
 class TestEdgeArray:
+    def test_never_equal_to_another_type(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        assert g.__eq__(g.edge_array) is NotImplemented
+        assert g != [(0, 1)]
+
     def test_sorted_read_only_rows(self):
         g = Graph.from_edges(4, [(3, 2), (0, 1), (2, 0)])
         assert g.edge_array.dtype == np.int64

@@ -139,6 +139,12 @@ class TestBuildNeighborGraph:
         ng = build_neighbor_graph(distance_source(d), 1)
         assert {(u, v) for u, v, _ in edge_set(ng)} == {(0, 1), (1, 2)}
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_neighborhood_size_outside_1_to_n_minus_1_rejected(self, k):
+        d = line_distance_matrix([0.0, 1.0, 3.0, 7.0])
+        with pytest.raises(ValueError, match=rf"neighborhood size must be in 1\.\.3, got {k}"):
+            build_neighbor_graph(distance_source(d), k)
+
     def test_full_neighborhood_gives_complete_graph(self):
         d = line_distance_matrix([0.0, 1.0, 3.0, 7.0])
         ng = build_neighbor_graph(distance_source(d), 3)

@@ -49,6 +49,12 @@ def labels_with(rng, n, k):
     return rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)]))
 
 
+@pytest.mark.parametrize("score", [nmi, accuracy])
+def test_empty_labelings_rejected(score):
+    with pytest.raises(ValueError, match="labelings must be nonempty"):
+        score([], [])
+
+
 class TestNmi:
     def test_identical_partitions(self):
         assert nmi([0, 0, 1, 1, 2], [0, 0, 1, 1, 2]) == 1.0

@@ -44,6 +44,10 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition.from_labels([0, 2, 2])
 
+    def test_from_labels_rejects_an_empty_labeling(self):
+        with pytest.raises(ValueError, match="empty labeling"):
+            Partition.from_labels([])
+
     def test_sizes_and_internal_edges(self):
         g = load_edge_list("0 1\n1 2\n3 4")
         part = Partition.from_labels([0, 0, 0, 1, 1])
