@@ -13,7 +13,7 @@ from .graph import (
     to_edge_list,
     to_gml,
 )
-from .similarity import DistanceRows, distance_rows
+from .similarity import prepared_distances
 from .isomap import (
     Embedding,
     NeighborGraph,
@@ -42,7 +42,7 @@ from .generators import (
     generate_lfr,
 )
 from .metrics import accuracy, nmi
-from .baselines import DbscanSpec, KmeansSpec, dbscan, dbscan_labels, dbscan_parameter_search, kmeans
+from .baselines import DbscanSpec, KmeansSpec, dbscan_parameter_search, kmeans
 from .pipeline import DetectionResult, default_k_max, detect_communities
 
 __version__ = "0.1.0"

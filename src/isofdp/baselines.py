@@ -13,7 +13,7 @@ from .density_peaks import _check_cutoff_request, _finite_points, _nearest_rank_
 from .metrics import _accuracy, _counts, _nmi
 from .partition import Partition, normalize_labels
 
-__all__ = ["KmeansSpec", "DbscanSpec", "kmeans", "dbscan", "dbscan_labels", "dbscan_parameter_search"]
+__all__ = ["KmeansSpec", "DbscanSpec", "kmeans", "dbscan_parameter_search"]
 
 
 # k-means: seeded Lloyd runs per call, and assignment steps per run
@@ -100,9 +100,14 @@ def kmeans(e, spec: KmeansSpec) -> Partition:
 def _dbscan_raw(dist: np.ndarray, eps: float, min_pts_values) -> np.ndarray:
     """Raw DBSCAN ids, -1 for noise, at one ``eps``: one row per ``min_pts``.
 
+    ``dist`` is the n x n distance matrix. A point is core when at least
+    ``min_pts`` points (itself included) lie within ``eps``. Clusters are the
+    connected components of core points under eps-reachability.
+
     One component search labels the core subgraphs of all cells, numbered cell
     after cell; its labels run in node order, as for one cell searched alone.
-    Border points join their nearest core, distance ties to the smaller index.
+    Border points join their nearest core within ``eps``, distance ties to the
+    smaller index, which makes the result independent of point order.
     """
     n, cells = len(dist), np.asarray(min_pts_values)[:, None]
     i, j = np.divmod(np.flatnonzero(dist <= eps), n)  # j ascends within each row
@@ -132,28 +137,10 @@ def _dbscan_raw(dist: np.ndarray, eps: float, min_pts_values) -> np.ndarray:
     return labels
 
 
-def dbscan_labels(e, spec: DbscanSpec) -> np.ndarray:
-    """Raw cluster ids with -1 for noise.
-
-    A point is core when at least ``min_pts`` points (itself included) lie
-    within ``eps``. Clusters are the connected components of core points under
-    eps-reachability; each border point joins the cluster of its nearest core
-    within ``eps`` (ties toward the smaller core index), which makes the result
-    independent of point order.
-    """
-    points = _finite_points(e)
-    return _dbscan_raw(cdist(points, points), spec.eps, (spec.min_pts,))[0]
-
-
 def _as_partition(raw: np.ndarray) -> Partition:
     # each noise point a singleton: a negative label of its own
     labels = normalize_labels(np.where(raw < 0, -1 - np.arange(raw.size), raw))
     return Partition(labels, int(labels.max()) + 1)
-
-
-def dbscan(e, spec: DbscanSpec) -> Partition:
-    """DBSCAN with noise points relabeled as singleton communities."""
-    return _as_partition(dbscan_labels(e, spec))
 
 
 def dbscan_parameter_search(
@@ -161,9 +148,9 @@ def dbscan_parameter_search(
 ):
     """Grid search over eps (distance percentiles) and min_pts, scored by NMI.
 
-    Every cell is ``dbscan`` at ``DbscanSpec(select_dc(e, pct), min_pts)``, from
-    one distance matrix, one sort of the pair distances for all eps and one
-    component search per eps. Returns (partition, spec, nmi, acc) of the best
+    Every cell is DBSCAN at ``DbscanSpec(select_dc(e, pct), min_pts)``, each
+    noise point a singleton community, from one distance matrix, one sort of
+    the pair distances for all eps and one component search per eps. Returns (partition, spec, nmi, acc) of the best
     cell by (NMI, accuracy); ties keep the earliest grid entry, percentiles
     outermost. Each distinct partition, kept with its first cell, is scored
     once by NMI. Accuracy, a bipartite matching, only breaks NMI ties, so it

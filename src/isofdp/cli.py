@@ -23,7 +23,7 @@ from .generators import GenerationError, GnSpec, LfrSpec, generate_gn, generate_
 from .graph import Graph, GraphParseError, load_edge_list, load_gml, to_edge_list
 from .isomap import build_neighbor_graph, classical_mds, geodesic_distances, residual_variances
 from .metrics import accuracy, nmi
-from .pipeline import detect_communities, prepared_distances
+from .pipeline import _check_settings, detect_communities
 from .reports import (
     atomic_write_text,
     build_report,
@@ -35,6 +35,7 @@ from .reports import (
     save_labels,
     write_csv,
 )
+from .similarity import prepared_distances
 
 # Parameters used for each benchmark suite unless overridden on the command
 # line. The embedding dimension tracks the community count: 4 well-separated
@@ -228,6 +229,8 @@ def cmd_benchmark(args) -> int:
         runs = [(f"isofdp[dc={pct:g}]", pct) for pct in values]
     else:
         runs = [(method, args.dc_percentile) for method in _METHODS if method in methods]
+    for _, pct in runs:
+        _check_settings(knn, dim, pct, args.kmax)
 
     rows = []
     for param in params:

@@ -1,4 +1,8 @@
-"""Manifold projection of row-block distances: k-NN graph, geodesics, classical MDS."""
+"""Manifold projection of CSR distances: k-NN graph, geodesics, classical MDS.
+
+The distances are a scipy CSR matrix, read a block of rows at a time; an
+entry that is not stored is an infinite distance.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +15,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .similarity import DistanceRows
-
 __all__ = [
     "LANDMARKS",
     "NeighborGraph",
@@ -23,9 +25,10 @@ __all__ = [
     "residual_variances",
 ]
 
-# rows each k-NN and repair read takes at a time: every temporary of the k-NN
-# graph is one block's, each array at most 8 n bytes a row (a block is never
-# wider than n), and 256-row blocks, n wide then, raised n=3000's max RSS 6%
+# rows each k-NN and repair read, and each 1/s write of the distances, takes
+# at a time: every temporary of the k-NN graph is one block's, each array at
+# most 8 n bytes a row (a block is never wider than n), and 256-row blocks, n
+# wide then, raised n=3000's max RSS 6%
 _BLOCK_ROWS = 64
 
 # geodesic rows per embedding: every node is a landmark when there are at
@@ -69,13 +72,36 @@ class Embedding:
         return self.dim < self.requested_dim
 
 
-def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGraph:
+def _csr_rows(d: csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distances and columns of the rows ``rows`` of ``d``, end to end, and where each row starts.
+
+    The rows' stored entries, in ``rows``' order, the diagonal's 1.0 among
+    them, with no padding; row ``rows[r]`` holds the entries from
+    ``starts[r]`` up to the next start, or to the end for the last. Every
+    row holds at least its diagonal. Ascending contiguous rows come back as
+    read-only views of ``d.data`` and ``d.indices``, any others as one gather.
+    """
+    begin = d.indptr[rows]
+    if rows.size and np.all(np.diff(rows) == 1):
+        span = slice(begin[0], d.indptr[rows[-1] + 1])
+        values, columns = d.data[span], d.indices[span]
+        values.flags.writeable = columns.flags.writeable = False
+        return values, columns, begin - begin[0]
+    counts = d.indptr[rows + 1] - begin
+    starts = np.cumsum(counts) - counts
+    src = np.repeat(begin - starts, counts)
+    src += np.arange(src.size)
+    return d.data[src], d.indices[src], starts
+
+
+def build_neighbor_graph(d: csr_matrix, neighborhood_size: int) -> NeighborGraph:
     """Symmetric k-NN graph over finite distances, joined into one component.
 
-    ``d`` is the source of row blocks :func:`isofdp.similarity.distance_rows`
-    returns, whose rows are exactly symmetric; it is read ``_BLOCK_ROWS``
-    rows at a time, so no n x n copy or mask is made. Each row i keeps its
-    first ``neighborhood_size`` partners j at a finite distance in
+    ``d`` is the CSR matrix :func:`isofdp.similarity.prepared_distances`
+    returns, exactly symmetric, its diagonal stored; an entry it does not
+    store is an infinite distance. It is read ``_BLOCK_ROWS`` rows at a
+    time, so no n x n copy or mask is made. Each row i keeps its first
+    ``neighborhood_size`` partners j at a finite distance in
     (distance, j) order, so ties go to the smaller node index, and a row
     with fewer finite distances keeps them all; edge (i, j) is kept when row
     i or row j keeps the other. If the k-NN graph is disconnected, its components are joined
@@ -87,18 +113,18 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
     twice the largest finite distance, which keeps the groups maximally
     separated in the embedding while letting the projection proceed.
 
-    Every read is one :meth:`~isofdp.similarity.DistanceRows.ragged` call.
-    The k-NN scan pads a block's values alone, with inf, at least k + 1
-    wide, and partitions them: each row's k nearest off-diagonal entries lie
-    at or below its (k+1)-th value, whatever its diagonal holds, and the
-    row's own entry is dropped from those. The forest is found in Borůvka
+    Every read is one :func:`_csr_rows` call. The k-NN scan pads a block's
+    values alone, with inf, at least k + 1 wide, and partitions them: each
+    row's k nearest off-diagonal entries lie at or below its (k+1)-th value,
+    whatever its diagonal holds, and the row's own entry is dropped from
+    those. The forest is found in Borůvka
     rounds: in each row the entries inside the row's own component, its
     diagonal among them, read inf, and one ``np.minimum.reduceat`` gives
     each row's least distance out, a second the least column among the
     entries at it. The first round reads every row; later ones only the
     rows whose partner has since joined their component.
     """
-    n = d.node_count
+    n = d.shape[0]
     k = int(neighborhood_size)
     if not 1 <= k <= n - 1:
         raise ValueError(f"neighborhood size must be in 1..{n - 1}, got {k}")
@@ -107,7 +133,7 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
 
     keys, weights = [], []
     for rows in blocks:
-        values, columns, starts = d.ragged(rows)
+        values, columns, starts = _csr_rows(d, rows)
         counts = np.diff(starts, append=values.size)
         vals = np.full((rows.size, max(k + 1, int(counts.max()))), np.inf)
         vals[np.arange(vals.shape[1]) < counts[:, None]] = values
@@ -147,7 +173,7 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
             for rows in scan:
                 # inf for a row with no finite pair outside; every row holds
                 # its diagonal, so none is empty
-                vals, cols, starts = d.ragged(rows)
+                vals, cols, starts = _csr_rows(d, rows)
                 counts = np.diff(starts, append=vals.size)
                 vals = np.where(comp.take(cols) == np.repeat(comp[rows], counts), np.inf, vals)
                 least = np.minimum.reduceat(vals, starts)
@@ -175,9 +201,8 @@ def build_neighbor_graph(d: DistanceRows, neighborhood_size: int) -> NeighborGra
             # each group's smallest node r, the key of (0, r); node 0's sorts first
             reps = np.sort(np.unique(comp, return_index=True)[1])[1:]
             # every stored distance is finite and the diagonal's 1.0 the
-            # least, so the largest stored one is the largest finite distance;
-            # every row at once is a view
-            bridge = 2.0 * float(d.ragged(nodes)[0].max())
+            # least, so the largest stored one is the largest finite distance
+            bridge = 2.0 * float(d.data.max())
             keys, weights = np.r_[keys, reps], np.r_[weights, np.full(reps.size, bridge)]
         order = np.argsort(keys)
         keys, weights = keys[order], weights[order]

@@ -7,31 +7,17 @@ import time
 from dataclasses import dataclass
 from inspect import signature
 
-from .density_peaks import DensityProfile, compute_profile, select_dc
+from .density_peaks import DensityProfile, _check_percentile, compute_profile, select_dc
 from .graph import Graph
 from .isomap import Embedding, build_neighbor_graph, classical_mds, geodesic_distances
 from .partition import Partition, SweepResult, select_k
-from .similarity import DistanceRows, distance_rows
+from .similarity import prepared_distances
 
 __all__ = [
     "DetectionResult",
     "default_k_max",
     "detect_communities",
-    "prepared_distances",
 ]
-
-
-def prepared_distances(g: Graph) -> DistanceRows:
-    """Similarity-derived distances as a source of row blocks; inf where two nodes share nothing.
-
-    Rejects graphs under 4 nodes, where centering and the density statistics
-    are degenerate, and edgeless ones, where the similarity tells no nodes apart.
-    """
-    if g.node_count < 4:
-        raise ValueError("graph too small: need at least 4 nodes")
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges")
-    return distance_rows(g)
 
 
 def default_k_max(n: int) -> int:
@@ -66,6 +52,20 @@ class DetectionResult:
         return {tok: int(labels[i]) for i, tok in enumerate(self.graph.tokens)}
 
 
+def _check_settings(knn: int, dim: int, dc_percentile: float, k_max: int | None) -> None:
+    """Rejects settings under their lower bounds before any stage runs.
+
+    The upper bounds depend on n, and :func:`detect_communities` clamps to them.
+    """
+    if knn < 1:
+        raise ValueError(f"knn must be >= 1, got {knn}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_percentile(dc_percentile)
+    if k_max is not None and k_max < 2:
+        raise ValueError(f"k_max must be >= 2, got {k_max}")
+
+
 def detect_communities(
     g: Graph,
     knn: int = 10,
@@ -81,6 +81,7 @@ def detect_communities(
     from at most ``isomap.LANDMARKS`` geodesic rows: every node is a landmark
     when there are at most that many of them.
     """
+    _check_settings(knn, dim, dc_percentile, k_max)
     n = g.node_count
     k_max = default_k_max(n) if k_max is None else min(int(k_max), n)
     timings = {}

@@ -14,9 +14,9 @@ from scipy.spatial.distance import cdist, pdist, squareform
 import isofdp
 from isofdp import DbscanSpec, Graph, GnSpec, LfrSpec, Partition, generate_gn, generate_lfr
 from isofdp.density_peaks import DensityProfile, _as_points, assign, select_dc
+from isofdp.isomap import _csr_rows
 from isofdp.metrics import accuracy, nmi
 from isofdp.partition import SweepRecord, SweepResult, normalize_labels, partition_density
-from isofdp.similarity import DistanceRows
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -46,9 +46,9 @@ def dense_similarity(g) -> np.ndarray:
 def reference_distances(g) -> np.ndarray:
     """The masked reciprocal of the dense oracle: inf where s == 0, zero diagonal.
 
-    Reference for the blocks of ``isofdp.similarity.distance_rows``. Those
-    rows store each node's own distance as 1/s = 1.0; this dense matrix has
-    0 there, and :func:`dense_rows` zeroes the diagonal to compare.
+    Reference for the rows of ``isofdp.prepared_distances``. Those rows
+    store each node's own distance as 1/s = 1.0; this dense matrix has 0
+    there, and :func:`dense_rows` zeroes the diagonal to compare.
     """
     sim = dense_similarity(g)
     d = np.full(sim.shape, np.inf)
@@ -58,7 +58,7 @@ def reference_distances(g) -> np.ndarray:
 
 
 def reference_count_entries(g):
-    """Reference for the entries of ``isofdp.similarity.distance_rows``.
+    """Reference for the entries of ``isofdp.prepared_distances``.
 
     The whole int64 product ``c = a @ a`` of the closed neighborhoods
     ``a + I``, then each entry's ``1/s`` over all of it at once, in the
@@ -75,28 +75,31 @@ def reference_count_entries(g):
 
 
 def dense_rows(source, rows) -> np.ndarray:
-    """The rows ``rows`` of a distance source's dense n x n array, from its ragged read."""
-    vals, cols, starts = source.ragged(rows)
-    d = np.full((rows.size, source.node_count), np.inf)
+    """The rows ``rows`` of CSR distances as a dense array: inf off the entries, 0 on the diagonal.
+
+    Read through the row reader of ``isofdp.isomap.build_neighbor_graph``.
+    """
+    vals, cols, starts = _csr_rows(source, rows)
+    d = np.full((rows.size, source.shape[1]), np.inf)
     d[np.repeat(np.arange(rows.size), np.diff(starts, append=vals.size)), cols] = vals
     d[np.arange(rows.size), rows] = 0.0
     return d
 
 
 def full_rows(source) -> np.ndarray:
-    """Every row of a distance source at once: the dense n x n array."""
-    return dense_rows(source, np.arange(source.node_count))
+    """Every row of CSR distances at once: the dense n x n array."""
+    return dense_rows(source, np.arange(source.shape[0]))
 
 
-def distance_source(values) -> DistanceRows:
-    """A ``DistanceRows`` whose rows are a dense distance array.
+def distance_source(values) -> csr_matrix:
+    """CSR distances whose rows are a dense distance array.
 
-    Finite off-diagonal entries become the source's entries; everything else
+    Finite off-diagonal entries become the matrix's entries; everything else
     (inf, NaN, -inf) reads inf, and the diagonal reads zero. As the sparse
     product leaves them, each row's entries include the diagonal (1/s = 1)
     and come in an order other than column order: a seeded shuffle, reversed
     where it came out sorted. An array that is not symmetric is rejected, as
-    every ``distance_rows`` source is. As there, the bridges of
+    every ``prepared_distances`` matrix is. As there, the bridges of
     ``build_neighbor_graph`` read the largest entry as the largest finite
     distance, so an array whose finite distances are all below 1.0 gets
     bridges of 2.0.
@@ -116,7 +119,7 @@ def distance_source(values) -> DistanceRows:
     row_ptr = np.r_[0, np.cumsum([c.size for c in columns])]
     cols = np.concatenate(columns).astype(np.int32)
     values = d[np.repeat(np.arange(n), np.diff(row_ptr)), cols]
-    return DistanceRows(n, row_ptr, cols, values)
+    return csr_matrix((values, cols, row_ptr), shape=(n, n))
 
 
 def erdos_renyi(n, p, seed):
@@ -227,6 +230,8 @@ REFERENCE_GRAPHS = {
     "hub_and_path": HUB_AND_PATH,
 }
 
+# the reference graphs the distance stage takes: it rejects the edgeless one
+DISTANCE_GRAPHS = {name: g for name, g in REFERENCE_GRAPHS.items() if g.edge_count}
 
 # the reference graphs whose count holds every pair
 ALL_FINITE = (
@@ -407,7 +412,7 @@ def reference_dbscan_labels(e, spec) -> np.ndarray:
     within ``eps``. Clusters are the connected components of core points under
     eps-reachability; border points join their nearest core's cluster (ties
     toward the smaller core index), which makes the result independent of
-    point order. Reference for ``isofdp.dbscan_labels``.
+    point order. Reference for ``isofdp.baselines._dbscan_raw``.
     """
     points = _as_points(e)
     n = points.shape[0]
@@ -432,13 +437,22 @@ def reference_dbscan_labels(e, spec) -> np.ndarray:
     return labels
 
 
+def reference_dbscan(e, spec) -> Partition:
+    """:func:`reference_dbscan_labels` as a partition, each noise point a singleton community."""
+    raw = reference_dbscan_labels(e, spec)
+    noise = raw < 0
+    raw[noise] = raw.max() + 1 + np.arange(np.count_nonzero(noise))
+    labels = normalize_labels(raw)
+    return Partition(labels, int(labels.max()) + 1)
+
+
 def reference_dbscan_parameter_search(
     e, truth, percentiles=tuple(range(1, 11)), min_pts_values=(2, 3, 4, 5, 6)
 ):
     """The DBSCAN grid one cell at a time, each cell scored on its own.
 
-    Every cell is ``dbscan`` at ``DbscanSpec(select_dc(e, pct), min_pts)``
-    with a fresh core subgraph and component search; cells are compared by
+    Every cell is :func:`reference_dbscan` at ``DbscanSpec(select_dc(e, pct),
+    min_pts)``, computed here with a fresh core subgraph and component search; cells are compared by
     (NMI, accuracy), ties to the earliest grid entry, percentiles outermost.
     Returns (partition, spec, nmi, acc). Reference for
     ``isofdp.dbscan_parameter_search``.

@@ -10,8 +10,6 @@ from isofdp import (
     KmeansSpec,
     LfrSpec,
     baselines,
-    dbscan,
-    dbscan_labels,
     dbscan_parameter_search,
     detect_communities,
     generate_gn,
@@ -24,6 +22,7 @@ from isofdp.density_peaks import select_dc
 from isofdp.metrics import accuracy, nmi
 
 from conftest import (
+    reference_dbscan,
     reference_dbscan_labels,
     reference_dbscan_parameter_search,
     tie_heavy_grids,
@@ -86,43 +85,49 @@ class TestKmeans:
             KmeansSpec(k=k)
 
 
+def dbscan_cell(points, spec):
+    """One cell of the DBSCAN grid, raw ids with -1 for noise, checked against the per-point reference."""
+    raw = baselines._dbscan_raw(cdist(points, points), spec.eps, (spec.min_pts,))[0]
+    assert raw.tobytes() == reference_dbscan_labels(points, spec).tobytes()
+    return raw
+
+
 class TestDbscan:
     def test_everything_one_cluster(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(15, 2))
         diameter = 2 * np.abs(points).max() + 1
-        part = dbscan(points, DbscanSpec(eps=diameter, min_pts=1))
+        part = baselines._as_partition(dbscan_cell(points, DbscanSpec(eps=diameter, min_pts=1)))
         assert part.k == 1
 
     def test_all_noise_becomes_singletons(self):
         points = np.arange(6, dtype=float)[:, None] * 10
-        part = dbscan(points, DbscanSpec(eps=0.5, min_pts=2))
+        raw = dbscan_cell(points, DbscanSpec(eps=0.5, min_pts=2))
+        assert np.all(raw == -1)
+        part = baselines._as_partition(raw)
         assert part.k == 6
         assert part.labels.tolist() == [0, 1, 2, 3, 4, 5]
-        raw = dbscan_labels(points, DbscanSpec(eps=0.5, min_pts=2))
-        assert np.all(raw == -1)
-        assert raw.tobytes() == reference_dbscan_labels(points, DbscanSpec(0.5, 2)).tobytes()
 
     def test_two_blobs(self):
         rng = np.random.default_rng(7)
         points, truth = two_blobs(rng)
-        part = dbscan(points, DbscanSpec(eps=3.0, min_pts=4))
-        assert nmi(truth, part.labels) == 1.0
+        raw = dbscan_cell(points, DbscanSpec(eps=3.0, min_pts=4))
+        assert nmi(truth, baselines._as_partition(raw).labels) == 1.0
 
     def test_neighbor_count_includes_self(self):
         # two points at distance 1: each has 2 neighbors within eps=1.5
         points = np.array([[0.0], [1.0]])
-        raw = dbscan_labels(points, DbscanSpec(eps=1.5, min_pts=2))
+        raw = dbscan_cell(points, DbscanSpec(eps=1.5, min_pts=2))
         assert np.all(raw == 0)
 
     def test_order_independence(self):
         rng = np.random.default_rng(8)
         points, _ = two_blobs(rng, size_a=12, size_b=14, gap=30.0)
         spec = DbscanSpec(eps=3.5, min_pts=3)
-        base = dbscan(points, spec)
+        base = baselines._as_partition(dbscan_cell(points, spec))
         for _ in range(3):
             perm = rng.permutation(points.shape[0])
-            shuffled = dbscan(points[perm], spec)
+            shuffled = baselines._as_partition(dbscan_cell(points[perm], spec))
             restored = np.empty_like(shuffled.labels)
             restored[perm] = shuffled.labels
             assert nmi(base.labels, restored) == 1.0
@@ -162,8 +167,7 @@ class TestDbscanMatchesReference:
             points = rng.integers(0, 9, size=(40, 2)).astype(float)
             for eps in (1.0, np.sqrt(2.0), 2.0, np.sqrt(5.0), 3.0):
                 spec = DbscanSpec(eps, min_pts)
-                raw = dbscan_labels(points, spec)
-                assert raw.tobytes() == reference_dbscan_labels(points, spec).tobytes()
+                raw = dbscan_cell(points, spec)
                 ties += _cross_cluster_ties(points, spec, raw)
         # a border point has at most min_pts - 2 others within eps, so it
         # can sit between two cores only when min_pts >= 4
@@ -177,10 +181,8 @@ class TestDbscanMatchesReference:
             [[0, 0], [1, 0], [2, 0], [1, 1], [2, 1], [-1, 0], [-2, 0], [-1, 1], [-2, 1]],
             dtype=float,
         )
-        spec = DbscanSpec(eps=1.0, min_pts=4)
-        raw = dbscan_labels(points, spec)
+        raw = dbscan_cell(points, DbscanSpec(eps=1.0, min_pts=4))
         assert raw.tolist() == [0, 0, 0, 0, -1, 1, 1, 1, -1]
-        assert raw.tolist() == reference_dbscan_labels(points, spec).tolist()
 
 
 def _tight_blobs():
@@ -229,7 +231,7 @@ class TestDbscanParameterSearch:
         points, truth = two_blobs(rng)
         _, _, best_nmi, _ = dbscan_parameter_search(points, truth)
         for pct in (2, 5, 9):
-            cell = dbscan(points, DbscanSpec(eps=select_dc(points, pct), min_pts=4))
+            cell = reference_dbscan(points, DbscanSpec(eps=select_dc(points, pct), min_pts=4))
             assert best_nmi >= nmi(truth, cell.labels) - 1e-12
 
     def test_returns_the_first_best_cell(self):
@@ -239,7 +241,7 @@ class TestDbscanParameterSearch:
         for pct in range(1, 11):
             for min_pts in (2, 3, 4, 5, 6):
                 spec = DbscanSpec(select_dc(points, pct), min_pts)
-                labels = dbscan(points, spec).labels
+                labels = reference_dbscan(points, spec).labels
                 cells.append(((nmi(truth, labels), accuracy(truth, labels)), spec, labels))
         best = max(score for score, _, _ in cells)
         assert sum(score == best for score, _, _ in cells) > 1
@@ -315,7 +317,7 @@ class TestDbscanGridMatchesReference:
             first_seen = {}
             for pct in range(1, 11):
                 for min_pts in (2, 3, 4, 5, 6):
-                    labels = dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels
+                    labels = reference_dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels
                     first_seen.setdefault(labels.tobytes(), nmi(truth, labels))
             tied, level, best = set(), [], -1.0
             for key, score in first_seen.items():
@@ -336,7 +338,7 @@ class TestDbscanGridMatchesReference:
         cells = []
         for pct in range(1, 11):
             for min_pts in (2, 3, 4, 5, 6):
-                labels = dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels
+                labels = reference_dbscan(points, DbscanSpec(select_dc(points, pct), min_pts)).labels
                 cells.append((nmi(truth, labels), accuracy(truth, labels), labels.tobytes()))
         best_nmi = max(cell[0] for cell in cells)
         at_best = [cell for cell in cells if cell[0] == best_nmi]
@@ -349,9 +351,7 @@ class TestDbscanGridMatchesReference:
     def test_long_core_chain(self):
         # one core component spanning 198 points, with a border point at each end
         points = np.arange(200, dtype=float)[:, None]
-        spec = DbscanSpec(eps=1.0, min_pts=3)
-        raw = dbscan_labels(points, spec)
-        assert raw.tobytes() == reference_dbscan_labels(points, spec).tobytes()
+        raw = dbscan_cell(points, DbscanSpec(eps=1.0, min_pts=3))
         assert np.all(raw == 0)
 
 
@@ -445,8 +445,6 @@ def _bad_points(kind):
 
 _BASELINES = {
     "kmeans": lambda points: kmeans(points, KmeansSpec(k=2)),
-    "dbscan": lambda points: dbscan(points, DbscanSpec(eps=1.0)),
-    "dbscan_labels": lambda points: dbscan_labels(points, DbscanSpec(eps=1.0)),
     "dbscan_parameter_search": lambda points: dbscan_parameter_search(
         points, np.zeros(len(points), dtype=int)
     ),

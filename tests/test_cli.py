@@ -288,6 +288,26 @@ class TestDetect:
         assert report["config"]["kmax"] == 128
         assert report["sweep"][-1][0] == 128
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"knn": 0}, "knn must be >= 1, got 0"),
+            ({"dim": 0}, "dim must be >= 1, got 0"),
+            ({"dc_percentile": 0.0}, "percentile must be in (0, 100], got 0.0"),
+            ({"dc_percentile": 100.5}, "percentile must be in (0, 100], got 100.5"),
+            ({"dc_percentile": float("nan")}, "percentile must be in (0, 100], got nan"),
+            ({"k_max": 1}, "k_max must be >= 2, got 1"),
+        ],
+    )
+    def test_settings_checked_before_the_distances(self, monkeypatch, setting, message):
+        def no_distances(g):
+            raise AssertionError("the distances were computed before every setting was checked")
+
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "prepared_distances", no_distances)
+        with pytest.raises(ValueError) as err:
+            detect_communities(REFERENCE_GRAPHS["gn"], **setting)
+        assert str(err.value) == message
+
     def test_too_small_graph_exits_2(self, tmp_path):
         path = tmp_path / "tiny3.edges"
         path.write_text("0 1\n1 2\n")
@@ -713,6 +733,14 @@ class TestBenchmark:
                 ["--suite", "gn", "--zout", "3", "--dc-sweep", "2,0"],
                 "percentile must be in (0, 100], got 0.0",
             ),
+            # detect_communities' own settings, checked by it again per graph
+            (
+                ["--suite", "lfr", "--mu", "0.3", "--dc-percentile", 0],
+                "percentile must be in (0, 100], got 0.0",
+            ),
+            (["--suite", "lfr", "--mu", "0.3", "--knn", 0], "knn must be >= 1, got 0"),
+            (["--suite", "lfr", "--mu", "0.3", "--dim", 0], "dim must be >= 1, got 0"),
+            (["--suite", "lfr", "--mu", "0.3", "--kmax", 1], "k_max must be >= 2, got 1"),
         ],
     )
     def test_every_value_checked_before_the_first_graph(

@@ -14,12 +14,12 @@ from isofdp import (
     density_peaks,
     generate_lfr,
     geodesic_distances,
+    prepared_distances,
     select_dc,
 )
 from isofdp.baselines import dbscan_parameter_search
 from isofdp.metrics import nmi
 from isofdp.partition import normalize_labels
-from isofdp.pipeline import prepared_distances
 
 from conftest import (
     reference_compute_profile,

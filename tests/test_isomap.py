@@ -14,10 +14,10 @@ from isofdp import (
     build_neighbor_graph,
     classical_mds,
     detect_communities,
-    distance_rows,
     generate_gn,
     generate_lfr,
     geodesic_distances,
+    prepared_distances,
 )
 from isofdp.isomap import (
     _BLOCK_ROWS,
@@ -26,11 +26,10 @@ from isofdp.isomap import (
     _landmark_block,
     residual_variances,
 )
-from isofdp.pipeline import prepared_distances
-from isofdp.similarity import DistanceRows
 
 from conftest import (
     ALL_FINITE,
+    DISTANCE_GRAPHS,
     HUB_AND_PATH,
     REFERENCE_GRAPHS,
     disjoint_cliques_graph,
@@ -96,7 +95,7 @@ SPLIT_GRAPHS = {
 
 # the k-NN tests' graphs and a few benchmark graphs
 SYMMETRY_GRAPHS = {
-    **REFERENCE_GRAPHS,
+    **DISTANCE_GRAPHS,
     **SPLIT_GRAPHS,
     "gn_zout1": generate_gn(GnSpec(z_out=1, seed=0)).graph,
     "gn_zout8": generate_gn(GnSpec(z_out=8, seed=1)).graph,
@@ -209,20 +208,20 @@ class TestBuildNeighborGraph:
             build_neighbor_graph(distance_source(d), 1)
 
     @pytest.mark.parametrize("name", sorted(SYMMETRY_GRAPHS))
-    def test_distance_rows_are_exactly_symmetric(self, name):
+    def test_distances_are_exactly_symmetric(self, name):
         # the repair takes each pair from either of its rows, by the same bytes
-        d = full_rows(distance_rows(SYMMETRY_GRAPHS[name]))
+        d = full_rows(prepared_distances(SYMMETRY_GRAPHS[name]))
         assert d.tobytes() == d.T.tobytes()
 
     @pytest.mark.parametrize("name", sorted(SYMMETRY_GRAPHS))
-    def test_distance_rows_follow_a_relabelling(self, name):
+    def test_distances_follow_a_relabelling(self, name):
         # a pair's distance reads only its count and its two degrees, so
         # renaming the nodes moves every distance with its pair, byte for byte
         g = SYMMETRY_GRAPHS[name]
         perm = np.random.default_rng(0).permutation(g.node_count)
         renamed = Graph.from_edges(g.node_count, perm[g.edge_array])
-        d = full_rows(distance_rows(g))
-        assert full_rows(distance_rows(renamed))[np.ix_(perm, perm)].tobytes() == d.tobytes()
+        d = full_rows(prepared_distances(g))
+        assert full_rows(prepared_distances(renamed))[np.ix_(perm, perm)].tobytes() == d.tobytes()
 
     @pytest.mark.parametrize("k", [3, 10])
     @pytest.mark.parametrize("shape", sorted(SPLIT_GRAPHS))
@@ -230,20 +229,20 @@ class TestBuildNeighborGraph:
         g = SPLIT_GRAPHS[shape]
         d = reference_distances(g)
         ref = build_neighbor_graph(distance_source(reference_bridge(d)), k)
-        for given in (distance_source(d), distance_rows(g)):
+        for given in (distance_source(d), prepared_distances(g)):
             ng = build_neighbor_graph(given, k)
             assert ng.edges.tobytes() == ref.edges.tobytes()
             assert ng.weights.tobytes() == ref.weights.tobytes()
 
     @pytest.mark.parametrize("block_rows", [7, 64])
-    @pytest.mark.parametrize("name", sorted({**REFERENCE_GRAPHS, **SPLIT_GRAPHS}))
-    def test_row_source_matches_the_dense_array(self, name, block_rows, monkeypatch):
-        # the blocks the source writes make the graph the dense array makes,
-        # top-k, Boruvka rounds and bridges alike
+    @pytest.mark.parametrize("name", sorted({**DISTANCE_GRAPHS, **SPLIT_GRAPHS}))
+    def test_count_matches_the_dense_array(self, name, block_rows, monkeypatch):
+        # the count's entries make the graph the dense array makes, top-k,
+        # Boruvka rounds and bridges alike
         monkeypatch.setattr(sys.modules["isofdp.isomap"], "_BLOCK_ROWS", block_rows)
-        g = {**REFERENCE_GRAPHS, **SPLIT_GRAPHS}[name]
+        g = {**DISTANCE_GRAPHS, **SPLIT_GRAPHS}[name]
         dense = distance_source(reference_distances(g))
-        source = distance_rows(g)
+        source = prepared_distances(g)
         for k in sorted({1, 3, min(10, g.node_count - 1)}):
             try:
                 want = build_neighbor_graph(dense, k)
@@ -260,11 +259,10 @@ class TestBuildNeighborGraph:
     def test_all_finite_rows_are_joined_without_a_bridge(self, name, k):
         # every partner is a count entry, and each edge weighs its pair's distance
         g = REFERENCE_GRAPHS[name]
-        n, source = g.node_count, distance_rows(g)
+        n, source = g.node_count, prepared_distances(g)
         d = reference_distances(g)
         assert np.isfinite(d).all()
-        _, cols, starts = source.ragged(np.arange(n))
-        assert np.all(np.diff(starts, append=cols.size) == n) and cols.size == n * n
+        assert np.all(np.diff(source.indptr) == n) and source.nnz == n * n
         ng = build_neighbor_graph(source, k)
         assert edge_set(ng) == reference_neighbor_graph(d, k)
         u, v = ng.edges.T
@@ -293,14 +291,11 @@ class TestBuildNeighborGraph:
         # the leaves' count rows hold the hub and every leaf; the path's hold
         # a few nodes, tied pairwise at p - 1 and p + 1
         g = HUB_AND_PATH
-        n, source = g.node_count, distance_rows(g)
+        n, source = g.node_count, prepared_distances(g)
         # the k = 10 scan pads the first block to its longest row, a leaf's,
         # and the last, of path rows and isolated ones, to k + 1
-        widths = []
-        for lo in range(0, n, _BLOCK_ROWS):
-            vals, _, starts = source.ragged(np.arange(lo, min(lo + _BLOCK_ROWS, n)))
-            widths.append(np.diff(starts, append=vals.size).max())
-        assert widths[0] > 11 > widths[-1]
+        widths, last = np.diff(source.indptr), range(0, n, _BLOCK_ROWS)[-1]
+        assert widths[:_BLOCK_ROWS].max() > 11 > widths[last:].max()
         d = reference_distances(g)
         for k in (1, 3, 10):
             ng = build_neighbor_graph(source, k)
@@ -371,12 +366,12 @@ class TestBuildNeighborGraph:
         monkeypatch.setattr(
             isomap, "connected_components", lambda *a, **kw: reads.append([]) or search(*a, **kw)
         )
-        ragged = DistanceRows.ragged
+        csr_rows = isomap._csr_rows
         monkeypatch.setattr(
-            DistanceRows, "ragged", lambda self, rows: reads[-1].append(rows.size) or ragged(self, rows)
+            isomap, "_csr_rows", lambda d, rows: reads[-1].append(rows.size) or csr_rows(d, rows)
         )
         g = generate_lfr(LfrSpec(n=1000, mu=mu, seed=seed)).graph
-        ng = build_neighbor_graph(distance_rows(g), k)
+        ng = build_neighbor_graph(prepared_distances(g), k)
         assert edge_set(ng) == reference_neighbor_graph(reference_distances(g), k)
         # the k-NN scan, the k-NN search, then one search per round: the last
         # joins all. The scan and the first round read every block
@@ -425,7 +420,7 @@ class TestNeighborGraphPeakMemory:
     def test_peak_is_a_few_blocks(self, lfr_graph):
         # every temporary is per block of rows: one int64 array over all the
         # count's entries (4.2 MB here) is over the bound by itself
-        source = distance_rows(lfr_graph)
+        source = prepared_distances(lfr_graph)
         peak = traced_peak(build_neighbor_graph, source, 10)
         assert peak <= 4 * 8 * _BLOCK_ROWS * lfr_graph.node_count
 
