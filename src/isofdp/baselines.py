@@ -162,7 +162,7 @@ def dbscan_parameter_search(
     truth = np.asarray(truth)
     if truth.shape != (len(points),):
         raise ValueError("truth must hold one label per point")
-    truth = normalize_labels(truth)  # once: partitions come normalized
+    truth = np.unique(truth, return_inverse=True)[1]  # once, as _counts reads it
     _check_cutoff_request(len(points), percentiles)
     dist = cdist(points, points)
     # the upper triangle in pdist's order: the same bytes as pdist

@@ -309,6 +309,7 @@ def cmd_eval(args) -> int:
 def cmd_embed(args) -> int:
     if args.dim_sweep is not None and args.dim_sweep < 1:
         raise ValueError(f"--dim-sweep must be >= 1, got {args.dim_sweep}")
+    _check_settings(args.knn, args.dim)
     g, _ = _load_graph(args.input, args.format)
     dmat = prepared_distances(g)
     ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))

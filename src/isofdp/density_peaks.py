@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .isomap import _BLOCK_ROWS
 
@@ -47,22 +47,17 @@ class DensityProfile:
     d_c: float
 
 
-def _as_points(e) -> np.ndarray:
-    coords = getattr(e, "coordinates", e)
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    return coords
-
-
 def _finite_points(e) -> np.ndarray:
-    """``_as_points``, rejecting NaN and infinite coordinates.
+    """An embedding's or array's points as float rows, rejecting NaN and infinite coordinates.
 
-    So that every squared distance is finite, it also rejects points whose
-    bounding box has a squared diagonal beyond the float range. Both are
-    numerical failures of whatever gave the points: ``ArithmeticError``.
+    A 1-D array holds one coordinate per point. So that every squared distance
+    is finite, it also rejects points whose bounding box has a squared
+    diagonal beyond the float range. Both are numerical failures of whatever
+    gave the points: ``ArithmeticError``.
     """
-    points = _as_points(e)
+    points = np.asarray(getattr(e, "coordinates", e), dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
     if not np.isfinite(points).all():
         raise ArithmeticError("coordinates must be finite")
     if points.size:
@@ -133,9 +128,9 @@ def select_dc(e, percentile: float = 2.0) -> float:
     coincident points. When the percentile lands there, the cutoff is the
     smallest distance above that floor instead.
 
-    No list of all distances is built. The screen values of the pairs among
-    a strided sample of points place a window of squared distances around
-    the wanted rank. One pass over the upper triangle in
+    No list of all distances is built. The squared distances among a strided
+    sample of points, from one ``pdist`` call, place a window of squared
+    distances around the wanted rank. One pass over the upper triangle in
     ``_BLOCK_ROWS``-row blocks, screened by the GEMM of
     :func:`compute_profile`, counts the pairs surely below the window and
     keeps the screen values inside it. Their partition gives the rank's
@@ -169,7 +164,7 @@ def select_dc(e, percentile: float = 2.0) -> float:
         # a pair's screen value g is within tol / 2 of its squared cdist
         # value, and so is each cut below, up to the diameter's square
         tol = 2.0 * _screen_bound(sq, dim, high)
-        sample, spread = _pair_sample(lhs, rhs, sq, buf)
+        sample, spread = _pair_sample(points)
         lo_cut, hi_cut = _window(sample, rank, size, spread, tol)
         # the passes read the points in coordinate-0 order, each block its window
         by_x = np.argsort(rhs[:, 0], kind="stable")
@@ -203,18 +198,17 @@ def select_dc(e, percentile: float = 2.0) -> float:
     return float(np.partition(exact, r - ahead)[r - ahead])
 
 
-def _pair_sample(lhs, rhs, sq, buf):
-    """Screen values of the pairs among every ``step``-th point, and the window's half-width.
+def _pair_sample(points):
+    """Squared ``pdist`` distances among every ``step``-th point, and the window's half-width.
 
     The fraction of a point's pairs under a cut varies from point to point
     by about its own mean, so the sample's fraction is off by about that
     over the root of the sampled point count; the relative half-width is
     six times that.
     """
-    step = max(8, -(-sq.shape[0] // _SAMPLE))
-    lhs, rhs, sq = lhs[::step], rhs[::step], sq[::step]
-    sample = [g for _, _, _, g in _upper_pairs(lhs, rhs, sq, np.inf, buf)]
-    return np.concatenate(sample), 6.0 / math.sqrt(sq.shape[0])
+    step = max(8, -(-points.shape[0] // _SAMPLE))
+    sample = points[::step]
+    return np.square(pdist(sample)), 6.0 / math.sqrt(sample.shape[0])
 
 
 def _window(sample, r, size, spread, tol):
@@ -333,10 +327,8 @@ def _exact_distances(rows, cols, bi, bj) -> np.ndarray:
     ``cdist`` computes each entry on its own, so these are the bytes the full
     n x n matrix holds for the same pairs; the work is at most one block.
     """
-    named = np.zeros(cols.shape[0], dtype=bool)
-    named[bj] = True
-    used = np.flatnonzero(named)
-    return cdist(rows, cols[used])[bi, np.searchsorted(used, bj)]
+    used, at = np.unique(bj, return_inverse=True)
+    return cdist(rows, cols[used])[bi, at]
 
 
 def _operands(points):
@@ -428,10 +420,10 @@ def compute_profile(e, d_c: float) -> DensityProfile:
         by_x = np.argsort(rhs[:, 0], kind="stable")
         rho = np.empty(n, dtype=np.int64)
         rho[by_x] = _local_density(points[by_x], lhs[by_x], rhs[by_x], sq[by_x], t, d_c, buf)
-        order = np.lexsort((np.arange(n), -rho))
+        order = np.argsort(-rho, kind="stable")
         delta, nearest = _separation(points[order], lhs[order], rhs[order], t, order, buf)
     gamma = rho * delta
-    ranking = np.lexsort((np.arange(n), -gamma))
+    ranking = np.argsort(-gamma, kind="stable")
     return DensityProfile(rho, delta, gamma, nearest, ranking, float(d_c))
 
 

@@ -167,8 +167,11 @@ def _gml_items(tokens):
 
     Values are raw strings, or nested item lists for bracketed blocks. An
     explicit stack of the enclosing lists keeps any nesting depth off the
-    call stack. Blocks still open at the end of input close there; a closing
-    bracket with no open block ends the input.
+    call stack. A closing bracket with no open block ends the input.
+
+    Raises:
+        GraphParseError: a key has no value (a closing bracket or the end of
+            input where it belongs), or the input ends inside a block.
     """
     items = []
     enclosing = []
@@ -185,6 +188,8 @@ def _gml_items(tokens):
             raise GraphParseError(f"dangling key {key!r} at end of GML input")
         val = tokens[pos]
         pos += 1
+        if val == "]":
+            raise GraphParseError(f"key {key!r} has no value")
         if val == "[":
             sub = []
             items.append((key, sub))
@@ -192,7 +197,9 @@ def _gml_items(tokens):
             items = sub
         else:
             items.append((key, val))
-    return enclosing[0] if enclosing else items
+    if enclosing:
+        raise GraphParseError("input ends inside a block")
+    return items
 
 
 def load_gml(source) -> Graph:
@@ -255,9 +262,15 @@ def to_edge_list(g: Graph) -> str:
 
 
 def to_gml(g: Graph) -> str:
-    """Serialize as minimal GML; node ids are dense indices, labels the tokens."""
+    """Serialize as minimal GML; node ids are dense indices, labels the tokens.
+
+    Raises:
+        ValueError: a token holds a double quote, which a GML string cannot carry.
+    """
     out = ["graph ["]
     for i, tok in enumerate(g.tokens):
+        if '"' in tok:
+            raise ValueError(f"token {tok!r} holds a double quote, which GML cannot write")
         out.append(f'  node [ id {i} label "{tok}" ]')
     for u, v in g.edge_array.tolist():
         out.append(f"  edge [ source {u} target {v} ]")

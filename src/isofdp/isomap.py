@@ -79,19 +79,17 @@ def _csr_rows(d: csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     them, with no padding; row ``rows[r]`` holds the entries from
     ``starts[r]`` up to the next start, or to the end for the last. Every
     row holds at least its diagonal. Ascending contiguous rows come back as
-    read-only views of ``d.data`` and ``d.indices``, any others as one gather.
+    read-only views of ``d.data`` and ``d.indices``, any others as scipy's
+    row gather ``d[rows]``.
     """
-    begin = d.indptr[rows]
     if rows.size and np.all(np.diff(rows) == 1):
+        begin = d.indptr[rows]
         span = slice(begin[0], d.indptr[rows[-1] + 1])
         values, columns = d.data[span], d.indices[span]
         values.flags.writeable = columns.flags.writeable = False
         return values, columns, begin - begin[0]
-    counts = d.indptr[rows + 1] - begin
-    starts = np.cumsum(counts) - counts
-    src = np.repeat(begin - starts, counts)
-    src += np.arange(src.size)
-    return d.data[src], d.indices[src], starts
+    picked = d[rows]
+    return picked.data, picked.indices, picked.indptr[:-1]
 
 
 def build_neighbor_graph(d: csr_matrix, neighborhood_size: int) -> NeighborGraph:

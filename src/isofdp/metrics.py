@@ -8,8 +8,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .partition import normalize_labels
-
 __all__ = [
     "nmi",
     "accuracy",
@@ -17,13 +15,14 @@ __all__ = [
 
 
 def _as_label_pair(truth, pred):
+    """Both labelings as contiguous ids 0..r-1: the scores are sums that no numbering moves."""
     truth = np.asarray(truth)
     pred = np.asarray(pred)
     if truth.shape != pred.shape or truth.ndim != 1:
         raise ValueError("labelings must be 1-D and of equal length")
     if truth.size == 0:
         raise ValueError("labelings must be nonempty")
-    return normalize_labels(truth), normalize_labels(pred)
+    return np.unique(truth, return_inverse=True)[1], np.unique(pred, return_inverse=True)[1]
 
 
 def _counts(t: np.ndarray, p: np.ndarray) -> np.ndarray:

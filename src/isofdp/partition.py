@@ -53,7 +53,7 @@ class Partition:
         if labels.size == 0:
             raise ValueError("empty labeling")
         k = int(labels.max()) + 1
-        if sorted(set(labels.tolist())) != list(range(k)):
+        if not np.array_equal(np.unique(labels), np.arange(k)):
             raise ValueError("labels must be contiguous 0..k-1 with no empty community")
         return cls(labels, k)
 
@@ -154,9 +154,9 @@ def select_k(g: Graph, embedding, profile, k_max: int) -> SweepResult:
     while not np.array_equal(nxt, last):
         last, nxt = nxt, nxt[nxt]
     end = (last + 1).tolist()
-    # adjacency rows and columns in preorder
-    adj = g.adjacency[order][:, order]
-    indices, indptr, degree = adj.indices, adj.indptr.tolist(), np.diff(adj.indptr)
+    # adjacency rows in preorder, each neighbor as its preorder position
+    adj = g.adjacency[order]
+    indices, indptr, degree = pos[adj.indices], adj.indptr.tolist(), np.diff(adj.indptr)
 
     label = np.zeros(n, dtype=np.int64)  # by preorder position
     size, inner = [n] + [0] * (k_max - 1), [g.edge_count] + [0] * (k_max - 1)

@@ -52,8 +52,10 @@ class DetectionResult:
         return {tok: int(labels[i]) for i, tok in enumerate(self.graph.tokens)}
 
 
-def _check_settings(knn: int, dim: int, dc_percentile: float, k_max: int | None) -> None:
-    """Rejects settings under their lower bounds before any stage runs.
+def _check_settings(
+    knn: int, dim: int, dc_percentile: float | None = None, k_max: int | None = None
+) -> None:
+    """Rejects settings under their lower bounds before any stage runs; None is not checked.
 
     The upper bounds depend on n, and :func:`detect_communities` clamps to them.
     """
@@ -61,7 +63,8 @@ def _check_settings(knn: int, dim: int, dc_percentile: float, k_max: int | None)
         raise ValueError(f"knn must be >= 1, got {knn}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    _check_percentile(dc_percentile)
+    if dc_percentile is not None:
+        _check_percentile(dc_percentile)
     if k_max is not None and k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
 

@@ -8,7 +8,7 @@ import json
 import os
 import tempfile
 
-from .graph import GraphParseError
+from .graph import GraphParseError, _read_text
 
 __all__ = [
     "atomic_write_text",
@@ -56,7 +56,7 @@ def load_labels(source) -> dict:
         GraphParseError: a line does not hold a token and an integer community,
             or repeats the token of an earlier line.
     """
-    text = source.read() if hasattr(source, "read") else str(source)
+    text = _read_text(source)
     out, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 import isofdp
 from isofdp import DbscanSpec, Graph, GnSpec, LfrSpec, Partition, generate_gn, generate_lfr
-from isofdp.density_peaks import DensityProfile, _as_points, assign, select_dc
+from isofdp.density_peaks import DensityProfile, _finite_points, assign, select_dc
 from isofdp.isomap import _csr_rows
 from isofdp.metrics import accuracy, nmi
 from isofdp.partition import SweepRecord, SweepResult, normalize_labels, partition_density
@@ -326,7 +326,7 @@ def reference_compute_profile(e, d_c: float) -> DensityProfile:
     """
     if d_c <= 0:
         raise ValueError("cutoff distance must be positive")
-    points = _as_points(e)
+    points = _finite_points(e)
     dist = cdist(points, points)
     n = dist.shape[0]
     rho = (dist < d_c).sum(axis=1).astype(np.int64)
@@ -353,7 +353,7 @@ def reference_select_dc(e, percentile: float = 2.0) -> float:
     that lands there moves up to the first distance above them. Reference
     for ``isofdp.select_dc``, with its errors.
     """
-    points = _as_points(e)
+    points = _finite_points(e)
     if not np.isfinite(points).all():
         raise ArithmeticError("coordinates must be finite")
     if points.shape[0] < 2:
@@ -414,7 +414,7 @@ def reference_dbscan_labels(e, spec) -> np.ndarray:
     toward the smaller core index), which makes the result independent of
     point order. Reference for ``isofdp.baselines._dbscan_raw``.
     """
-    points = _as_points(e)
+    points = _finite_points(e)
     n = points.shape[0]
     dist = squareform(pdist(points)) if n > 1 else np.zeros((1, 1))
     within = dist <= spec.eps
@@ -457,7 +457,7 @@ def reference_dbscan_parameter_search(
     Returns (partition, spec, nmi, acc). Reference for
     ``isofdp.dbscan_parameter_search``.
     """
-    points = _as_points(e)
+    points = _finite_points(e)
     dist = cdist(points, points)
     best = None
     for pct in percentiles:

@@ -329,6 +329,11 @@ class TestDetect:
             ("graph [ node [ id 0 ] node [ id 0 ] ]", "duplicate node id 0"),
             ('graph [ node [ id 0 label "a" ] node [ id 1 label "a" ] ]', "duplicate node token 'a'"),
             ("graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 ] ]", "edge record without"),
+            ("graph [ node [ id 0 label ] node [ id 1 ] ]", "key 'label' has no value"),
+            (
+                "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ]",
+                "input ends inside a block",
+            ),
         ],
     )
     def test_malformed_gml_exits_1(self, tmp_path, capsys, text, message):
@@ -806,6 +811,26 @@ class TestEmbed:
         assert len(lines) == 6
         residuals = [float(line.split(",")[1]) for line in lines[1:]]
         assert residuals == sorted(residuals, reverse=True)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dim", 0], "dim must be >= 1, got 0"),
+            (["--knn", 0], "knn must be >= 1, got 0"),
+            (["--knn", -2, "--dim-sweep", 3], "knn must be >= 1, got -2"),
+        ],
+    )
+    def test_settings_checked_before_the_distances(
+        self, gn_instance, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        def no_distances(g):
+            raise AssertionError("the distances were computed before every setting was checked")
+
+        monkeypatch.setattr(cli, "prepared_distances", no_distances)
+        edges_path, _ = gn_instance
+        assert run(["embed", "--input", edges_path, *flags, "--out-dir", tmp_path / "o"]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_nonpositive_dim_sweep_exits_2(self, gn_instance, tmp_path, capsys, count):

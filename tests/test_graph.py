@@ -82,6 +82,27 @@ class TestLoadGml:
         with pytest.raises(GraphParseError, match="graph"):
             load_gml("] graph [ node [ id 1 ] ]")
 
+    def test_closing_bracket_is_not_a_value(self):
+        # the bracket would close nothing, and the records after it would nest
+        # inside the node
+        text = (
+            "graph [ node [ id 0 ] node [ id 5 label ] node [ id 6 ] "
+            "edge [ source 0 target 5 ] edge [ source 5 target 6 ] ]"
+        )
+        with pytest.raises(GraphParseError, match="key 'label' has no value"):
+            load_gml(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ]",
+            "graph [ node [ id 1 node [ id 2 ] edge [ source 1 target 2 ] ]",
+        ],
+    )
+    def test_block_open_at_the_end_of_input(self, text):
+        with pytest.raises(GraphParseError, match="input ends inside a block"):
+            load_gml(text)
+
     def test_deeply_nested_block_is_ignored(self):
         depth = 10_000
         nested = "meta [ " * depth + "x 1 " + "] " * depth
@@ -130,6 +151,13 @@ class TestRoundTrips:
         assert again.node_count == g.node_count
         assert again.edge_array.tobytes() == g.edge_array.tobytes()
         assert again.tokens == g.tokens == ("a", "b", "c", "d")
+
+    def test_gml_rejects_a_token_with_a_quote(self):
+        # a GML string cannot carry a double quote: 'label "a"b"' would read
+        # back as another graph
+        g = Graph.from_edges(2, [(0, 1)], tokens=['a"b', "c"])
+        with pytest.raises(ValueError, match="double quote"):
+            to_gml(g)
 
     def test_edge_list_round_trip_token_faithful(self):
         rng = np.random.default_rng(3)
