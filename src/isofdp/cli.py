@@ -313,7 +313,7 @@ def cmd_embed(args) -> int:
     g, _ = _load_graph(args.input, args.format)
     dmat = prepared_distances(g)
     ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))
-    gd = geodesic_distances(ng)
+    gd = geodesic_distances(ng, dim=max(args.dim, args.dim_sweep or 0))
     os.makedirs(args.out_dir, exist_ok=True)
     if args.dim_sweep is not None:
         rows = [[p, repr(r)] for p, r in residual_variances(gd, args.dim_sweep)]

@@ -202,14 +202,26 @@ def _gml_items(tokens):
     return items
 
 
+def _gml_fields(kind: str, block: list, keys: tuple) -> dict:
+    """The plain key-value pairs of one ``kind`` record; one of ``keys`` may appear once."""
+    fields = {}
+    for k, v in block:
+        if isinstance(v, list):
+            continue
+        if k in fields and k in keys:
+            raise GraphParseError(f"{kind} record repeats key {k!r}")
+        fields[k] = v
+    return fields
+
+
 def load_gml(source) -> Graph:
     """Parse the minimal GML subset: a ``graph`` block with node/edge records.
 
     Each ``node`` record must carry ``id``; ``label`` is used as the node
     token when present, otherwise the id itself. Each ``edge`` record must
-    carry ``source`` and ``target`` referring to declared ids. Duplicates
-    collapse and self-loops drop as in :meth:`Graph.from_edges`, with a
-    warning that counts the self-loops.
+    carry ``source`` and ``target`` referring to declared ids. A record may
+    hold each of those keys once. Duplicates collapse and self-loops drop as
+    in :meth:`Graph.from_edges`, with a warning that counts the self-loops.
     """
     tokens = _GML_TOKEN.findall(_read_text(source))
     items = _gml_items(tokens)
@@ -224,7 +236,7 @@ def load_gml(source) -> Graph:
     for kind, block in graph_block:
         if kind != "node" or not isinstance(block, list):
             continue
-        fields = {k: v for k, v in block if not isinstance(v, list)}
+        fields = _gml_fields("node", block, ("id", "label"))
         if "id" not in fields:
             raise GraphParseError("node record without an id")
         gml_id = fields["id"]
@@ -240,7 +252,7 @@ def load_gml(source) -> Graph:
     for kind, block in graph_block:
         if kind != "edge" or not isinstance(block, list):
             continue
-        fields = {k: v for k, v in block if not isinstance(v, list)}
+        fields = _gml_fields("edge", block, ("source", "target"))
         if "source" not in fields or "target" not in fields:
             raise GraphParseError("edge record without source/target")
         try:

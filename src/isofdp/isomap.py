@@ -31,9 +31,13 @@ __all__ = [
 # wide then, raised n=3000's max RSS 6%
 _BLOCK_ROWS = 64
 
-# geodesic rows per embedding: every node is a landmark when there are at
-# most this many of them; at n=3000, 256 landmarks cost more NMI than 128
+# the most geodesic rows per embedding: every node is a landmark when there
+# are at most this many of them; at n=3000, 256 landmarks cost more NMI than 128
 LANDMARKS = 128
+
+# the max-min landmark selection stops once its covering radius is at most
+# 1/this of node 0's eccentricity, and takes at least LANDMARKS // this
+_RADIUS_SHRINK = 4
 
 
 @dataclass(frozen=True)
@@ -57,11 +61,13 @@ class Embedding:
     ``coordinates`` is n x p, one column per kept eigenvalue of the landmark
     block, ordered by non-increasing eigenvalue. ``truncated`` flags the case
     where fewer positive eigenvalues than requested dimensions were available.
+    ``landmarks`` is l, the number of geodesic rows the embedding was read from.
     """
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
     requested_dim: int
+    landmarks: int
 
     @property
     def dim(self) -> int:
@@ -211,16 +217,23 @@ def build_neighbor_graph(d: csr_matrix, neighborhood_size: int) -> NeighborGraph
     return NeighborGraph(n, edges, weights)
 
 
-def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndarray:
+def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS, dim: int = 1) -> np.ndarray:
     """Exact shortest paths over the neighbor graph from landmarks, one row each.
 
     Every node is a landmark when there are at most ``landmarks`` of them,
     and the n x n rows come from one Dijkstra call. Otherwise ``l <=
     landmarks`` are picked by max-min distance: node 0 first, then each time
     the node farthest from the landmarks so far (the first maximum, so ties
-    go to the smaller index), until every node is at distance 0 from one.
-    Rows are as Dijkstra returns them, symmetric among the landmarks only up
-    to rounding: :func:`classical_mds` makes the block it reads exactly
+    go to the smaller index). The selection stops once every node is at
+    distance 0 from a landmark, or once it holds ``max(LANDMARKS // 4, 2 *
+    dim)`` landmarks and its covering radius, the largest distance of a node
+    to its nearest landmark, is at most a quarter of node 0's eccentricity.
+    That floor is 32 landmarks for every ``dim`` up to 16, the default's
+    included: a graph whose communities lie far apart stops there, a well
+    mixed one takes up to ``landmarks``. Whenever it stops, the rows are the
+    first l rows the selection would give with no early stop. Rows are as
+    Dijkstra returns them, symmetric among the landmarks only up to
+    rounding: :func:`classical_mds` makes the block it reads exactly
     symmetric. All entries are finite.
     """
     if landmarks < 2:
@@ -232,10 +245,16 @@ def geodesic_distances(ng: NeighborGraph, landmarks: int = LANDMARKS) -> np.ndar
     u, v = ng.edges.T
     both = csr_matrix((np.r_[ng.weights, ng.weights], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
     rows = [_csgraph_dijkstra(both, indices=np.arange(n) if landmarks >= n else [0])]
-    if rows[0].max() == np.inf:
+    eccentricity = rows[0].max()
+    if eccentricity == np.inf:
         raise ValueError("neighbor graph is disconnected")
     mind = rows[0].min(axis=0)  # distance to the nearest landmark; all 0 if every node is one
-    while len(rows) < landmarks and mind.max() > 0:
+    # l landmarks span at most l - 1 axes, and up to 45% of those come out
+    # negative on LFR graphs (mu 0.5, n=1000), so dim positive ones need up
+    # to 1.8 dim landmarks
+    floor = max(LANDMARKS // _RADIUS_SHRINK, 2 * dim)
+    radius = eccentricity / _RADIUS_SHRINK
+    while len(rows) < landmarks and mind.max() > (radius if len(rows) >= floor else 0):
         rows.append(_csgraph_dijkstra(both, indices=[int(mind.argmax())]))
         np.minimum(mind, rows[-1][0], out=mind)
     return np.vstack(rows)
@@ -291,7 +310,8 @@ def classical_mds(gd, dim: int) -> Embedding:
 
     The rows are read through the exactly symmetric block of distances among
     their sources, with a zero diagonal; :func:`geodesic_distances` gives
-    every node's rows when there are at most ``LANDMARKS`` nodes.
+    every node's rows when there are at most ``LANDMARKS`` nodes, and the
+    rows of as many landmarks as its covering radius needs otherwise.
 
     Keeps the top ``dim`` eigenpairs of that ``l x l`` block, from one dense
     ``eigh``, with eigenvalue above a relative positive threshold; when fewer
@@ -313,13 +333,13 @@ def classical_mds(gd, dim: int) -> Embedding:
     block = _landmark_block(d)
     vals, vecs = _top_eigenpairs(block, dim)
     if not vals.size:
-        return Embedding(np.zeros((n, 1)), np.zeros(1), dim)
+        return Embedding(np.zeros((n, 1)), np.zeros(1), dim, len(d))
     flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(vals.size)] < 0
     vecs[:, flip] = -vecs[:, flip]
     coords = vecs * np.sqrt(vals)
     mean_sq = np.square(block).mean(axis=1)
     coords = -0.5 * (np.square(d) - mean_sq[:, None]).T @ (coords / vals)
-    return Embedding(coords, vals, dim)
+    return Embedding(coords, vals, dim, len(d))
 
 
 def residual_variances(gd, max_dim: int) -> list:

@@ -82,16 +82,18 @@ def detect_communities(
     neighborhood size. ``k_max`` defaults to :func:`default_k_max` and is
     clamped to n. The embedding is landmark MDS (see :func:`classical_mds`)
     from at most ``isomap.LANDMARKS`` geodesic rows: every node is a landmark
-    when there are at most that many of them.
+    when there are at most that many of them. A larger graph takes as many
+    as :func:`geodesic_distances` picks for ``dim``, at least ``2 * dim``
+    and 32, and ``embedding.landmarks`` records the count.
     """
     _check_settings(knn, dim, dc_percentile, k_max)
     n = g.node_count
     k_max = default_k_max(n) if k_max is None else min(int(k_max), n)
     timings = {}
 
-    def timed(name, stage, *args):
+    def timed(name, stage, *args, **kwargs):
         start = time.perf_counter()
-        out = stage(*args)
+        out = stage(*args, **kwargs)
         timings[name] = time.perf_counter() - start
         return out
 
@@ -100,7 +102,7 @@ def detect_communities(
     # the k-NN graph holds all that is used of the distances; freeing the
     # count before the geodesics lowers the peak
     del dmat
-    gd = timed("isomap.geodesic_distances", geodesic_distances, ng)
+    gd = timed("isomap.geodesic_distances", geodesic_distances, ng, dim=dim)
     embedding = timed("isomap.classical_mds", classical_mds, gd, dim)
     # and the embedding all that is used of the geodesics
     del gd

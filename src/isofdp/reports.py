@@ -87,6 +87,11 @@ def build_report(config: dict, result, metrics: dict | None = None) -> dict:
         "communities": result.communities_by_token(),
         "sweep": [[int(k), float(d)] for k, d in result.sweep.table()],
         "metrics": metrics or {},
+        "embedding": {
+            "landmarks": result.embedding.landmarks,
+            "dim": result.embedding.dim,
+            "truncated": result.embedding.truncated,
+        },
         "timings_ms": {k: round(v * 1000.0, 3) for k, v in result.timings.items()},
     }
     return report

@@ -3,7 +3,7 @@
 Two fresh interpreters, one per thread count, since OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once, when numpy is imported. Their embeddings may
 differ in the last bits (a threaded product or eigensolver sums in another
-order); the partitions and k* must not, neither on the LFR graph's 128 landmarks
+order); the partitions and k* must not, neither on the LFR graph's 32 landmarks
 nor on the GN graphs, where every node is one. Nor may the density profile or the cutoff
 ``select_dc`` picks: their GEMM screens may round differently, but every
 decision is taken on ``cdist``.

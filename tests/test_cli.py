@@ -20,8 +20,10 @@ from isofdp import (
     dbscan_parameter_search,
     detect_communities,
     generate_gn,
+    generate_lfr,
     load_gml,
     select_dc,
+    to_edge_list,
     to_gml,
 )
 from isofdp import cli
@@ -239,7 +241,11 @@ class TestDetect:
         for name in ("report.json", "sweep.csv", "decision_graph.csv", "embedding.csv"):
             assert os.path.exists(out / name)
         report = json.loads((out / "report.json").read_text())
-        assert set(report) == {"config", "k_star", "communities", "sweep", "metrics", "timings_ms"}
+        assert set(report) == {
+            "config", "k_star", "communities", "sweep", "metrics", "embedding", "timings_ms"
+        }
+        # every node of the GN graph is a landmark
+        assert report["embedding"] == {"landmarks": 128, "dim": 3, "truncated": False}
         assert report["k_star"] == 4
         assert len(report["communities"]) == 128
         assert report["metrics"]["nmi"] == 1.0
@@ -330,6 +336,11 @@ class TestDetect:
             ('graph [ node [ id 0 label "a" ] node [ id 1 label "a" ] ]', "duplicate node token 'a'"),
             ("graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 ] ]", "edge record without"),
             ("graph [ node [ id 0 label ] node [ id 1 ] ]", "key 'label' has no value"),
+            ("graph [ node [ id 0 id 7 ] node [ id 1 ] ]", "node record repeats key 'id'"),
+            (
+                "graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ] edge [ source 0 target 1 target 2 ] ]",
+                "edge record repeats key 'target'",
+            ),
             (
                 "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ]",
                 "input ends inside a block",
@@ -544,7 +555,8 @@ def degenerate_shape(shape, n):
 
 class TestDegenerateShapesAcrossDims:
     # the landmark blocks of these shapes repeat their top eigenvalue; sizes
-    # either side of LANDMARKS (128) take every node as a landmark, or 128
+    # either side of LANDMARKS (128) take every node as a landmark, or as
+    # many as the covering radius needs (120 for the star, 128 for the rest)
     @pytest.mark.parametrize("n", [8, 20, 29, 41, 128, 130])
     @pytest.mark.parametrize("shape", ["clique", "edge", "star", "triangle"])
     def test_detect_returns_or_exits_0_or_2(self, tmp_path, capsys, shape, n):
@@ -801,6 +813,32 @@ class TestEmbed:
             assert run([command, *flags, "--out-dir", tmp_path / command]) == 0
         detected = (tmp_path / "detect" / "embedding.csv").read_bytes()
         assert detected == (tmp_path / "embed" / "embedding.csv").read_bytes()
+
+    def test_detect_and_embed_read_the_same_landmarks_past_128_nodes(self, tmp_path):
+        # at dim 40 both take the floor of 80 landmarks, not 32
+        labeled = generate_lfr(LfrSpec(n=300, mu=0.3, min_community=15, max_community=40, seed=4))
+        path = tmp_path / "lfr.edges"
+        path.write_text(to_edge_list(labeled.graph))
+        flags = ["--input", path, "--dim", 40]
+        for command in ("detect", "embed"):
+            assert run([command, *flags, "--out-dir", tmp_path / command]) == 0
+        detected = (tmp_path / "detect" / "embedding.csv").read_bytes()
+        assert detected == (tmp_path / "embed" / "embedding.csv").read_bytes()
+        report = json.loads((tmp_path / "detect" / "report.json").read_text())
+        assert report["embedding"] == {"landmarks": 80, "dim": 40, "truncated": False}
+
+    def test_landmark_floor_follows_the_widest_dim(self, gn_instance, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(ng, **kwargs):
+            calls.append(kwargs)
+            return geodesic_distances(ng, **kwargs)
+
+        monkeypatch.setattr(cli, "geodesic_distances", recording)
+        edges_path, _ = gn_instance
+        for flags in (["--dim", 3], ["--dim", 3, "--dim-sweep", 40], ["--dim", 50, "--dim-sweep", 5]):
+            assert run(["embed", "--input", edges_path, *flags, "--out-dir", tmp_path / "o"]) == 0
+        assert calls == [{"dim": 3}, {"dim": 40}, {"dim": 50}]
 
     def test_dim_sweep(self, gn_instance, tmp_path):
         edges_path, _ = gn_instance

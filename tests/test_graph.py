@@ -103,6 +103,28 @@ class TestLoadGml:
         with pytest.raises(GraphParseError, match="input ends inside a block"):
             load_gml(text)
 
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            ("node [ id 3 id 7 ]", "id"),
+            ('node [ id 3 label "a" label "b" ]', "label"),
+            ("edge [ source 0 source 1 target 2 ]", "source"),
+            ("edge [ source 0 target 1 target 2 ]", "target"),
+        ],
+    )
+    def test_repeated_key_in_one_record(self, record, key):
+        # the last value used to win in silence: an edge to 2 for
+        # "target 1 target 2", node 7 for "id 0 id 7"
+        kind = record.split()[0]
+        text = f"graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ] {record} ]"
+        with pytest.raises(GraphParseError, match=f"{kind} record repeats key '{key}'"):
+            load_gml(text)
+
+    def test_repeated_other_key_is_ignored(self):
+        # only the keys the parser reads are checked
+        g = load_gml("graph [ node [ id 1 x 1 x 2 ] node [ id 2 ] edge [ source 1 target 2 w 1 w 2 ] ]")
+        assert (g.node_count, g.edge_count) == (2, 1)
+
     def test_deeply_nested_block_is_ignored(self):
         depth = 10_000
         nested = "meta [ " * depth + "x 1 " + "] " * depth

@@ -21,6 +21,7 @@ from isofdp import (
 )
 from isofdp.isomap import (
     _BLOCK_ROWS,
+    _RADIUS_SHRINK,
     LANDMARKS,
     NeighborGraph,
     _landmark_block,
@@ -579,6 +580,73 @@ class TestLandmarkGeodesics:
                 geodesic_distances(ng, landmarks)
 
 
+# the LFR graphs (seed 0, k=10) whose 128 max-min landmark rows, selected
+# with no early stop, the digest covers, and its first 16 hex digits
+FULL_LANDMARK_DIGEST = (((1000, 0.1), (3000, 0.3)), "aa17ee2ca6123665")
+
+
+def lfr_neighbor_graph(n, mu):
+    return build_neighbor_graph(prepared_distances(generate_lfr(LfrSpec(n=n, mu=mu, seed=0)).graph), 10)
+
+
+def covering_radii(full):
+    """The covering radius of each prefix of the landmark rows ``full``: entry i for the first i + 1."""
+    return np.minimum.accumulate(full, axis=0).max(axis=1)
+
+
+class TestLandmarkCount:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        graphs, expected = FULL_LANDMARK_DIGEST
+        return {key: lfr_neighbor_graph(*key) for key in graphs}
+
+    def test_rows_are_a_prefix_of_the_full_selection(self, graphs):
+        # a floor of 128 stops nothing, so those are the rows every graph
+        # above 128 nodes took before the count came from the data
+        _, expected = FULL_LANDMARK_DIGEST
+        h = hashlib.sha256()
+        for ng in graphs.values():
+            full = geodesic_distances(ng, dim=LANDMARKS // 2)
+            h.update(full.tobytes())
+            gd = geodesic_distances(ng)
+            assert len(gd) < LANDMARKS
+            assert gd.tobytes() == full[: len(gd)].tobytes()
+        assert h.hexdigest()[:16] == expected
+
+    def test_stops_at_the_first_count_past_the_floor_with_a_quarter_radius(self, graphs):
+        for ng in graphs.values():
+            full = geodesic_distances(ng, dim=LANDMARKS // 2)
+            radii = covering_radii(full)
+            floor = LANDMARKS // _RADIUS_SHRINK
+            shrunk = radii <= radii[0] / _RADIUS_SHRINK
+            assert len(geodesic_distances(ng)) == floor + np.argmax(shrunk[floor - 1 :])
+
+    def test_floor_holds_where_the_radius_shrinks_sooner(self, graphs):
+        ng = graphs[1000, 0.1]
+        radii = covering_radii(geodesic_distances(ng, dim=LANDMARKS // 2))
+        assert radii[18] <= radii[0] / _RADIUS_SHRINK  # 19 landmarks would do
+        assert len(geodesic_distances(ng)) == LANDMARKS // _RADIUS_SHRINK
+        assert len(geodesic_distances(ng, dim=16)) == 32
+        assert len(geodesic_distances(ng, dim=40)) == 80
+
+    def test_well_mixed_graph_keeps_every_landmark(self):
+        assert len(geodesic_distances(lfr_neighbor_graph(1000, 0.7))) == LANDMARKS
+
+    @pytest.mark.parametrize("landmarks", [2, 17, 32])
+    def test_a_cap_at_or_below_the_floor_is_the_count(self, graphs, landmarks):
+        ng = graphs[1000, 0.1]
+        full = geodesic_distances(ng, dim=LANDMARKS // 2)
+        assert geodesic_distances(ng, landmarks).tobytes() == full[:landmarks].tobytes()
+
+    def test_wide_embedding_is_not_truncated(self):
+        labeled = generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0))
+        emb = detect_communities(labeled.graph, knn=10, dim=40).embedding
+        assert (emb.dim, emb.truncated, emb.landmarks) == (40, False, 80)
+        # dim + 1 landmarks span 40 axes, but some of them come out negative
+        short = classical_mds(geodesic_distances(lfr_neighbor_graph(1000, 0.3), 41, dim=40), 40)
+        assert short.truncated and short.landmarks == 41
+
+
 class TestLandmarkMds:
     def points_geodesics(self, n=60, p=3, landmarks=12, seed=21):
         points = np.random.default_rng(seed).normal(size=(n, p))
@@ -822,7 +890,8 @@ class TestPartialEigensolver:
 
     def test_no_decomposed_block_is_wider_than_the_landmarks(self, monkeypatch):
         # the premise of a dense solve: at most LANDMARKS wide, it costs what
-        # a partial one did, with every node a landmark (GN) and with 128
+        # a partial one did, with every node a landmark (GN) and with the 32
+        # landmarks the LFR graph's communities need
         isomap = sys.modules["isofdp.isomap"]
         eigh, shapes = isomap.eigh, []
 
@@ -833,7 +902,7 @@ class TestPartialEigensolver:
         monkeypatch.setattr(isomap, "eigh", recording_eigh)
         detect_communities(generate_gn(GnSpec(z_out=4, seed=0)).graph, knn=24, dim=3)
         detect_communities(generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0)).graph, knn=10, dim=16)
-        assert shapes == [(128, 128), (LANDMARKS, LANDMARKS)]
+        assert shapes == [(128, 128), (32, 32)]
 
     def test_residual_variances_match_full_spectrum(self):
         rng = np.random.default_rng(13)
