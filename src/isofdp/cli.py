@@ -21,9 +21,9 @@ from .baselines import KmeansSpec, dbscan_parameter_search, kmeans
 from .density_peaks import _check_percentile
 from .generators import GenerationError, GnSpec, LfrSpec, generate_gn, generate_lfr
 from .graph import Graph, GraphParseError, load_edge_list, load_gml, to_edge_list
-from .isomap import build_neighbor_graph, classical_mds, geodesic_distances, residual_variances
+from .isomap import residual_variances
 from .metrics import accuracy, nmi
-from .pipeline import _check_settings, detect_communities
+from .pipeline import _check_settings, _geodesics, cluster_embedding, detect_communities, embed_graph
 from .reports import (
     atomic_write_text,
     build_report,
@@ -35,7 +35,6 @@ from .reports import (
     save_labels,
     write_csv,
 )
-from .similarity import prepared_distances
 
 # Parameters used for each benchmark suite unless overridden on the command
 # line. The embedding dimension tracks the community count: 4 well-separated
@@ -145,17 +144,19 @@ def _labels_for_graph(g: Graph, label_map: dict) -> np.ndarray:
     return np.array([label_map[t] for t in g.tokens], dtype=np.int64)
 
 
+def _write_embedding(out_dir: str, g: Graph, emb) -> str:
+    """``emb`` as ``out_dir/embedding.csv``, one row per node of ``g``; returns the path."""
+    out = os.path.join(out_dir, "embedding.csv")
+    write_csv(out, embedding_header(emb.dim), embedding_rows(g.tokens, emb.coordinates))
+    return out
+
+
 def cmd_detect(args) -> int:
     g, fmt = _load_graph(args.input, args.format)
     result = detect_communities(
-        g,
-        knn=args.knn,
-        dim=args.dim,
-        dc_percentile=args.dc_percentile,
-        k_max=args.kmax,
+        g, knn=args.knn, dim=args.dim, dc_percentile=args.dc_percentile, k_max=args.kmax
     )
     metrics = {}
-    truth = None
     if args.truth:
         with open(args.truth, "r", encoding="utf-8") as fh:
             truth = _labels_for_graph(g, load_labels(fh))
@@ -173,7 +174,6 @@ def cmd_detect(args) -> int:
         "out_dir": args.out_dir,
         "version": __version__,
     }
-    os.makedirs(args.out_dir, exist_ok=True)
     report = build_report(config, result, metrics)
     atomic_write_text(os.path.join(args.out_dir, "report.json"), report_json(report))
     write_csv(
@@ -186,11 +186,7 @@ def cmd_detect(args) -> int:
         ["token", "rho", "delta", "gamma"],
         decision_graph_rows(result),
     )
-    write_csv(
-        os.path.join(args.out_dir, "embedding.csv"),
-        embedding_header(result.embedding.dim),
-        embedding_rows(g.tokens, result.embedding.coordinates),
-    )
+    _write_embedding(args.out_dir, g, result.embedding)
     line = f"k_star={result.k_star} communities over {g.node_count} nodes -> {args.out_dir}"
     if metrics:
         line += f" (nmi={metrics['nmi']:.4f} acc={metrics['acc']:.4f})"
@@ -222,8 +218,9 @@ def cmd_benchmark(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or not set(methods) <= set(_METHODS):
         raise ValueError(f"--methods {args.methods!r}: choose from {', '.join(_METHODS)}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    for flag, value, low in (("--trials", args.trials, 1), ("--seed", args.seed, 0)):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     if args.dc_sweep:
         values = _parse_values(args.dc_sweep, integer=False, check=_check_percentile)
         runs = [(f"isofdp[dc={pct:g}]", pct) for pct in values]
@@ -237,25 +234,20 @@ def cmd_benchmark(args) -> int:
         for trial in range(args.trials):
             labeled, param_key = _benchmark_instance(suite, param, trial, args)
             g, truth = labeled.graph, labeled.truth
-            detected = {}
+            # one embedding per graph: each isofdp run adds only the density stages
+            embedding, _ = embed_graph(g, knn, dim)
             for method, pct in runs:
-                if pct not in detected:
-                    detected[pct] = detect_communities(
-                        g, knn=knn, dim=dim, dc_percentile=pct, k_max=args.kmax
-                    )
-                res = detected[pct]
                 if method == "kmeans_iso":
                     km_seed = subseed(args.seed, suite, param_key, trial, _STREAM_KMEANS)
                     k_true = int(truth.max()) + 1
-                    part = kmeans(res.embedding, KmeansSpec(k=k_true, seed=km_seed))
+                    part = kmeans(embedding, KmeansSpec(k=k_true, seed=km_seed))
                 elif method == "dbscan_iso":
-                    part = dbscan_parameter_search(res.embedding, truth)[0]
+                    part = dbscan_parameter_search(embedding, truth)[0]
                 else:
-                    part = res.partition
+                    part = cluster_embedding(g, embedding, pct, args.kmax).partition
                 scores = nmi(truth, part.labels), accuracy(truth, part.labels)
                 rows.append([param, trial, method, *scores, part.k])
 
-    os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"benchmark_{suite}.csv")
     write_csv(out_path, ["param", "trial", "method", "nmi", "acc", "k_detected"], rows)
 
@@ -280,7 +272,6 @@ def cmd_generate(args) -> int:
     else:
         labeled = generate_lfr(_lfr_spec(args, "generate"))
         name = args.name or f"lfr_mu{args.mu:g}_seed{args.seed}"
-    os.makedirs(args.out_dir, exist_ok=True)
     edge_path = os.path.join(args.out_dir, f"{name}.edges")
     truth_path = os.path.join(args.out_dir, f"{name}.truth")
     atomic_write_text(edge_path, to_edge_list(labeled.graph))
@@ -307,24 +298,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    if args.dim_sweep is not None and args.dim_sweep < 1:
-        raise ValueError(f"--dim-sweep must be >= 1, got {args.dim_sweep}")
-    _check_settings(args.knn, args.dim)
     g, _ = _load_graph(args.input, args.format)
-    dmat = prepared_distances(g)
-    ng = build_neighbor_graph(dmat, min(args.knn, g.node_count - 1))
-    gd = geodesic_distances(ng, dim=max(args.dim, args.dim_sweep or 0))
-    os.makedirs(args.out_dir, exist_ok=True)
-    if args.dim_sweep is not None:
-        rows = [[p, repr(r)] for p, r in residual_variances(gd, args.dim_sweep)]
+    n, sweep = g.node_count, args.dim_sweep
+    if sweep is not None:
+        # l <= n landmarks give at most n - 1 nonzero eigenvalues
+        if not 1 <= sweep <= n - 1:
+            raise ValueError(f"--dim-sweep must be in 1..n - 1 = {n - 1}, got {sweep}")
+        gd = _geodesics(g, args.knn, max(args.dim, sweep), {})
+        rows = [[p, repr(r)] for p, r in residual_variances(gd, sweep)]
         out = os.path.join(args.out_dir, "embedding_sweep.csv")
         write_csv(out, ["dim", "residual_variance"], rows)
-        print(f"residual variances for dim 1..{args.dim_sweep} -> {out}")
+        print(f"residual variances for dim 1..{sweep} -> {out}")
         return 0
-    emb = classical_mds(gd, args.dim)
-    out = os.path.join(args.out_dir, "embedding.csv")
-    write_csv(out, embedding_header(emb.dim), embedding_rows(g.tokens, emb.coordinates))
-    print(f"{g.node_count} nodes embedded into {emb.dim} dimensions -> {out}")
+    emb, _ = embed_graph(g, args.knn, args.dim)
+    out = _write_embedding(args.out_dir, g, emb)
+    dims = f"{emb.dim} of the {emb.requested_dim} requested" if emb.truncated else emb.dim
+    print(f"{n} nodes embedded into {dims} dimensions from {emb.landmarks} landmarks -> {out}")
     return 0
 
 
@@ -394,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="write the embedding (or a dimension sweep)")
     _add_graph_input(p)
     p.add_argument("--dim-sweep", type=int, default=None,
-                   help="report residual variance for dims 1..N instead")
+                   help="report residual variance for dims 1..N (N <= n - 1) instead")
     p.add_argument("--out-dir", default="isofdp-out")
     p.set_defaults(func=cmd_embed)
 

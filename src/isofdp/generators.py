@@ -52,6 +52,8 @@ class GnSpec:
     def __post_init__(self):
         if not 0 <= self.z_out <= 16:
             raise ValueError(f"z_out must be in 0..16, got {self.z_out}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def z_in(self) -> int:
@@ -81,6 +83,8 @@ class LfrSpec:
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.min_community <= self.max_community <= self.n:
             raise ValueError("need min_community <= max_community <= n")
         if self.min_community < 1:

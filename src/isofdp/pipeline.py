@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from inspect import signature
 
 from .density_peaks import DensityProfile, _check_percentile, compute_profile, select_dc
@@ -15,9 +15,13 @@ from .similarity import prepared_distances
 
 __all__ = [
     "DetectionResult",
+    "cluster_embedding",
     "default_k_max",
     "detect_communities",
+    "embed_graph",
 ]
+
+_DC_PERCENTILE = signature(select_dc).parameters["percentile"].default
 
 
 def default_k_max(n: int) -> int:
@@ -52,61 +56,93 @@ class DetectionResult:
         return {tok: int(labels[i]) for i, tok in enumerate(self.graph.tokens)}
 
 
-def _check_settings(
-    knn: int, dim: int, dc_percentile: float | None = None, k_max: int | None = None
-) -> None:
+def _check_settings(knn=None, dim=None, dc_percentile=None, k_max=None) -> None:
     """Rejects settings under their lower bounds before any stage runs; None is not checked.
 
-    The upper bounds depend on n, and :func:`detect_communities` clamps to them.
+    The upper bounds depend on n, and the stages clamp to them.
     """
-    if knn < 1:
-        raise ValueError(f"knn must be >= 1, got {knn}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    for name, value, low in (("knn", knn, 1), ("dim", dim, 1), ("k_max", k_max, 2)):
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if dc_percentile is not None:
         _check_percentile(dc_percentile)
-    if k_max is not None and k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
+
+
+def _timed(timings: dict, name: str, stage, *args, **kwargs):
+    """``stage(*args, **kwargs)``, its seconds recorded in ``timings[name]``."""
+    start = time.perf_counter()
+    out = stage(*args, **kwargs)
+    timings[name] = time.perf_counter() - start
+    return out
+
+
+def _geodesics(g: Graph, knn: int, dim: int, timings: dict):
+    """The geodesic rows of ``g``'s k-NN graph, at the landmark floor ``dim`` sets.
+
+    Checks ``knn`` and ``dim``, then runs the distance, k-NN graph and
+    geodesic stages, each timed into ``timings``; ``knn`` is clamped to n-1.
+    :func:`embed_graph` reads the embedding from these rows, and ``isofdp
+    embed --dim-sweep`` its residual variances.
+    """
+    _check_settings(knn, dim)
+    knn = min(knn, g.node_count - 1)
+    dmat = _timed(timings, "pipeline.prepared_distances", prepared_distances, g)
+    ng = _timed(timings, "isomap.build_neighbor_graph", build_neighbor_graph, dmat, knn)
+    # the k-NN graph holds all that is used of the distances; freeing the
+    # count before the geodesics lowers the peak
+    del dmat
+    return _timed(timings, "isomap.geodesic_distances", geodesic_distances, ng, dim=dim)
+
+
+def embed_graph(g: Graph, knn: int = 10, dim: int = 2) -> tuple[Embedding, dict]:
+    """The Isomap half of the pipeline: ``g``'s embedding and its four stage timings.
+
+    ``knn`` is clamped to n-1 so small graphs work with the default
+    neighborhood size. The embedding is landmark MDS (see :func:`classical_mds`)
+    from at most ``isomap.LANDMARKS`` geodesic rows: every node is a landmark
+    when there are at most that many of them. A larger graph takes as many
+    as :func:`geodesic_distances` picks for ``dim``, at least ``2 * dim``
+    and 32, and ``embedding.landmarks`` records the count. The timings are
+    seconds under each stage's ``<module>.<function>`` name, in call order.
+    """
+    timings = {}
+    # the geodesic rows are freed on return: the embedding is all that is used of them
+    gd = _geodesics(g, knn, dim, timings)
+    return _timed(timings, "isomap.classical_mds", classical_mds, gd, dim), timings
+
+
+def cluster_embedding(
+    g: Graph, embedding: Embedding, dc_percentile: float = _DC_PERCENTILE, k_max: int | None = None
+) -> DetectionResult:
+    """The density-peaks half of the pipeline, on an embedding of ``g`` the caller already has.
+
+    Picks ``d_c``, computes the density profile and sweeps the community
+    count up to ``k_max``, which defaults to :func:`default_k_max` and is
+    clamped to n. The result's timings are those of these three stages.
+    """
+    _check_settings(dc_percentile=dc_percentile, k_max=k_max)
+    k_max = default_k_max(g.node_count) if k_max is None else min(int(k_max), g.node_count)
+    timings = {}
+    d_c = _timed(timings, "density_peaks.select_dc", select_dc, embedding, dc_percentile)
+    profile = _timed(timings, "density_peaks.compute_profile", compute_profile, embedding, d_c)
+    sweep = _timed(timings, "partition.select_k", select_k, g, embedding, profile, k_max)
+    return DetectionResult(g, embedding, profile, sweep, timings)
 
 
 def detect_communities(
     g: Graph,
     knn: int = 10,
     dim: int = 2,
-    dc_percentile: float = signature(select_dc).parameters["percentile"].default,
+    dc_percentile: float = _DC_PERCENTILE,
     k_max: int | None = None,
 ) -> DetectionResult:
     """Run the full pipeline on one graph and pick the best community count.
 
-    ``knn`` is clamped to n-1 so small graphs work with the default
-    neighborhood size. ``k_max`` defaults to :func:`default_k_max` and is
-    clamped to n. The embedding is landmark MDS (see :func:`classical_mds`)
-    from at most ``isomap.LANDMARKS`` geodesic rows: every node is a landmark
-    when there are at most that many of them. A larger graph takes as many
-    as :func:`geodesic_distances` picks for ``dim``, at least ``2 * dim``
-    and 32, and ``embedding.landmarks`` records the count.
+    :func:`embed_graph` at ``knn`` and ``dim``, then
+    :func:`cluster_embedding` at ``dc_percentile`` and ``k_max``, after
+    every setting is checked; the result's timings are all seven stages'.
     """
     _check_settings(knn, dim, dc_percentile, k_max)
-    n = g.node_count
-    k_max = default_k_max(n) if k_max is None else min(int(k_max), n)
-    timings = {}
-
-    def timed(name, stage, *args, **kwargs):
-        start = time.perf_counter()
-        out = stage(*args, **kwargs)
-        timings[name] = time.perf_counter() - start
-        return out
-
-    dmat = timed("pipeline.prepared_distances", prepared_distances, g)
-    ng = timed("isomap.build_neighbor_graph", build_neighbor_graph, dmat, min(knn, n - 1))
-    # the k-NN graph holds all that is used of the distances; freeing the
-    # count before the geodesics lowers the peak
-    del dmat
-    gd = timed("isomap.geodesic_distances", geodesic_distances, ng, dim=dim)
-    embedding = timed("isomap.classical_mds", classical_mds, gd, dim)
-    # and the embedding all that is used of the geodesics
-    del gd
-    d_c = timed("density_peaks.select_dc", select_dc, embedding, dc_percentile)
-    profile = timed("density_peaks.compute_profile", compute_profile, embedding, d_c)
-    sweep = timed("partition.select_k", select_k, g, embedding, profile, k_max)
-    return DetectionResult(g, embedding, profile, sweep, timings)
+    embedding, timings = embed_graph(g, knn, dim)
+    result = cluster_embedding(g, embedding, dc_percentile, k_max)
+    return replace(result, timings=timings | result.timings)

@@ -17,11 +17,13 @@ from isofdp import (
     GnSpec,
     GraphParseError,
     LfrSpec,
+    accuracy,
     dbscan_parameter_search,
     detect_communities,
     generate_gn,
     generate_lfr,
     load_gml,
+    nmi,
     select_dc,
     to_edge_list,
     to_gml,
@@ -219,6 +221,13 @@ class TestGenerate:
             code = run(["generate", "lfr", "--mu", 0.3, *flags, "--out-dir", out])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("family", [["gn", "--zout", 4], ["lfr", "--mu", 0.3]])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, family):
+        out = tmp_path / "data"
+        assert run(["generate", *family, "--seed", -1, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not os.path.exists(out)
 
     def test_negative_t2_with_finite_weights_generates(self, tmp_path, capsys):
@@ -665,6 +674,52 @@ class TestBenchmark:
         methods = {line.split(",")[2] for line in lines[1:]}
         assert methods == {"isofdp[dc=1]", "isofdp[dc=2]", "isofdp[dc=3]"}
 
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Counts the calls of the stage ``name`` that ``isofdp.pipeline`` makes."""
+        pipeline = sys.modules["isofdp.pipeline"]
+        stage, calls = getattr(pipeline, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+        return calls
+
+    def test_dc_sweep_embeds_each_graph_once(self, tmp_path, monkeypatch):
+        distances = self.count_calls(monkeypatch, "prepared_distances")
+        cutoffs = self.count_calls(monkeypatch, "select_dc")
+        argv = ["benchmark", "--suite", "gn", "--zout", "5,6", "--trials", 2, "--dc-sweep", "1..3"]
+        assert run(argv + ["--out-dir", tmp_path / "sweep"]) == 0
+        assert (len(distances), len(cutoffs)) == (2 * 2, 2 * 2 * 3)
+
+    def test_dc_sweep_rows_are_detect_communities_at_each_percentile(self, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["benchmark", "--suite", "gn", "--zout", 6, "--trials", 1, "--dc-sweep", "1..3"]
+        assert run(argv + ["--out-dir", out]) == 0
+        with open(out / "benchmark_gn.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        labeled = generate_gn(GnSpec(z_out=6, seed=subseed(0, "gn", 6, 0, _STREAM_GENERATOR)))
+        expected = []
+        for pct in (1.0, 2.0, 3.0):
+            res = detect_communities(labeled.graph, **SUITE_PRESETS["gn"], dc_percentile=pct)
+            labels = res.partition.labels
+            expected.append(
+                ["6", "0", f"isofdp[dc={pct:g}]", repr(nmi(labeled.truth, labels)),
+                 repr(accuracy(labeled.truth, labels)), str(res.k_star)]
+            )
+        assert rows == expected
+
+    def test_kmeans_alone_runs_no_density_stage(self, tmp_path, monkeypatch):
+        def no_cutoff(*args):
+            raise AssertionError("kmeans_iso ran select_dc")
+
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "select_dc", no_cutoff)
+        argv = ["benchmark", "--suite", "gn", "--zout", 4, "--trials", 2, "--methods", "kmeans_iso"]
+        assert run(argv + ["--out-dir", tmp_path / "km"]) == 0
+        assert len((tmp_path / "km" / "benchmark_gn.csv").read_text().splitlines()) == 1 + 2
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -758,6 +813,8 @@ class TestBenchmark:
             (["--suite", "lfr", "--mu", "0.3", "--knn", 0], "knn must be >= 1, got 0"),
             (["--suite", "lfr", "--mu", "0.3", "--dim", 0], "dim must be >= 1, got 0"),
             (["--suite", "lfr", "--mu", "0.3", "--kmax", 1], "k_max must be >= 2, got 1"),
+            (["--suite", "gn", "--zout", "3", "--seed", -5], "--seed must be >= 0, got -5"),
+            (["--suite", "lfr", "--mu", "0.3", "--seed", -1], "--seed must be >= 0, got -1"),
         ],
     )
     def test_every_value_checked_before_the_first_graph(
@@ -806,13 +863,46 @@ class TestEmbed:
         rows = list(embedding_rows(["a", "b"], coordinates))
         assert [len(row) for row in rows] == [len(embedding_header(dim))] * 2
 
-    def test_detect_writes_the_same_embedding(self, gn_instance, tmp_path):
+    @pytest.mark.parametrize(
+        "family, knn, dim, landmarks",
+        [
+            ("gn", 12, 4, 128),  # every node a landmark: the all-pairs geodesics
+            ("lfr", 10, 16, 32),  # n=1000: the landmark rows
+        ],
+    )
+    def test_detect_writes_the_same_embedding(self, gn_instance, tmp_path, family, knn, dim, landmarks):
+        # both run pipeline.embed_graph
         edges_path, _ = gn_instance
-        flags = ["--input", edges_path, "--knn", 12, "--dim", 4]
+        if family == "lfr":
+            edges_path = tmp_path / "lfr.edges"
+            edges_path.write_text(to_edge_list(generate_lfr(LfrSpec(n=1000, mu=0.3, seed=0)).graph))
+        flags = ["--input", edges_path, "--knn", knn, "--dim", dim]
         for command in ("detect", "embed"):
             assert run([command, *flags, "--out-dir", tmp_path / command]) == 0
         detected = (tmp_path / "detect" / "embedding.csv").read_bytes()
         assert detected == (tmp_path / "embed" / "embedding.csv").read_bytes()
+        report = json.loads((tmp_path / "detect" / "report.json").read_text())
+        assert report["embedding"] == {"landmarks": landmarks, "dim": dim, "truncated": False}
+
+    @pytest.mark.parametrize(
+        "graph, dim, line",
+        [
+            ("gn", 3, "128 nodes embedded into 3 dimensions from 128 landmarks"),
+            ("clique6", 8, "6 nodes embedded into 5 of the 8 requested dimensions from 6 landmarks"),
+        ],
+    )
+    def test_summary_gives_the_landmarks_and_a_truncation(
+        self, gn_instance, tmp_path, capsys, graph, dim, line
+    ):
+        # the same facts as report.json's embedding block
+        path = gn_instance[0]
+        if graph == "clique6":
+            path = tmp_path / "clique6.edges"
+            path.write_text(to_edge_list(disjoint_cliques_graph([6])[0]))
+        capsys.readouterr()
+        out = tmp_path / "emb"
+        assert run(["embed", "--input", path, "--dim", dim, "--out-dir", out]) == 0
+        assert capsys.readouterr().out == f"{line} -> {out / 'embedding.csv'}\n"
 
     def test_detect_and_embed_read_the_same_landmarks_past_128_nodes(self, tmp_path):
         # at dim 40 both take the floor of 80 landmarks, not 32
@@ -834,7 +924,7 @@ class TestEmbed:
             calls.append(kwargs)
             return geodesic_distances(ng, **kwargs)
 
-        monkeypatch.setattr(cli, "geodesic_distances", recording)
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "geodesic_distances", recording)
         edges_path, _ = gn_instance
         for flags in (["--dim", 3], ["--dim", 3, "--dim-sweep", 40], ["--dim", 50, "--dim-sweep", 5]):
             assert run(["embed", "--input", edges_path, *flags, "--out-dir", tmp_path / "o"]) == 0
@@ -864,11 +954,40 @@ class TestEmbed:
         def no_distances(g):
             raise AssertionError("the distances were computed before every setting was checked")
 
-        monkeypatch.setattr(cli, "prepared_distances", no_distances)
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "prepared_distances", no_distances)
         edges_path, _ = gn_instance
         assert run(["embed", "--input", edges_path, *flags, "--out-dir", tmp_path / "o"]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
+
+    def test_dim_sweep_above_n_minus_1_exits_2(self, tmp_path, monkeypatch, capsys):
+        # l <= n landmarks have at most n - 1 nonzero eigenvalues: every row
+        # past n - 1 read 0.0, and --dim-sweep 1000000 wrote 10^6 of them
+        path = tmp_path / "clique6.edges"
+        path.write_text(to_edge_list(disjoint_cliques_graph([6])[0]))
+        assert run(["embed", "--input", path, "--dim-sweep", 5, "--out-dir", tmp_path / "ok"]) == 0
+        assert len((tmp_path / "ok" / "embedding_sweep.csv").read_text().splitlines()) == 1 + 5
+        capsys.readouterr()
+
+        def no_distances(g):
+            raise AssertionError("a stage ran before --dim-sweep was checked")
+
+        monkeypatch.setattr(sys.modules["isofdp.pipeline"], "prepared_distances", no_distances)
+        out = tmp_path / "sweep"
+        assert run(["embed", "--input", path, "--dim-sweep", 6, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: --dim-sweep must be in 1..n - 1 = 5, got 6\n"
+        assert not os.path.exists(out)
+
+    def test_huge_dim_sweep_exits_2_at_once(self, tmp_path):
+        # in a child capped at 1 GiB: 10^9 rows would not fit
+        path = tmp_path / "clique6.edges"
+        path.write_text(to_edge_list(disjoint_cliques_graph([6])[0]))
+        out = tmp_path / "sweep"
+        argv = ["embed", "--input", str(path), "--dim-sweep", "1000000000", "--out-dir", str(out)]
+        code, stdout, stderr = _capped_child(f"sys.exit(main({argv!r}))", 10)
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: --dim-sweep must be in 1..n - 1 = 5, got 1000000000\n"
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_nonpositive_dim_sweep_exits_2(self, gn_instance, tmp_path, capsys, count):

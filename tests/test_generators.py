@@ -64,6 +64,11 @@ class TestGnGenerator:
         with pytest.raises(ValueError):
             GnSpec(z_out=-1)
 
+    def test_negative_seed_rejected_by_name(self):
+        # numpy's own error, "expected non-negative integer", names no field
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            GnSpec(z_out=4, seed=-1)
+
 
 class TestLfrGenerator:
     def test_reference_parameters(self):
@@ -118,6 +123,10 @@ class TestLfrGenerator:
             LfrSpec(n=100, mu=0.5, avg_degree=0.5)
         with pytest.raises(TypeError):
             LfrSpec(100, 0.5)  # keywords only
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            LfrSpec(mu=0.3, seed=-1)
 
     @pytest.mark.parametrize("n, max_degree", [(100, 100), (1000, 1000000), (60, 60)])
     def test_max_degree_above_n_minus_1_rejected(self, n, max_degree):
